@@ -150,18 +150,14 @@ def effective_labels(ontology: Ontology, snapshot_time: int) -> dict[str, set[st
     A label (p, c, u) is effective at s iff u <= s and no label of the
     same exclusivity family on c exists at u < u' <= s (latest wins).
     """
+    latest: dict[tuple[str, str], int] = {}
+    for lb in ontology.labels.values():
+        key = (lb.concept, LABEL_FAMILY[lb.primitive])
+        if latest.get(key, -1) < lb.time <= snapshot_time:
+            latest[key] = lb.time
     out: dict[str, set[str]] = {}
-    labels = list(ontology.labels.values())
-    for lb in labels:
-        if lb.time > snapshot_time:
-            continue
-        family = LABEL_FAMILY[lb.primitive]
-        overridden = any(
-            other.concept == lb.concept
-            and LABEL_FAMILY[other.primitive] == family
-            and lb.time < other.time <= snapshot_time
-            for other in labels)
-        if not overridden:
+    for lb in ontology.labels.values():
+        if latest.get((lb.concept, LABEL_FAMILY[lb.primitive])) == lb.time:
             out.setdefault(lb.primitive, set()).add(lb.concept)
     return out
 
@@ -171,25 +167,29 @@ def _annotations_of(ontology: Ontology, concept: str) -> tuple[tuple[str, str], 
     return tuple(sorted((axis, decl.value) for axis, decl in per.items()))
 
 
-def _players_of(ontology: Ontology, role_name: str) -> tuple[str, ...]:
-    return tuple(sorted(
-        c.definition.type_concept for c in ontology.conjunctions()
-        if c.definition.formal_role == role_name))
+def _role_records(ontology: Ontology) -> list[RoleRecord]:
+    """Every role definition with its players, sorted by role name."""
+    players: dict[str, list[str]] = {}
+    for c in ontology.conjunctions():
+        players.setdefault(c.definition.formal_role, []).append(c.definition.type_concept)
+    records = []
+    for role in sorted(ontology.role_definitions(), key=lambda c: c.name):
+        definition: RoleDefinition = role.definition
+        records.append(RoleRecord(role.name, definition.mode,
+                                  definition.reasoning_concept,
+                                  tuple(sorted(players.get(role.name, ())))))
+    return records
 
 
 def _io_of(
-    ontology: Ontology, closure: SubsumptionClosure, concept: str
+    roles: list[RoleRecord], closure: SubsumptionClosure, concept: str
 ) -> tuple[tuple[RoleRecord, ...], tuple[RoleRecord, ...]]:
+    ancestors = closure.ancestors(concept)
     inputs = []
     outputs = []
-    for role in sorted(ontology.role_definitions(), key=lambda c: c.name):
-        definition: RoleDefinition = role.definition
-        if not closure.subsumes(definition.reasoning_concept, concept):
-            continue
-        record = RoleRecord(role.name, definition.mode,
-                            definition.reasoning_concept,
-                            _players_of(ontology, role.name))
-        (inputs if definition.mode == "data" else outputs).append(record)
+    for record in roles:
+        if record.reasoning_concept in ancestors:
+            (inputs if record.mode == "data" else outputs).append(record)
     return tuple(inputs), tuple(outputs)
 
 
@@ -233,11 +233,12 @@ def compile_bundle(
     inference_set = set(effective.get("Inference", set())) \
         | set(effective.get("TransferFunction", set()))
     domain_set = set(effective.get("DomainConcept", set()))
+    roles = _role_records(ontology)
 
     def reasoning_concepts(members: set[str], with_methods: bool) -> tuple[BundleConcept, ...]:
         out = []
         for name in sorted(members):
-            inputs, outputs = _io_of(ontology, closure, name)
+            inputs, outputs = _io_of(roles, closure, name)
             out.append(BundleConcept(
                 name, _parents_within(ontology, name, members),
                 _annotations_of(ontology, name),

@@ -158,7 +158,8 @@ def check_s2(ctx: CheckContext) -> list[Diagnostic]:
         parent = ctx.ontology.relations.get(rel.particularizes)
         if parent is None or not parent.temporal:
             continue
-        witnessed = any(w.args == g.args for w in ctx.facts.facts_of(parent.name))
+        witnessed = any(w.args == g.args
+                        for w in ctx.facts.facts_with(parent.name, 0, g.args[0]))
         if not witnessed:
             diags.append(_error(
                 "S2",
@@ -205,8 +206,8 @@ def check_temporal_participation(
     ):
         for g in sorted(facts.facts_of(rel_name)):
             x, y = g.args
-            presence = sorted(p.time for p in facts.facts_of(kernel.REL_PRESENCE)
-                              if p.args == (y,) and p.time is not None)
+            presence = sorted(p.time for p in facts.facts_with(kernel.REL_PRESENCE, 0, y)
+                              if p.time is not None)
             if not presence:
                 if y not in warned:
                     warned.add(y)
@@ -217,8 +218,9 @@ def check_temporal_participation(
                         facts.span_of(g), (y,)))
                 continue
             edge = pick(presence)
-            participated = {p.time for p in facts.facts_of(kernel.REL_PARTICIPATION)
-                            if p.args == (x, y)}
+            pcs = min(facts.facts_with(kernel.REL_PARTICIPATION, 0, x),
+                      facts.facts_with(kernel.REL_PARTICIPATION, 1, y), key=len)
+            participated = {p.time for p in pcs if p.args == (x, y)}
             side = "first" if pick is min else "last"
             if edge not in participated:
                 diags.append(_error(

@@ -91,7 +91,7 @@ def _exit_for(diags: Sequence[Diagnostic], werror: bool) -> int:
 
 
 def _load_file(path: str) -> tuple[Optional[Ontology], list[Diagnostic]]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
     decls, parse_diags = parse(text, path)
     if parse_diags:
         return None, parse_diags

@@ -26,39 +26,52 @@ which `okc explain` prints.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import kernel
 from .model import KERNEL_SPAN, ConceptDecl, Ontology, SourceSpan, _direct_supers
 
 
-class SubsumptionCycleError(Exception):
-    """Raised defensively; cycles are a validator (W1) concern upstream."""
-
-
 class SubsumptionClosure:
-    """Reflexive-transitive subsumption over all declared concepts."""
+    """Reflexive-transitive subsumption over all declared concepts.
 
-    def __init__(self, ancestors: dict[str, frozenset[str]]):
-        self._ancestors = ancestors
-        self._descendants: dict[str, set[str]] = {name: set() for name in ancestors}
-        for name, ups in ancestors.items():
-            for up in ups:
-                self._descendants[up].add(name)
+    Concept i is bit i, and each concept keeps its ancestors and its
+    descendants as integer bitsets, so a 10,000-deep chain costs
+    megabytes where one frozenset per concept would cost gigabytes.
+    """
+
+    def __init__(self, names: tuple[str, ...], up: list[int], down: list[int]):
+        self._names = names
+        self._bit = {name: i for i, name in enumerate(names)}
+        self._up = up
+        self._down = down
 
     def subsumes(self, ancestor: str, descendant: str) -> bool:
         """True iff every instance of `descendant` is one of `ancestor`."""
-        return ancestor in self._ancestors.get(descendant, frozenset())
+        a = self._bit.get(ancestor)
+        d = self._bit.get(descendant)
+        return a is not None and d is not None and (self._up[d] >> a) & 1 == 1
 
     def ancestors(self, concept: str) -> frozenset[str]:
-        return self._ancestors.get(concept, frozenset())
+        i = self._bit.get(concept)
+        return frozenset() if i is None else self._decode(self._up[i])
 
     def descendants(self, concept: str) -> frozenset[str]:
-        return frozenset(self._descendants.get(concept, ()))
+        i = self._bit.get(concept)
+        return frozenset() if i is None else self._decode(self._down[i])
 
     @property
-    def concepts(self) -> Iterable[str]:
-        return self._ancestors.keys()
+    def concepts(self) -> tuple[str, ...]:
+        return self._names
+
+    def _decode(self, bits: int) -> frozenset[str]:
+        digits = bin(bits)[:1:-1]  # digits[i] is bit i
+        names = []
+        i = digits.find("1")
+        while i >= 0:
+            names.append(self._names[i])
+            i = digits.find("1", i + 1)
+        return frozenset(names)
 
 
 def direct_supers(concept: ConceptDecl) -> tuple[str, ...]:
@@ -67,28 +80,44 @@ def direct_supers(concept: ConceptDecl) -> tuple[str, ...]:
 
 
 def compute_closure(ontology: Ontology) -> SubsumptionClosure:
-    """Subsumption over asserted edges, role definitions and conjunctions."""
-    memo: dict[str, frozenset[str]] = {}
-    visiting: set[str] = set()
+    """Subsumption over asserted edges, role definitions and conjunctions.
 
-    def ancestors_of(name: str) -> frozenset[str]:
-        cached = memo.get(name)
-        if cached is not None:
-            return cached
-        if name in visiting:
-            raise SubsumptionCycleError(f"subsumption cycle through '{name}'")
-        visiting.add(name)
-        acc = {name}
-        for parent in direct_supers(ontology.concepts[name]):
-            if parent in ontology.concepts:
-                acc.update(ancestors_of(parent))
-        visiting.discard(name)
-        memo[name] = frozenset(acc)
-        return memo[name]
-
-    for name in sorted(ontology.concepts):
-        ancestors_of(name)
-    return SubsumptionClosure(memo)
+    Concepts are visited in topological order (Kahn), parents before
+    children for ancestors and the reverse for descendants, so depth
+    costs no stack.  The taxonomy must be acyclic: `check_w1` runs first.
+    """
+    names = sorted(ontology.concepts)
+    parents = {n: sorted({p for p in direct_supers(ontology.concepts[n])
+                          if p in ontology.concepts})
+               for n in names}
+    children: dict[str, list[str]] = {n: [] for n in names}
+    for n in names:
+        for p in parents[n]:
+            children[p].append(n)
+    waiting = {n: len(parents[n]) for n in names}
+    order = [n for n in names if not waiting[n]]
+    for n in order:  # grows while it is walked
+        for child in children[n]:
+            waiting[child] -= 1
+            if not waiting[child]:
+                order.append(child)
+    if len(order) < len(names):
+        stuck = min(n for n in names if waiting[n])
+        raise ValueError(f"subsumption cycle above '{stuck}'; check_w1 reports it")
+    bit = {n: i for i, n in enumerate(order)}
+    up = [0] * len(order)
+    for i, n in enumerate(order):
+        bits = 1 << i
+        for p in parents[n]:
+            bits |= up[bit[p]]
+        up[i] = bits
+    down = [0] * len(order)
+    for i in range(len(order) - 1, -1, -1):
+        bits = 1 << i
+        for child in children[order[i]]:
+            bits |= down[bit[child]]
+        down[i] = bits
+    return SubsumptionClosure(tuple(order), up, down)
 
 
 def find_subsumption_cycles(ontology: Ontology) -> list[tuple[str, ...]]:
@@ -187,7 +216,12 @@ def entry_sort_key(entry: Entry) -> tuple:
 
 
 class FactBase:
-    """Memberships and ground facts closed under the rule set."""
+    """Memberships and ground facts closed under the rule set.
+
+    Every ground fact is listed once under each of its argument
+    positions, keyed by (relation, position, value), so the rule bodies
+    and checks join on one bucket instead of scanning a relation.
+    """
 
     def __init__(self) -> None:
         self.members: set[Member] = set()
@@ -198,6 +232,7 @@ class FactBase:
         self.members_of: dict[str, set[str]] = {}     # instance -> concepts
         self.instances_of: dict[str, set[str]] = {}   # concept -> instances
         self.grounds_by_rel: dict[str, set[Ground]] = {}
+        self._by_arg: dict[tuple[str, int, str], list[Ground]] = {}
 
     def has_member(self, instance: str, concept: str) -> bool:
         return Member(instance, concept) in self.members
@@ -207,6 +242,10 @@ class FactBase:
 
     def facts_of(self, relation: str) -> set[Ground]:
         return self.grounds_by_rel.get(relation, set())
+
+    def facts_with(self, relation: str, position: int, value: str) -> Sequence[Ground]:
+        """Facts of `relation` whose argument at `position` is `value`."""
+        return self._by_arg.get((relation, position, value), ())
 
     def span_of(self, entry: Entry) -> SourceSpan:
         """Span of the entry, following derivations back to an asserted one."""
@@ -232,6 +271,8 @@ class FactBase:
             return False
         self.grounds.add(entry)
         self.grounds_by_rel.setdefault(entry.relation, set()).add(entry)
+        for position, value in enumerate(entry.args):
+            self._by_arg.setdefault((entry.relation, position, value), []).append(entry)
         return True
 
     def add_asserted(self, entry: Entry, span: SourceSpan) -> bool:
@@ -262,17 +303,25 @@ class _Engine:
         self.closure = closure
         self.fb = FactBase()
         self.queue: deque[Entry] = deque()
-        # role definitions indexed by the relation that feeds them
+        # role definitions indexed by the relation that feeds them, and
+        # by the reasoning concept they cover (data roles first)
         self.roles_by_rel: dict[str, list[ConceptDecl]] = {
             kernel.REL_DATA: [], kernel.REL_RESULT: []}
         for c in sorted(ontology.role_definitions(), key=lambda d: d.name):
             rel = kernel.REL_DATA if c.definition.mode == "data" else kernel.REL_RESULT
             self.roles_by_rel[rel].append(c)
+        self.roles_by_reasoning: dict[str, list[tuple[str, ConceptDecl]]] = {}
+        for rel, roles in self.roles_by_rel.items():
+            for c in roles:
+                self.roles_by_reasoning.setdefault(
+                    c.definition.reasoning_concept, []).append((rel, c))
         # conjunctions indexed by either operand
         self.conjunctions_by_operand: dict[str, list[ConceptDecl]] = {}
         for c in sorted(ontology.conjunctions(), key=lambda d: d.name):
             for operand in (c.definition.type_concept, c.definition.formal_role):
                 self.conjunctions_by_operand.setdefault(operand, []).append(c)
+        # M-up edges with their trace notes, built on a concept's first use
+        self.up_edges: dict[str, tuple[tuple[str, str], ...]] = {}
 
     def push(self, added: bool, entry: Entry) -> None:
         if added:
@@ -297,31 +346,29 @@ class _Engine:
     # -- triggers
 
     def on_member(self, m: Member) -> None:
-        decl = self.onto.concepts.get(m.concept)
-        if decl is not None:
-            for parent in sorted(direct_supers(decl)):
-                if parent in self.onto.concepts:
-                    derived = Member(m.instance, parent)
-                    self.push(self.fb.add_derived(
-                        derived, "M-up", (m,), f"{m.concept} specializes {parent}"), derived)
+        edges = self.up_edges.get(m.concept)
+        if edges is None:
+            decl = self.onto.concepts.get(m.concept)
+            edges = self.up_edges[m.concept] = () if decl is None else tuple(
+                (parent, f"{m.concept} specializes {parent}")
+                for parent in sorted(direct_supers(decl)) if parent in self.onto.concepts)
+        for parent, note in edges:
+            derived = Member(m.instance, parent)
+            self.push(self.fb.add_derived(derived, "M-up", (m,), note), derived)
         for conj in self.conjunctions_by_operand.get(m.concept, ()):
             self.try_d6(m.instance, conj)
-        for rel_name, roles in self.roles_by_rel.items():
-            for role in roles:
-                if role.definition.reasoning_concept == m.concept:
-                    for g in sorted(self.fb.facts_of(rel_name)):
-                        if g.args[1] == m.instance:
-                            self.try_d5(g, role)
+        for rel_name, role in self.roles_by_reasoning.get(m.concept, ()):
+            for g in sorted(self.fb.facts_with(rel_name, 1, m.instance)):
+                self.try_d5(g, role)
         if m.concept == kernel.ACTION:
             self.try_d1(m.instance)
         if m.concept in kernel.AGENTIVE_UNION:
-            for g in sorted(self.fb.facts_of(kernel.REL_PARTICIPATION)):
-                if g.args[0] == m.instance:
-                    self.try_d1(g.args[1])
+            for g in sorted(self.fb.facts_with(kernel.REL_PARTICIPATION, 0, m.instance)):
+                self.try_d1(g.args[1])
         if m.concept in (kernel.PROPOSITION, kernel.IDA_CONCEPT):
-            for g in sorted(self.fb.facts_of(kernel.REL_SUBJECT)):
-                if m.instance in g.args:
-                    self.try_d2(g)
+            for g in sorted({*self.fb.facts_with(kernel.REL_SUBJECT, 0, m.instance),
+                             *self.fb.facts_with(kernel.REL_SUBJECT, 1, m.instance)}):
+                self.try_d2(g)
 
     def on_ground(self, g: Ground) -> None:
         rel = self.onto.relations.get(g.relation)
@@ -358,12 +405,10 @@ class _Engine:
         ac = Member(action, kernel.ACTION)
         if ac not in self.fb.members:
             return
-        agents = sorted(g for g in self.fb.facts_of(kernel.REL_AGENT)
-                        if g.args[1] == action)
+        agents = sorted(self.fb.facts_with(kernel.REL_AGENT, 1, action))
         if not agents:
             return
-        for pc in sorted(g for g in self.fb.facts_of(kernel.REL_PARTICIPATION)
-                         if g.args[1] == action):
+        for pc in sorted(self.fb.facts_with(kernel.REL_PARTICIPATION, 1, action)):
             z = pc.args[0]
             z_agentive = next((Member(z, c) for c in kernel.AGENTIVE_UNION
                                if self.fb.has_member(z, c)), None)

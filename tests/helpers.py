@@ -15,6 +15,7 @@ from okc.frontend import parse, render
 from okc.kernel import merge_with_kernel
 from okc.checks import validate
 from okc.model import (
+    LABEL_FAMILY,
     ConceptDecl,
     Conjunction,
     Fact,
@@ -268,6 +269,60 @@ def random_saturation_model(seed: int):
     return onto
 
 
+def random_shared_model(seed: int):
+    """Larger random model whose facts share arguments heavily.
+
+    40-80 instances and 60-150 facts.  Three arguments in four come from
+    five hub instances, so one (relation, position, value) holds many
+    facts and D1, D2 and D5 each see several candidates.
+    """
+    rng = random.Random(f"shared-{seed}")
+    reasonings = ["Reason0", "Reason1"]
+    decls = [ConceptDecl(r, ("Reasoning",)) for r in reasonings]
+    decls.append(ConceptDecl("Negotiating", ("AC",)))
+    roles = []
+    for i in range(rng.randint(1, 4)):
+        roles.append(f"Role{i}")
+        decls.append(ConceptDecl(roles[-1], (), RoleDefinition(
+            rng.choice(["data", "result"]), rng.choice(reasonings + ["Reasoning", "AC"]))))
+    types = ["Model", "Hypothesis", "Assertion"]
+    for i in range(rng.randint(0, 2)):
+        decls.append(ConceptDecl(f"Conj{i}", (), Conjunction(rng.choice(types),
+                                                             rng.choice(roles))))
+    decls.append(RelationDecl("feeds", (("Content",), ("AC",)), particularizes="isDataOf"))
+    decls.append(RelationDecl("joins", (("ED",), ("PD",)), temporal=True,
+                              particularizes="PC"))
+
+    instances = [f"x{i:02d}" for i in range(rng.randint(40, 80))]
+    hubs = rng.sample(instances, k=5)
+    inst_concepts = types + reasonings + ["Negotiating", "APO", "ASO", "IdaConcept",
+                                          "Document"]
+    for name in instances:
+        decls.append(InstanceDecl(
+            name, tuple(rng.sample(inst_concepts, k=rng.randint(1, 2)))))
+
+    def pick() -> str:
+        return rng.choice(hubs) if rng.random() < 0.75 else rng.choice(instances)
+
+    relations = ["PC", "PC", "PC", "joins", "PRE", "isAgentOf", "isAgentOf",
+                 "hasForSubject", "hasForSubject", "isDataOf", "isResultOf",
+                 "isAffectedBy", "feeds"]
+    facts: dict[tuple, None] = {}
+    wanted = rng.randint(60, 150)
+    while len(facts) < wanted:
+        rel = rng.choice(relations)
+        if rel == "PRE":
+            facts[(rel, (pick(),), rng.randint(0, 3))] = None
+        elif rel in ("PC", "joins"):
+            facts[(rel, (pick(), pick()), rng.randint(0, 3))] = None
+        else:
+            facts[(rel, (pick(), pick()), None)] = None
+    decls.extend(Fact(*key) for key in facts)
+    onto, diags = merge_with_kernel(decls)
+    assert onto is not None, [d.render() for d in diags]
+    return onto
+
+
 # --- random loadable models for round-trips ------------------------------------
 
 
@@ -407,4 +462,83 @@ def temporal_model(pre_times, pc_m1, pc_m2, data_facts):
         decls.append(Fact(rel, (x, "d"), None))
     onto, diags = merge_with_kernel(decls)
     assert onto is not None, diags
+    return onto
+
+
+def shared_temporal_model(seed: int):
+    """Random perdurants, each with several data and result participants.
+
+    Returns (ontology, presence, participation, participants): presence
+    maps perdurant -> declared PRE times; participation maps
+    (participant, perdurant) -> PC times, each asserted at random as PC
+    or through the temporal particularization `joins`; participants
+    lists (relation, participant, perdurant) for every isDataOf and
+    isResultOf fact, about a third of the data ones asserted as `feeds`.
+    """
+    rng = random.Random(f"temporal-{seed}")
+    perdurants = [f"d{i}" for i in range(rng.randint(1, 4))]
+    models = [f"m{i}" for i in range(rng.randint(4, 10))]
+    decls = [
+        ConceptDecl("Crunching", ("Reasoning",)),
+        RelationDecl("feeds", (("Content",), ("AC",)), particularizes="isDataOf"),
+        RelationDecl("joins", (("ED",), ("PD",)), temporal=True, particularizes="PC"),
+    ]
+    decls += [InstanceDecl(d, ("Crunching",)) for d in perdurants]
+    decls += [InstanceDecl(m, ("Model",)) for m in models]
+    times = range(4)
+    presence = {d: set(rng.sample(times, k=rng.randint(0, 3))) for d in perdurants}
+    participation: dict[tuple[str, str], set[int]] = {}
+    participants = []
+    for d in perdurants:
+        for t in sorted(presence[d]):
+            decls.append(Fact("PRE", (d,), t))
+        for m in rng.sample(models, k=rng.randint(2, len(models))):
+            pc = set(rng.sample(times, k=rng.randint(0, 4)))
+            participation[(m, d)] = pc
+            for t in sorted(pc):
+                decls.append(Fact(rng.choice(["PC", "joins"]), (m, d), t))
+            for rel in rng.sample(["isDataOf", "isResultOf"], k=rng.randint(1, 2)):
+                participants.append((rel, m, d))
+                asserted = "feeds" if rel == "isDataOf" and rng.random() < 0.33 else rel
+                decls.append(Fact(asserted, (m, d), None))
+    onto, diags = merge_with_kernel(decls)
+    assert onto is not None, [d.render() for d in diags]
+    return onto, presence, participation, participants
+
+
+# --- effective label oracle ------------------------------------------------------
+
+
+def effective_labels_oracle(ontology, snapshot_time: int) -> dict[str, set[str]]:
+    """Latest label per exclusivity family, by comparing every pair of labels."""
+    out: dict[str, set[str]] = {}
+    labels = list(ontology.labels.values())
+    for lb in labels:
+        if lb.time > snapshot_time:
+            continue
+        family = LABEL_FAMILY[lb.primitive]
+        overridden = any(
+            other.concept == lb.concept
+            and LABEL_FAMILY[other.primitive] == family
+            and lb.time < other.time <= snapshot_time
+            for other in labels)
+        if not overridden:
+            out.setdefault(lb.primitive, set()).add(lb.concept)
+    return out
+
+
+def random_label_model(seed: int):
+    """Random labels of every primitive on up to six concepts at times
+    0-6.  C0 always carries Task and Inference at time 2: two labels of
+    one family at one time."""
+    rng = random.Random(f"labels-{seed}")
+    concepts = [f"C{i}" for i in range(rng.randint(1, 6))]
+    decls = [ConceptDecl(c, ("Reasoning",)) for c in concepts]
+    triples = {("Task", concepts[0], 2), ("Inference", concepts[0], 2)}
+    primitives = sorted(LABEL_FAMILY)
+    for _ in range(rng.randint(0, 20)):
+        triples.add((rng.choice(primitives), rng.choice(concepts), rng.randint(0, 6)))
+    decls += [MetaLabel(*triple) for triple in sorted(triples)]
+    onto, diags = merge_with_kernel(decls)
+    assert onto is not None, [d.render() for d in diags]
     return onto

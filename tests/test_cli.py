@@ -165,3 +165,37 @@ def test_installed_entry_point_subprocess(tmp_path):
         "domain.json", "inference.json", "task.json"]
     result = invoke("check", str(CORPUS / "negative" / "w1_subsumption_cycle.oks"))
     assert result.returncode == 1 and "error[W1]" in result.stderr
+
+
+def test_leading_bom_checks_clean(tmp_path):
+    source = (CORPUS / "car_diagnosis.oks").read_bytes()
+    bommed = tmp_path / "bom.oks"
+    bommed.write_bytes(b"\xef\xbb\xbf" + source)
+    assert run("check", str(bommed)) == (0, "", "")
+
+
+def test_leading_bom_keeps_line_one_columns(tmp_path):
+    plain, bommed = tmp_path / "plain", tmp_path / "bom"
+    plain.mkdir()
+    bommed.mkdir()
+    text = b"concept Broken specializes\n"
+    (plain / "m.oks").write_bytes(text)
+    (bommed / "m.oks").write_bytes(b"\xef\xbb\xbf" + text)
+    code, _, err = run("check", str(plain / "m.oks"), "--format", "json")
+    [expected] = json.loads(err)
+    code_bom, _, err_bom = run("check", str(bommed / "m.oks"), "--format", "json")
+    [found] = json.loads(err_bom)
+    assert code == code_bom == 1
+    assert found["code"] == "P1" and found["line"] == 1
+    assert (found["line"], found["column"], found["message"]) == \
+        (expected["line"], expected["column"], expected["message"])
+
+
+def test_ten_thousand_deep_chain_checks_clean(tmp_path):
+    # The leaf sorts first, so a depth-first closure would recurse 10,000 deep.
+    depth = 10_000
+    lines = [f"concept C{i:05d} specializes "
+             f"{f'C{i + 1:05d}' if i + 1 < depth else 'Reasoning'}" for i in range(depth)]
+    chain = tmp_path / "chain.oks"
+    chain.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run("check", str(chain)) == (0, "", "")

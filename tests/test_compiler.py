@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from helpers import load_source
+from helpers import effective_labels_oracle, load_source, random_label_model
 
 from okc.bundle import (
     BUNDLE_FILES,
@@ -98,6 +98,16 @@ def test_effective_labels_latest_wins():
     bundle_4, _ = compile_bundle(onto, 4)
     assert [c.name for c in bundle_4.task_concepts] == ["Think"]
     assert bundle_4.inference_concepts == ()
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_effective_labels_against_pairwise_oracle(seed):
+    onto = random_label_model(seed)
+    tied = [lb for lb in onto.labels.values() if lb.concept == "C0" and lb.time == 2]
+    assert {lb.primitive for lb in tied} >= {"Task", "Inference"}
+    for snapshot in range(onto.max_label_time() + 2):
+        assert effective_labels(onto, snapshot) == \
+            effective_labels_oracle(onto, snapshot), snapshot
 
 
 def test_transfer_function_joins_inference_model():

@@ -11,6 +11,7 @@ from helpers import (
     load_source,
     naive_saturate,
     random_saturation_model,
+    random_shared_model,
     random_taxonomy,
     reachability_oracle,
 )
@@ -89,6 +90,15 @@ def test_cycle_detection():
     assert find_subsumption_cycles(kernel_ontology()) == []
 
 
+def test_closure_refuses_a_cyclic_taxonomy():
+    loader = Loader(kernel_ontology())
+    loader.add(ConceptDecl("Alpha", ("Beta",)))
+    loader.add(ConceptDecl("Beta", ("Alpha",)))
+    onto, _ = loader.finalize()
+    with pytest.raises(ValueError, match="check_w1"):
+        compute_closure(onto)
+
+
 def test_self_cycle_detection():
     onto, _ = merge_with_kernel([ConceptDecl("Selfish", ("Selfish",))])
     assert find_subsumption_cycles(onto) == [("Selfish",)]
@@ -138,6 +148,22 @@ def test_interaction_derivation_requires_distinct_agentive():
     assert facts.has_member("s", "Interaction")
 
 
+def test_d2_premise_follows_the_engine_visit_order():
+    # p2 : Proposition is processed while c : IdaConcept is already in the
+    # base, so D2 fires from hasForSubject(p2, c) before either fact is
+    # processed, although hasForSubject(p1, c) sorts first.
+    onto, _ = load_source(
+        "concept Notion specializes IdaConcept\n"
+        "instance c : Notion\n"
+        "instance p1 : Assertion\n"
+        "instance p2 : Proposition\n"
+        "fact hasForSubject(p1, c)\n"
+        "fact hasForSubject(p2, c)\n")
+    facts = saturate(onto, compute_closure(onto))
+    assert "c : Subject  [D2] from hasForSubject(p2, c), p2 : Proposition, " \
+        "c : IdaConcept\n" in explain_instance(onto, facts, "c")
+
+
 def test_t_theorems_hold_in_saturated_bases():
     for seed in range(10):
         onto = random_saturation_model(seed)
@@ -153,6 +179,14 @@ def test_saturation_against_naive_fixpoint(seed):
     engine = engine_sets(saturate(onto, compute_closure(onto)))
     oracle = naive_saturate(onto, random.Random(seed * 31 + 7))
     assert engine == oracle
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_shared_model_saturation_against_naive_fixpoint(seed):
+    onto = random_shared_model(seed)
+    assert 40 <= len(onto.instances) <= 80 and 60 <= len(onto.facts) <= 150
+    engine = engine_sets(saturate(onto, compute_closure(onto)))
+    assert engine == naive_saturate(onto, random.Random(seed))
 
 
 def test_order_independence_of_naive_oracle():

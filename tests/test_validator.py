@@ -10,6 +10,7 @@ from helpers import (
     all_codes,
     check_source,
     error_codes,
+    shared_temporal_model,
     temporal_model,
     temporal_oracle,
 )
@@ -194,6 +195,25 @@ def test_user_annotation_conflicts_are_e6():
 def temporal_codes(onto):
     facts = saturate(onto, compute_closure(onto))
     return check_temporal_participation(onto, facts)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_temporal_check_on_shared_perdurants_matches_oracle(seed):
+    onto, presence, participation, participants = shared_temporal_model(seed)
+    per_perdurant = {}
+    for _, m, d in participants:
+        per_perdurant.setdefault(d, set()).add(m)
+    assert min(len(ms) for ms in per_perdurant.values()) >= 2
+    diags = temporal_codes(onto)
+    expected = set()
+    for rel, m, d in participants:
+        mode = "data" if rel == "isDataOf" else "result"
+        if not temporal_oracle(presence[d], participation[(m, d)], mode):
+            expected.add(("A13" if mode == "data" else "R13", (m, d)))
+    assert {(d.code, d.subjects) for d in diags
+            if d.severity is Severity.ERROR} == expected
+    assert {d.subjects for d in diags if d.severity is Severity.WARNING} == \
+        {(d,) for d in per_perdurant if not presence[d]}
 
 
 def test_a13_witness_found():
