@@ -15,7 +15,6 @@ from .model import (
     Severity,
     SourceSpan,
     add_declaration,
-    load_declarations,
 )
 from .reasoner import (
     FactBase,
@@ -45,7 +44,6 @@ __all__ = [
     "emit_bundle",
     "explain_instance",
     "kernel_ontology",
-    "load_declarations",
     "merge_with_kernel",
     "parse",
     "render",

@@ -92,12 +92,17 @@ def _warning(code: str, message: str, span, subjects=()) -> Diagnostic:
 # --- structural checks -------------------------------------------------------
 
 
+W1_LISTED = 10  # members a W1 message names; its subjects list them all
+
+
 def check_w1(ontology: Ontology) -> list[Diagnostic]:
     diags = []
     for cycle in find_subsumption_cycles(ontology):
         span = ontology.concepts[cycle[0]].span
-        diags.append(_error(
-            "W1", f"subsumption cycle: {' -> '.join(cycle)}", span, cycle))
+        members = " -> ".join(cycle[:W1_LISTED])
+        if len(cycle) > W1_LISTED:
+            members += f" -> ... ({len(cycle)} concepts)"
+        diags.append(_error("W1", f"subsumption cycle: {members}", span, cycle))
     return diags
 
 

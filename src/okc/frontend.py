@@ -20,6 +20,17 @@ Signature positions may be unions written `A|B`.  Identifiers are ASCII
 letters, digits and underscores, starting with a letter, case-sensitive.
 Parsing recovers at line boundaries, so one file can report several
 syntax errors; every error carries the span of the offending token.
+Time points have at most 4,300 digits (`MAX_TIME_DIGITS`); a longer
+numeral is a syntax error, the same on every Python version.
+
+Each line takes one of two paths.  The accept path matches it against
+one anchored regular expression per statement form, chosen by the
+leading keyword, and builds the declaration from the match groups.
+Every line that path declines (blank, comment-only or malformed lines,
+and any well-formed line it does not recognise) goes to the token
+parser, which alone reports syntax errors.  The accept path must be
+sound: whenever it returns a declaration, the token parser returns an
+equal one for the same line, span included.  It need not be complete.
 """
 
 from __future__ import annotations
@@ -49,13 +60,16 @@ from .model import (
     sort_diagnostics,
 )
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(_IDENT + r"\Z")
 _TOKEN_RE = re.compile(
     r"(?P<word>[A-Za-z][A-Za-z0-9_-]*)"
     r"|(?P<nat>[0-9]+)"
     r"|(?P<punct>[(),:=|])"
     r"|(?P<bad>[^\s(),:=|]+)"
 )
+
+MAX_TIME_DIGITS = 4300  # CPython's default limit on int() of a decimal string
 
 _PUNCT_KIND = {"(": "lparen", ")": "rparen", ",": "comma", ":": "colon",
                "=": "equals", "|": "pipe"}
@@ -139,11 +153,11 @@ class _LineParser:
             raise _SyntaxError(f"expected {what}", tok)
         return tok
 
-    def expect_nat(self, what: str = "non-negative integer") -> tuple[int, Token]:
+    def expect_time(self) -> int:
         tok = self.next()
         if tok.kind != "nat":
-            raise _SyntaxError(f"expected {what}", tok)
-        return int(tok.text), tok
+            raise _SyntaxError("expected time point", tok)
+        return _time_point(tok)
 
     def expect_kind(self, kind: str, what: str) -> Token:
         tok = self.next()
@@ -163,10 +177,46 @@ class _LineParser:
         return names
 
 
+def _time_point(tok: Token) -> int:
+    if len(tok.text) > MAX_TIME_DIGITS:
+        raise _SyntaxError("time point too large", tok)
+    return int(tok.text)
+
+
 def _statement_span(tokens: list[Token], file: str) -> SourceSpan:
     first, last = tokens[0], tokens[-1]
     length = last.column + len(last.text) - first.column
     return SourceSpan(file, first.line, first.column, length)
+
+
+def _parse_tokens(line: str, line_no: int, filename: str) -> Declaration | Diagnostic | None:
+    """The token parser: a declaration, a P1 diagnostic, or None for no statement."""
+    tokens = _tokenize_line(line, line_no)
+    if not tokens:
+        return None
+    parser = _LineParser(tokens, line_no, line)
+    head = parser.next()
+    try:
+        handler = _STATEMENTS.get(head.text) if head.kind == "word" else None
+        if handler is None:
+            raise _SyntaxError("unknown statement keyword", head)
+        return handler(parser, _statement_span(tokens, filename))
+    except _SyntaxError as err:
+        return Diagnostic(Severity.ERROR, "P1", err.message, err.token.span(filename))
+
+
+def _accept(line: str, line_no: int, filename: str) -> Optional[Declaration]:
+    """The declaration on a well-formed line, or None to defer to the token parser."""
+    head = line.split(None, 1)
+    form = _FORMS.get(head[0]) if head else None
+    if form is None:
+        return None
+    pattern, build = form
+    m = pattern.fullmatch(line)
+    if m is None:
+        return None
+    start = m.start(1)
+    return build(m, SourceSpan(filename, line_no, start + 1, m.end(1) - start))
 
 
 def parse(text: str, filename: str) -> tuple[list[Declaration], list[Diagnostic]]:
@@ -174,20 +224,11 @@ def parse(text: str, filename: str) -> tuple[list[Declaration], list[Diagnostic]
     decls: list[Declaration] = []
     diags: list[Diagnostic] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(line, line_no)
-        if not tokens:
-            continue
-        parser = _LineParser(tokens, line_no, line)
-        span = _statement_span(tokens, filename)
-        head = parser.next()
-        try:
-            handler = _STATEMENTS.get(head.text) if head.kind == "word" else None
-            if handler is None:
-                raise _SyntaxError("unknown statement keyword", head)
-            decls.append(handler(parser, span))
-        except _SyntaxError as err:
-            diags.append(Diagnostic(
-                Severity.ERROR, "P1", err.message, err.token.span(filename)))
+        result = _accept(line, line_no, filename) or _parse_tokens(line, line_no, filename)
+        if isinstance(result, Diagnostic):
+            diags.append(result)
+        elif result is not None:
+            decls.append(result)
     return decls, sort_diagnostics(diags)
 
 
@@ -267,7 +308,7 @@ def _parse_label(p: _LineParser, span: SourceSpan) -> MetaLabel:
         raise _SyntaxError("unknown modeling primitive", prim_tok)
     concept = p.expect_identifier("concept").text
     p.expect_keyword("at")
-    time, _ = p.expect_nat("time point")
+    time = p.expect_time()
     p.expect_end()
     return MetaLabel(prim_tok.text, concept, time, span=span)
 
@@ -303,7 +344,7 @@ def _parse_fact(p: _LineParser, span: SourceSpan) -> Fact:
     while True:
         tok = p.next()
         if tok.kind == "nat":
-            time = int(tok.text)
+            time = _time_point(tok)
             p.expect_kind("rparen", "')' after time point")
             break
         if tok.kind != "word" or not _IDENT_RE.match(tok.text):
@@ -327,6 +368,94 @@ _STATEMENTS: dict[str, Callable[[_LineParser, SourceSpan], Declaration]] = {
     "annotate": _parse_annotate,
     "instance": _parse_instance,
     "fact": _parse_fact,
+}
+
+
+# --- accept path: one anchored pattern per statement form -----------------
+#
+# Only spaces and tabs separate tokens here, and two words always need one
+# between them, as the tokenizer would otherwise read a single word.  Group
+# 1 spans the statement from its keyword to its last token.
+
+_WORD = r"[A-Za-z][A-Za-z0-9_-]*"
+_TIME = rf"[0-9]{{1,{MAX_TIME_DIGITS}}}"
+_NAMES = rf"{_IDENT}(?:[ \t]*,[ \t]*{_IDENT})*"
+_NAME_RE = re.compile(_IDENT)
+
+
+def _form(keyword: str, body: str) -> re.Pattern:
+    return re.compile(rf"[ \t]*({keyword}[ \t]+{body})[ \t]*(?:#.*)?")
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(_NAME_RE.findall(text))
+
+
+def _accept_concept(m: re.Match, span: SourceSpan) -> ConceptDecl:
+    name, parents, type_concept, formal_role = m.group(2, 3, 4, 5)
+    if parents is not None:
+        return ConceptDecl(name, _names(parents), span=span)
+    if type_concept is not None:
+        return ConceptDecl(name, (), Conjunction(type_concept, formal_role), span=span)
+    return ConceptDecl(name, (), span=span)
+
+
+def _accept_role(m: re.Match, span: SourceSpan) -> ConceptDecl:
+    name, mode, reasoning = m.group(2, 3, 4)
+    return ConceptDecl(name, (), RoleDefinition(mode, reasoning), span=span)
+
+
+def _accept_relation(m: re.Match, span: SourceSpan) -> RelationDecl:
+    name, particularizes, signature, temporal = m.group(2, 3, 4, 5)
+    positions = tuple(tuple(sorted(_NAME_RE.findall(p))) for p in signature.split(","))
+    return RelationDecl(name, positions, temporal=temporal is not None,
+                        particularizes=particularizes, span=span)
+
+
+def _accept_disjoint(m: re.Match, span: SourceSpan) -> DisjointDecl:
+    return DisjointDecl(m.group(2), m.group(3), span=span)
+
+
+def _accept_label(m: re.Match, span: SourceSpan) -> Optional[MetaLabel]:
+    primitive, concept, time = m.group(2, 3, 4)
+    if primitive not in PRIMITIVES:
+        return None
+    return MetaLabel(primitive, concept, int(time), span=span)
+
+
+def _accept_annotate(m: re.Match, span: SourceSpan) -> Optional[AnnotationDecl]:
+    concept, axis, value = m.group(2, 3, 4)
+    if value not in ANNOTATION_VALUES.get(axis, ()):
+        return None
+    return AnnotationDecl(concept, axis, value, span=span)
+
+
+def _accept_instance(m: re.Match, span: SourceSpan) -> InstanceDecl:
+    return InstanceDecl(m.group(2), _names(m.group(3)), span=span)
+
+
+def _accept_fact(m: re.Match, span: SourceSpan) -> Fact:
+    relation, args, time = m.group(2, 3, 4)
+    return Fact(relation, _names(args), None if time is None else int(time), span=span)
+
+
+_Builder = Callable[[re.Match, SourceSpan], Optional[Declaration]]
+
+_FORMS: dict[str, tuple[re.Pattern, _Builder]] = {
+    keyword: (_form(keyword, body), build) for keyword, body, build in (
+        ("concept", rf"({_IDENT})(?:[ \t]+specializes[ \t]+({_NAMES})"
+                    rf"|[ \t]*=[ \t]*({_IDENT})[ \t]+and[ \t]+({_IDENT}))?", _accept_concept),
+        ("role", rf"({_IDENT})[ \t]*=[ \t]*(data|result)[ \t]+of[ \t]+({_IDENT})", _accept_role),
+        ("relation", rf"({_IDENT})(?:[ \t]+particularizes[ \t]+({_IDENT}))?"
+                     rf"[ \t]+signature[ \t]*\([ \t]*({_IDENT}(?:[ \t]*[,|][ \t]*{_IDENT})*)"
+                     rf"[ \t]*\)(?:[ \t]*(temporal))?", _accept_relation),
+        ("disjoint", rf"({_IDENT})[ \t]+({_IDENT})", _accept_disjoint),
+        ("label", rf"({_WORD})[ \t]+({_IDENT})[ \t]+at[ \t]+({_TIME})", _accept_label),
+        ("annotate", rf"({_IDENT})[ \t]+({_WORD})[ \t]+({_WORD})", _accept_annotate),
+        ("instance", rf"({_IDENT})[ \t]*:[ \t]*({_NAMES})", _accept_instance),
+        ("fact", rf"({_IDENT})[ \t]*\([ \t]*({_NAMES})(?:[ \t]*,[ \t]*({_TIME}))?[ \t]*\)",
+         _accept_fact),
+    )
 }
 
 

@@ -154,8 +154,3 @@ def merge_with_kernel(
 ) -> tuple[Optional[Ontology], list[Diagnostic]]:
     """Graft user declarations onto the kernel; kernel names stay fixed."""
     return Loader(kernel_ontology()).add_all(decls).finalize()
-
-
-def is_agentive(memberships: set[str]) -> bool:
-    """Union test standing in for an agentive category."""
-    return any(c in memberships for c in AGENTIVE_UNION)

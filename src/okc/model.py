@@ -597,19 +597,24 @@ class Loader:
 
     @staticmethod
     def _check_particularization_cycles(onto: Ontology, diags: list[Diagnostic]) -> None:
+        acyclic: set[str] = set()  # relations whose chain ends at a root or an unknown name
         for name in sorted(onto.relations):
             seen = [name]
+            on_path = {name}
             current = onto.relations[name].particularizes
-            while current is not None:
-                if current in seen:
+            while current is not None and current not in acyclic:
+                if current in on_path:
                     diags.append(Diagnostic(
                         Severity.ERROR, "E7",
                         f"particularization cycle through '{name}'",
                         onto.relations[name].span, tuple(seen)))
                     break
                 seen.append(current)
+                on_path.add(current)
                 rel = onto.relations.get(current)
                 current = rel.particularizes if rel else None
+            else:
+                acyclic.update(seen)
 
 
 def add_declaration(
@@ -617,9 +622,3 @@ def add_declaration(
 ) -> tuple[Optional[Ontology], list[Diagnostic]]:
     """Return an updated ontology, or the conflict report that rejects it."""
     return Loader(ontology).add(decl).finalize()
-
-
-def load_declarations(
-    ontology: Ontology, decls: Iterable[Declaration]
-) -> tuple[Optional[Ontology], list[Diagnostic]]:
-    return Loader(ontology).add_all(decls).finalize()

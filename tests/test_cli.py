@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import io
 import json
+import random
+
+import pytest
 
 from helpers import CORPUS
 
+from okc.checks import REGISTRY
 from okc.cli import main
-from okc.frontend import render
+from okc.frontend import _tokenize_line, render
 from okc.kernel import kernel_ontology
 
 
@@ -199,3 +203,115 @@ def test_ten_thousand_deep_chain_checks_clean(tmp_path):
     chain = tmp_path / "chain.oks"
     chain.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert run("check", str(chain)) == (0, "", "")
+
+
+def test_ten_thousand_relation_particularization_chain_checks_clean(tmp_path):
+    # The relation that sorts first is the leaf of the chain.
+    depth = 10_000
+    lines = [f"relation R{i:05d} "
+             f"{f'particularizes R{i + 1:05d} ' if i + 1 < depth else ''}signature (ED)"
+             for i in range(depth)]
+    chain = tmp_path / "chain.oks"
+    chain.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run("check", str(chain)) == (0, "", "")
+
+
+def test_particularization_tail_into_cycle_reports_every_walk(tmp_path):
+    model = tmp_path / "m.oks"
+    model.write_text("\n".join([
+        "relation a particularizes b signature (ED)",
+        "relation b particularizes c signature (ED)",
+        "relation c particularizes b signature (ED)",
+        "relation d particularizes a signature (ED)",
+        "relation e signature (ED)",
+        "relation f particularizes e signature (ED)",
+    ]) + "\n", encoding="utf-8")
+    code, _, err = run("check", str(model), "--format", "json")
+    assert code == 1
+    found = [(f["code"], f["line"], f["message"], f["subjects"]) for f in json.loads(err)]
+    assert found == [
+        ("E7", 1, "particularization cycle through 'a'", ["a", "b", "c"]),
+        ("E7", 2, "particularization cycle through 'b'", ["b", "c"]),
+        ("E7", 3, "particularization cycle through 'c'", ["c", "b"]),
+        ("E7", 4, "particularization cycle through 'd'", ["d", "a", "b", "c"]),
+    ]
+
+
+@pytest.mark.parametrize("statement", ["label Task Diagnosis at {n}",
+                                       "fact PRE(act, {n})"])
+def test_huge_time_point_is_one_p1(tmp_path, statement):
+    model = tmp_path / "m.oks"
+    model.write_text("concept Diagnosis specializes Reasoning\ninstance act : Diagnosis\n"
+                     + statement.format(n="7" * 5000) + "\n", encoding="utf-8")
+    code, out, err = run("check", str(model), "--format", "json")
+    [finding] = json.loads(err)
+    assert (code, out) == (1, "")
+    assert (finding["code"], finding["line"], finding["message"]) == \
+        ("P1", 3, "time point too large")
+
+
+def test_long_w1_cycle_message_is_bounded(tmp_path):
+    size = 10_000
+    model = tmp_path / "cycle.oks"
+    model.write_text("".join(f"concept K{i:05d} specializes K{(i + 1) % size:05d}\n"
+                             for i in range(size)), encoding="utf-8")
+    code, _, err = run("check", str(model), "--format", "json")
+    [finding] = json.loads(err)
+    assert code == 1 and finding["code"] == "W1"
+    members = " -> ".join(f"K{i:05d}" for i in range(10))
+    assert finding["message"] == f"subsumption cycle: {members} -> ... (10000 concepts)"
+    assert finding["subjects"] == [f"K{i:05d}" for i in range(size)]
+
+
+def test_short_w1_cycle_message_lists_every_member():
+    code, _, err = run("check", str(CORPUS / "negative" / "w1_subsumption_cycle.oks"))
+    assert code == 1
+    assert err.endswith("error[W1] subsumption cycle: Alpha -> Beta\n")
+
+
+def _mutants(rng: random.Random, lines: list[str], count: int):
+    """Token and line deletions, duplications and swaps, plus huge numerals."""
+    for _ in range(count):
+        lines_now = list(lines)
+        i = rng.randrange(len(lines_now))
+        tokens = _tokenize_line(lines_now[i], i + 1)
+        op = rng.choice(("delete line", "duplicate line", "swap lines", "delete token",
+                         "duplicate token", "swap tokens", "inflate numeral"))
+        if op == "delete line":
+            del lines_now[i]
+        elif op == "duplicate line":
+            lines_now.insert(i, lines_now[i])
+        elif op == "swap lines":
+            j = rng.randrange(len(lines_now))
+            lines_now[i], lines_now[j] = lines_now[j], lines_now[i]
+        elif tokens:
+            texts = [t.text for t in tokens]
+            k = rng.randrange(len(texts))
+            if op == "delete token":
+                del texts[k]
+            elif op == "duplicate token":
+                texts.insert(k, texts[k])
+            elif op == "swap tokens":
+                m = rng.randrange(len(texts))
+                texts[k], texts[m] = texts[m], texts[k]
+            else:
+                numerals = [n for n, t in enumerate(tokens) if t.kind == "nat"] or [k]
+                texts[rng.choice(numerals)] = "1" + "0" * 4999
+            lines_now[i] = " ".join(texts)
+        yield op, "\n".join(lines_now) + "\n"
+
+
+@pytest.mark.parametrize("name", ["car_diagnosis.oks", "calibration.oks", "a4_a5_a6.oks",
+                                  "negative/a13_data_joins_late.oks"])
+def test_seeded_corpus_mutations_end_in_coded_diagnostics(tmp_path, name):
+    lines = (CORPUS / name).read_text(encoding="utf-8").splitlines()
+    rng = random.Random(name)
+    model = tmp_path / "m.oks"
+    for op, text in _mutants(rng, lines, 40):
+        model.write_text(text, encoding="utf-8")
+        out = str(tmp_path / "out")
+        for argv in (("check", str(model)), ("compile", str(model), "--out", out)):
+            code, _, err = run(*argv, "--format", "json")
+            assert code in (0, 1, 2, 3), (op, argv)
+            findings = json.loads(err) if err else []
+            assert {f["code"] for f in findings} <= set(REGISTRY), (op, findings)

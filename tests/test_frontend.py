@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from helpers import CORPUS, load_corpus_file, round_trip
 
-from okc.frontend import _tokenize_line, parse, render
+from okc.frontend import MAX_TIME_DIGITS, _accept, _parse_tokens, _tokenize_line, parse, render
 from okc.kernel import kernel_ontology
 from okc.model import (
     AnnotationDecl,
     ConceptDecl,
     Conjunction,
+    Diagnostic,
     DisjointDecl,
     Fact,
     InstanceDecl,
@@ -88,6 +91,7 @@ def test_statement_forms(line, expected):
     "label Frobnicate X at 1",          # unknown primitive keyword
     "concept",                          # missing name
     "concept 9X specializes PT",        # bad identifier
+    "concept A-B specializes PT",       # hyphen in identifier
     "relation R signature ()",          # empty signature
     "fact PC(m, d,)",                   # trailing comma
     "fact PC()",                        # no arguments
@@ -157,3 +161,96 @@ def test_seeded_one_token_corruptions_are_located():
 def test_diagnostic_text_format():
     _, diags = parse("label Task Diagnosis at -1", "m.oks")
     assert diags[0].render().startswith("m.oks:1:25: error[P1]")
+
+
+def test_time_point_digit_limit():
+    at_limit = "9" * MAX_TIME_DIGITS
+    decl = parse_one(f"label Task X at {at_limit}")
+    assert decl.time == int(at_limit)
+    decl = parse_one(f"fact PC(m, d, {at_limit})")
+    assert decl.time == int(at_limit)
+    for line in (f"label Task X at {at_limit}0", f"fact PC(m, d, {at_limit}0)"):
+        decls, diags = parse(line, "<big>")
+        assert decls == []
+        [d] = diags
+        assert (d.code, d.message) == ("P1", "time point too large")
+        assert (d.span.column, d.span.length) == (line.index("9") + 1, MAX_TIME_DIGITS + 1)
+
+
+# Lines where a pattern could plausibly read more or less than the tokens do.
+ACCEPT_EDGE_LINES = [
+    "concept specializes",
+    "concept A specializes specializes",
+    "concept A-B",
+    "concept A#note",
+    "concept\tA  specializes B ,C\t# note",
+    "  concept A=B and C",
+    "concept A = B andC",
+    "concept A\u00a0specializes B",
+    "role R=data of C",
+    "role R = database of C",
+    "relation particularizes signature (A)",
+    "relation particularizes particularizes signature (A)",
+    "relation R particularizes signature signature (A)",
+    "relation R signature(B|A, C|A|B)temporal",
+    "relation R signature (A) temporalX",
+    "relation R signature (A,) temporal",
+    "disjoint A B C",
+    "label Task X at 007",
+    "label Tasks X at 1",
+    "label Task X at 1x",
+    "label Task X at ٣",
+    "annotate X rigidity anti-rigid#c",
+    "annotate X identity rigid",
+    "annotate X-Y rigidity rigid",
+    "instance i:A,B",
+    "instance i : A, B,",
+    "fact R(3)",
+    "fact R(a,b,3)",
+    "fact R(a, 3, b)",
+    "fact R(a, #b)",
+    "fact R (a) # note",
+    "fact R(a_1, b2)",
+    "fact R(a, _b)",
+    "fact R(é)",
+]
+MUTATION_ALPHABET = " \t(),:=|#-_x7é٣"
+
+
+def _corpus_lines() -> list[str]:
+    return [line for path in sorted(CORPUS.glob("**/*.oks"))
+            for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def _mutate(rng: random.Random, line: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randrange(len(line) + 1)
+        op = rng.choice(("insert", "delete", "replace"))
+        if op == "insert":
+            line = line[:pos] + rng.choice(MUTATION_ALPHABET) + line[pos:]
+        elif pos < len(line):
+            replacement = rng.choice(MUTATION_ALPHABET) if op == "replace" else ""
+            line = line[:pos] + replacement + line[pos + 1:]
+    return line
+
+
+def test_accept_path_covers_the_corpus():
+    for line in _corpus_lines():
+        slow = _parse_tokens(line, 1, "<c>")
+        expected = None if isinstance(slow, Diagnostic) else slow
+        assert _accept(line, 1, "<c>") == expected, line
+
+
+def test_accept_path_returns_what_the_token_parser_returns():
+    """Seeded mutations of corpus lines: the accept path declines or agrees."""
+    rng = random.Random(20261018)
+    lines = ACCEPT_EDGE_LINES + _corpus_lines()
+    lines += [_mutate(rng, line) for line in lines for _ in range(40)]
+    accepted = 0
+    for line in lines:
+        fast = _accept(line, 7, "<m>")
+        if fast is not None:
+            slow = _parse_tokens(line, 7, "<m>")
+            assert fast == slow and fast.span == slow.span, repr(line)
+            accepted += 1
+    assert accepted > len(lines) // 10
