@@ -33,6 +33,7 @@ from .model import (
     RoleDefinition,
     Severity,
     has_errors,
+    sort_diagnostics,
 )
 from .reasoner import SubsumptionClosure, compute_closure
 from .checks import validate
@@ -41,10 +42,14 @@ SCHEMA_VERSION = "1"
 
 
 class CompileRefusedError(Exception):
-    """Compilation was attempted on a model with validation errors."""
+    """Compilation was attempted on a model with validation errors.
+
+    `diagnostics` holds every validation finding, warnings included.
+    """
 
     def __init__(self, diagnostics: Sequence[Diagnostic]):
-        super().__init__(f"{len(diagnostics)} error diagnostic(s) block compilation")
+        errors = sum(d.severity is Severity.ERROR for d in diagnostics)
+        super().__init__(f"{errors} error diagnostic(s) block compilation")
         self.diagnostics = list(diagnostics)
 
 
@@ -204,27 +209,25 @@ def _parents_within(
 
 
 def compile_bundle(
-    ontology: Ontology,
-    snapshot_time: int,
-    diagnostics: Optional[Sequence[Diagnostic]] = None,
+    ontology: Ontology, snapshot_time: int
 ) -> tuple[ModelBundle, list[Diagnostic]]:
-    """Extract the three models at a snapshot time.
+    """Validate the ontology, then extract the three models at a snapshot time.
 
-    `diagnostics` can pass in a previously computed validate() result;
-    otherwise the ontology is validated here.  Any error diagnostic
-    raises CompileRefusedError.
+    This is the one place that decides whether a model compiles.  Any
+    error finding raises CompileRefusedError, which carries every
+    validation finding, warnings included.  Otherwise the bundle is
+    returned with the validation warnings and any C1, sorted.
     """
     if snapshot_time < 0:
         raise ValueError("snapshot time must be non-negative")
-    diags = list(diagnostics) if diagnostics is not None else validate(ontology)
+    diags = validate(ontology)
     if has_errors(diags):
-        raise CompileRefusedError([d for d in diags if d.severity is Severity.ERROR])
+        raise CompileRefusedError(diags)
 
     closure = compute_closure(ontology)
     effective = effective_labels(ontology, snapshot_time)
-    compile_diags: list[Diagnostic] = []
     if not any(effective.values()):
-        compile_diags.append(Diagnostic(
+        diags.append(Diagnostic(
             Severity.WARNING, "C1",
             f"no labels are effective at snapshot time {snapshot_time}; "
             f"the bundle is empty"))
@@ -268,7 +271,7 @@ def compile_bundle(
         inference_concepts=reasoning_concepts(inference_set, with_methods=False),
         task_concepts=reasoning_concepts(task_set, with_methods=True),
     )
-    return bundle, compile_diags
+    return bundle, sort_diagnostics(diags)
 
 
 BUNDLE_FILES = ("domain.json", "inference.json", "task.json")

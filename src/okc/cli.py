@@ -3,7 +3,6 @@
     okc check FILE...            parse and validate, print diagnostics
     okc compile FILE --out DIR   check, then emit the model bundle
     okc explain FILE INSTANCE    print derivation traces for an instance
-    okc explain --kernel         print the kernel listing
     okc kernel                   print the kernel listing
 
 Exit codes: 0 clean, 1 error diagnostics, 2 warnings with --werror,
@@ -62,10 +61,8 @@ def _build_parser() -> _ArgumentParser:
     add_common(p_compile)
 
     p_explain = sub.add_parser("explain", help="print derivation traces")
-    p_explain.add_argument("file", nargs="?", metavar="FILE")
-    p_explain.add_argument("instance", nargs="?", metavar="INSTANCE")
-    p_explain.add_argument("--kernel", action="store_true",
-                           help="print the kernel listing instead")
+    p_explain.add_argument("file", metavar="FILE")
+    p_explain.add_argument("instance", metavar="INSTANCE")
 
     sub.add_parser("kernel", help="print the kernel listing")
     return parser
@@ -114,16 +111,14 @@ def _cmd_compile(args, stdout: TextIO, stderr: TextIO) -> int:
     if args.at is not None and args.at < 0:
         raise _UsageError("--at must be non-negative")
     onto, diags = _load_file(args.file)
-    if onto is not None:
-        diags = sort_diagnostics(diags + validate(onto))
-    if onto is None or any(d.severity is Severity.ERROR for d in diags):
+    if onto is None:
         _emit_diagnostics(diags, args.format, stderr)
         return EXIT_ERRORS
     snapshot = args.at if args.at is not None else onto.max_label_time()
     try:
-        bundle, compile_diags = compile_bundle(onto, snapshot, diagnostics=diags)
-    except CompileRefusedError as err:  # pragma: no cover - guarded above
-        _emit_diagnostics(err.diagnostics, args.format, stderr)
+        bundle, compile_diags = compile_bundle(onto, snapshot)
+    except CompileRefusedError as err:
+        _emit_diagnostics(sort_diagnostics(diags + err.diagnostics), args.format, stderr)
         return EXIT_ERRORS
     diags = sort_diagnostics(diags + compile_diags)
     _emit_diagnostics(diags, args.format, stderr)
@@ -132,11 +127,6 @@ def _cmd_compile(args, stdout: TextIO, stderr: TextIO) -> int:
 
 
 def _cmd_explain(args, stdout: TextIO, stderr: TextIO) -> int:
-    if args.kernel:
-        stdout.write(render(kernel_ontology()))
-        return EXIT_CLEAN
-    if not args.file or not args.instance:
-        raise _UsageError("explain needs FILE and INSTANCE (or --kernel)")
     onto, diags = _load_file(args.file)
     if onto is None:
         _emit_diagnostics(diags, "text", stderr)

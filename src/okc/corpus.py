@@ -26,7 +26,6 @@ class CorpusEntry:
     relative_path: str
     expected_codes: tuple[str, ...] = ()
     golden_dir: Optional[str] = None
-    snapshot_time: Optional[int] = None  # None: default (max label time)
 
     def path(self) -> Path:
         return corpus_root() / self.relative_path
@@ -103,30 +102,20 @@ def negative_entries() -> list[CorpusEntry]:
 
 
 def regenerate_goldens(log=print) -> list[Path]:
-    """Explicit golden update step; logs every rewritten file."""
-    from .bundle import compile_bundle, emit_bundle
-    from .checks import validate
-    from .frontend import parse
-    from .kernel import merge_with_kernel
+    """Explicit golden update step: `okc compile` into each golden
+    directory; logs every rewritten file."""
+    from .bundle import BUNDLE_FILES
+    from .cli import main
 
     written: list[Path] = []
     for entry in _ENTRIES:
         if entry.golden_dir is None:
             continue
-        decls, parse_diags = parse(entry.source(), str(entry.path()))
-        if parse_diags:
-            raise RuntimeError(f"{entry.name}: parse errors {parse_diags}")
-        onto, load_diags = merge_with_kernel(decls)
-        if onto is None:
-            raise RuntimeError(f"{entry.name}: load errors {load_diags}")
-        snapshot = entry.snapshot_time
-        if snapshot is None:
-            snapshot = onto.max_label_time()
-        bundle, _ = compile_bundle(onto, snapshot, diagnostics=validate(onto))
-        paths = emit_bundle(bundle, entry.golden_path())
-        for p in paths:
+        if main(["compile", str(entry.path()), "--out", str(entry.golden_path())]) != 0:
+            raise RuntimeError(f"{entry.name}: okc compile did not exit cleanly")
+        for p in (entry.golden_path() / name for name in BUNDLE_FILES):
             log(f"regenerated {p}")
-        written.extend(paths)
+            written.append(p)
     return written
 
 

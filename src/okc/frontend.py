@@ -21,7 +21,8 @@ letters, digits and underscores, starting with a letter, case-sensitive.
 Parsing recovers at line boundaries, so one file can report several
 syntax errors; every error carries the span of the offending token.
 Time points have at most 4,300 digits (`MAX_TIME_DIGITS`); a longer
-numeral is a syntax error, the same on every Python version.
+numeral is a syntax error, the same on every Python version, and so is
+one longer than a lowered int() digit limit (`PYTHONINTMAXSTRDIGITS`).
 
 Each line takes one of two paths.  The accept path matches it against
 one anchored regular expression per statement form, chosen by the
@@ -178,9 +179,19 @@ class _LineParser:
 
 
 def _time_point(tok: Token) -> int:
-    if len(tok.text) > MAX_TIME_DIGITS:
+    value = _time_value(tok.text)
+    if value is None:
         raise _SyntaxError("time point too large", tok)
-    return int(tok.text)
+    return value
+
+
+def _time_value(numeral: str) -> Optional[int]:
+    """The numeral's value, or None when it has more than MAX_TIME_DIGITS
+    digits or more than the interpreter's int() limit allows."""
+    try:
+        return int(numeral) if len(numeral) <= MAX_TIME_DIGITS else None
+    except ValueError:  # sys.set_int_max_str_digits below MAX_TIME_DIGITS
+        return None
 
 
 def _statement_span(tokens: list[Token], file: str) -> SourceSpan:
@@ -418,9 +429,10 @@ def _accept_disjoint(m: re.Match, span: SourceSpan) -> DisjointDecl:
 
 def _accept_label(m: re.Match, span: SourceSpan) -> Optional[MetaLabel]:
     primitive, concept, time = m.group(2, 3, 4)
-    if primitive not in PRIMITIVES:
+    value = _time_value(time)
+    if primitive not in PRIMITIVES or value is None:
         return None
-    return MetaLabel(primitive, concept, int(time), span=span)
+    return MetaLabel(primitive, concept, value, span=span)
 
 
 def _accept_annotate(m: re.Match, span: SourceSpan) -> Optional[AnnotationDecl]:
@@ -434,9 +446,12 @@ def _accept_instance(m: re.Match, span: SourceSpan) -> InstanceDecl:
     return InstanceDecl(m.group(2), _names(m.group(3)), span=span)
 
 
-def _accept_fact(m: re.Match, span: SourceSpan) -> Fact:
+def _accept_fact(m: re.Match, span: SourceSpan) -> Optional[Fact]:
     relation, args, time = m.group(2, 3, 4)
-    return Fact(relation, _names(args), None if time is None else int(time), span=span)
+    value = None if time is None else _time_value(time)
+    if time is not None and value is None:
+        return None
+    return Fact(relation, _names(args), value, span=span)
 
 
 _Builder = Callable[[re.Match, SourceSpan], Optional[Declaration]]

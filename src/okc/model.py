@@ -42,9 +42,6 @@ class SourceSpan:
     column: int
     length: int = 1
 
-    def covers(self, line: int, column: int) -> bool:
-        return self.line == line and self.column <= column < self.column + max(self.length, 1)
-
 
 KERNEL_SPAN = SourceSpan("<kernel>", 0, 0, 0)
 
@@ -334,7 +331,7 @@ class Ontology:
 # --- loading ---------------------------------------------------------------
 
 
-def _direct_supers(concept: ConceptDecl) -> tuple[str, ...]:
+def direct_supers(concept: ConceptDecl) -> tuple[str, ...]:
     """Asserted parents plus supertypes implied by the definition form."""
     implied: tuple[str, ...] = ()
     if isinstance(concept.definition, RoleDefinition):

@@ -29,7 +29,7 @@ from collections import deque
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import kernel
-from .model import KERNEL_SPAN, ConceptDecl, Ontology, SourceSpan, _direct_supers
+from .model import KERNEL_SPAN, ConceptDecl, Ontology, SourceSpan, direct_supers
 
 
 class SubsumptionClosure:
@@ -72,11 +72,6 @@ class SubsumptionClosure:
             names.append(self._names[i])
             i = digits.find("1", i + 1)
         return frozenset(names)
-
-
-def direct_supers(concept: ConceptDecl) -> tuple[str, ...]:
-    """Asserted parents plus definition-implied supertypes."""
-    return _direct_supers(concept)
 
 
 def compute_closure(ontology: Ontology) -> SubsumptionClosure:

@@ -5,11 +5,13 @@ from __future__ import annotations
 import io
 import json
 import random
+import sys
 
 import pytest
 
 from helpers import CORPUS
 
+from okc.bundle import BUNDLE_FILES
 from okc.checks import REGISTRY
 from okc.cli import main
 from okc.frontend import _tokenize_line, render
@@ -85,6 +87,37 @@ def test_compile_refuses_on_errors(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+def test_compile_with_a_warning_writes_the_bundle(tmp_path):
+    model = tmp_path / "idle.oks"
+    model.write_text("instance doc1 : Document\n"
+                     "concept Diagnosis specializes Reasoning\n"
+                     "label Task Diagnosis at 1\n", encoding="utf-8")
+    for flags, expected in (((), 0), (("--werror",), 2)):
+        out_dir = tmp_path / f"build{expected}"
+        code, out, err = run("compile", str(model), "--out", str(out_dir), *flags)
+        assert (code, out) == (expected, "")
+        [line] = err.splitlines()
+        assert line.startswith(f"{model}:1:1: warning[Ad35]")
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(BUNDLE_FILES)
+
+
+def test_compile_refusal_prints_errors_and_warnings(tmp_path):
+    model = tmp_path / "both.oks"
+    model.write_text("instance doc1 : Document\n"
+                     "concept EmptyFuelTank specializes STV\n"
+                     "label Task EmptyFuelTank at 3\n", encoding="utf-8")
+    out_dir = tmp_path / "build"
+    code, out, err = run("compile", str(model), "--out", str(out_dir))
+    assert (code, out) == (1, "")
+    assert [line.split(" ", 2)[1] for line in err.splitlines()] == [
+        "warning[Ad35]", "error[A7]"]
+    code, out, err = run("compile", str(model), "--out", str(out_dir), "--format", "json")
+    assert (code, out) == (1, "")
+    assert [(f["code"], f["severity"]) for f in json.loads(err)] == [
+        ("Ad35", "warning"), ("A7", "error")]
+    assert not out_dir.exists()
+
+
 def test_compile_empty_snapshot_warns(tmp_path):
     code, _, err = run("compile", str(CORPUS / "calibration.oks"),
                        "--out", str(tmp_path), "--at", "0")
@@ -112,8 +145,7 @@ def test_kernel_listing_matches_render():
     code, out, err = run("kernel")
     assert code == 0 and err == ""
     assert out == render(kernel_ontology())
-    code, out2, _ = run("explain", "--kernel")
-    assert code == 0 and out2 == out
+    assert run("explain", "--kernel")[0] == 3
 
 
 def test_explain_instance_trace():
@@ -237,13 +269,28 @@ def test_particularization_tail_into_cycle_reports_every_walk(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("statement", ["label Task Diagnosis at {n}",
-                                       "fact PRE(act, {n})"])
-def test_huge_time_point_is_one_p1(tmp_path, statement):
+@pytest.mark.parametrize("statement, digits, int_limit", [
+    ("label Task Diagnosis at {n}", 5000, None),
+    ("fact PRE(act, {n})", 5000, None),
+    ("label Task Diagnosis at {n}", 1000, 640),
+    ("fact PRE(act, {n})", 1000, 640),
+], ids=["label Task Diagnosis at {n}", "fact PRE(act, {n})",
+        "label under int() limit 640", "fact under int() limit 640"])
+def test_huge_time_point_is_one_p1(tmp_path, statement, digits, int_limit):
     model = tmp_path / "m.oks"
     model.write_text("concept Diagnosis specializes Reasoning\ninstance act : Diagnosis\n"
-                     + statement.format(n="7" * 5000) + "\n", encoding="utf-8")
-    code, out, err = run("check", str(model), "--format", "json")
+                     + statement.format(n="7" * digits) + "\n", encoding="utf-8")
+    if int_limit is None:
+        code, out, err = run("check", str(model), "--format", "json")
+    else:
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no int() digit limit")
+        default = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(int_limit)
+        try:
+            code, out, err = run("check", str(model), "--format", "json")
+        finally:
+            sys.set_int_max_str_digits(default)
     [finding] = json.loads(err)
     assert (code, out) == (1, "")
     assert (finding["code"], finding["line"], finding["message"]) == \

@@ -17,6 +17,7 @@ from okc.bundle import (
 )
 from okc.checks import validate
 from okc.kernel import kernel_ontology
+from okc.model import sort_diagnostics
 
 
 def compile_clean(onto, snapshot):
@@ -141,6 +142,26 @@ def test_compile_refused_on_errors():
     with pytest.raises(CompileRefusedError) as excinfo:
         compile_bundle(onto, 1)
     assert [d.code for d in excinfo.value.diagnostics] == ["A7"]
+
+
+def test_compile_refusal_carries_every_finding():
+    onto, _ = load_source("instance doc1 : Document\n"
+                          "concept EmptyFuelTank specializes STV\n"
+                          "label Task EmptyFuelTank at 3\n")
+    with pytest.raises(CompileRefusedError) as excinfo:
+        compile_bundle(onto, 3)
+    assert [(d.code, d.severity.value) for d in excinfo.value.diagnostics] == [
+        ("Ad35", "warning"), ("A7", "error")]
+
+
+def test_compile_returns_validation_warnings_sorted_with_c1():
+    onto, _ = load_source("instance doc1 : Document\n"
+                          "concept Diagnosis specializes Reasoning\n"
+                          "label Task Diagnosis at 1\n")
+    _, warnings = compile_bundle(onto, 0)
+    assert [w.code for w in warnings] == ["C1", "Ad35"]
+    assert warnings == sort_diagnostics(warnings)
+    assert compile_bundle(onto, 1)[1] == [w for w in warnings if w.code == "Ad35"]
 
 
 def test_validator_compiler_agreement():

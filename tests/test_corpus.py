@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
-from helpers import all_codes, check_source
+from helpers import CORPUS, all_codes, check_source
 
+import okc.corpus
+from okc.bundle import BUNDLE_FILES
 from okc.corpus import (
     REGISTRY,
     UnknownExampleError,
     load_example,
     negative_entries,
     positive_entries,
+    regenerate_goldens,
 )
 
 
@@ -61,3 +66,20 @@ def test_golden_directories_exist_for_worked_examples():
         assert golden is not None
         for filename in ("domain.json", "inference.json", "task.json"):
             assert (golden / filename).is_file()
+
+
+def test_regenerate_goldens_rewrites_them_byte_identically(tmp_path, monkeypatch):
+    copy = tmp_path / "corpus"
+    shutil.copytree(CORPUS, copy)
+    for name in ("car_diagnosis", "calibration"):
+        for filename in BUNDLE_FILES:
+            (copy / "golden" / name / filename).unlink()
+    monkeypatch.setattr(okc.corpus, "corpus_root", lambda: copy)
+    lines: list[str] = []
+    written = regenerate_goldens(log=lines.append)
+    expected = [copy / "golden" / name / filename
+                for name in ("car_diagnosis", "calibration") for filename in BUNDLE_FILES]
+    assert written == expected
+    assert lines == [f"regenerated {p}" for p in expected]
+    for path in expected:
+        assert path.read_bytes() == (CORPUS / path.relative_to(copy)).read_bytes(), path
