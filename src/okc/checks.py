@@ -260,6 +260,14 @@ def check_labels(
 ) -> list[Diagnostic]:
     """All per-label constraints (A7, A8, L2b, L3, L4) plus L5 and L6."""
     diags = []
+    formal_at: dict[int, int] = {}  # time -> bitset of the concepts labeled FormalKnowledgeRole
+    for lb in ontology.labels.values():
+        if lb.primitive == "FormalKnowledgeRole":
+            formal_at[lb.time] = formal_at.get(lb.time, 0) | closure.mask((lb.concept,))
+    identity_types = closure.mask(
+        c for c in ontology.annotations
+        if ontology.annotation_value(c, AXIS_RIGIDITY) == "rigid"
+        and ontology.annotation_value(c, AXIS_IDENTITY) == "carries")
     for lb in _sorted_labels(ontology):
         if lb.concept not in ontology.concepts:
             continue  # load error already reported
@@ -291,7 +299,7 @@ def check_labels(
                     f"{lb.primitive} label on '{lb.concept}': {'; '.join(failures)}",
                     lb.span, (lb.concept,)))
             else:
-                failures = _role_identity(ontology, closure, lb)
+                failures = _role_identity(ontology, closure, lb, formal_at, identity_types)
                 if failures:
                     diags.append(_error(
                         "L4",
@@ -319,7 +327,8 @@ def _role_preconditions(
 
 
 def _role_identity(
-    ontology: Ontology, closure: SubsumptionClosure, lb: MetaLabel
+    ontology: Ontology, closure: SubsumptionClosure, lb: MetaLabel,
+    formal_at: dict[int, int], identity_types: int
 ) -> list[str]:
     failures = []
     identity = ontology.annotation_value(lb.concept, AXIS_IDENTITY)
@@ -331,20 +340,11 @@ def _role_identity(
         if identity != "carries":
             failures.append("a material knowledge role must be annotated "
                             "identity carries")
-        formal_here = [
-            other.concept for other in ontology.labels.values()
-            if other.primitive == "FormalKnowledgeRole" and other.time == lb.time
-            and other.concept != lb.concept
-            and closure.subsumes(other.concept, lb.concept)]
-        if not formal_here:
+        others = ~closure.mask((lb.concept,))
+        if not closure.ancestors(lb.concept, formal_at.get(lb.time, 0) & others):
             failures.append(
                 f"no subsumer is labeled FormalKnowledgeRole at time {lb.time}")
-        supplies_identity = [
-            up for up in closure.ancestors(lb.concept)
-            if up != lb.concept
-            and ontology.annotation_value(up, AXIS_RIGIDITY) == "rigid"
-            and ontology.annotation_value(up, AXIS_IDENTITY) == "carries"]
-        if not supplies_identity:
+        if not closure.ancestors(lb.concept, identity_types & others):
             failures.append("no subsumer is a rigid identity-carrying type")
     elif lb.primitive == "Input":
         if not closure.subsumes(kernel.DATA, lb.concept):
@@ -375,20 +375,16 @@ def _check_l5(ontology: Ontology) -> list[Diagnostic]:
 
 def _check_l6(ontology: Ontology, closure: SubsumptionClosure) -> list[Diagnostic]:
     diags = []
-    anti_rigid = sorted(
-        c for c in ontology.concepts
-        if ontology.annotation_value(c, AXIS_RIGIDITY) == "anti-rigid")
-    for upper in anti_rigid:
-        for lower in sorted(closure.descendants(upper)):
-            if lower == upper:
-                continue
-            if ontology.annotation_value(lower, AXIS_RIGIDITY) == "rigid":
-                ann = ontology.annotations[upper][AXIS_RIGIDITY]
-                diags.append(_error(
-                    "L6",
-                    f"anti-rigid concept '{upper}' subsumes rigid "
-                    f"concept '{lower}'",
-                    ann.span, (upper, lower)))
+    rigidity = {c: ontology.annotation_value(c, AXIS_RIGIDITY) for c in ontology.annotations}
+    rigid = closure.mask(c for c, value in rigidity.items() if value == "rigid")
+    for upper in sorted(c for c, value in rigidity.items() if value == "anti-rigid"):
+        ann = ontology.annotations[upper][AXIS_RIGIDITY]
+        for lower in sorted(closure.descendants(upper, rigid)):
+            diags.append(_error(
+                "L6",
+                f"anti-rigid concept '{upper}' subsumes rigid "
+                f"concept '{lower}'",
+                ann.span, (upper, lower)))
     return diags
 
 

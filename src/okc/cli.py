@@ -22,7 +22,7 @@ from .checks import check_w1, validate
 from .frontend import parse, render
 from .kernel import kernel_ontology, merge_with_kernel
 from .model import Diagnostic, Ontology, Severity, sort_diagnostics
-from .reasoner import compute_closure, explain_instance, saturate
+from .reasoner import compute_closure, explain_instance, instance_component, saturate
 
 EXIT_CLEAN = 0
 EXIT_ERRORS = 1
@@ -137,8 +137,9 @@ def _cmd_explain(args, stdout: TextIO, stderr: TextIO) -> int:
         return EXIT_ERRORS
     if args.instance not in onto.instances:
         raise _UsageError(f"instance '{args.instance}' is not declared in {args.file}")
-    facts = saturate(onto, compute_closure(onto))
-    stdout.write(explain_instance(onto, facts, args.instance))
+    component = instance_component(onto, args.instance)
+    facts = saturate(component, compute_closure(onto))
+    stdout.write(explain_instance(component, facts, args.instance))
     return EXIT_CLEAN
 
 

@@ -1,7 +1,10 @@
 """Text frontend for `.oks` model files.
 
 One statement per line; `#` starts a comment; blank lines are ignored.
-LF and CRLF are both accepted.  Statement forms:
+Lines end at LF, CRLF or a lone CR, the breaks `Path.read_text` also
+translates.  Other characters that `str.splitlines` would break at (form
+feed, U+0085, U+2028 and the like) stay inside their line: whitespace
+between tokens, and plain text inside a comment.  Statement forms:
 
     concept N [specializes P1, P2, ...]
     concept N = Type and FormalRole
@@ -234,7 +237,8 @@ def parse(text: str, filename: str) -> tuple[list[Declaration], list[Diagnostic]
     """Parse source text into declarations plus syntax diagnostics."""
     decls: list[Declaration] = []
     diags: list[Diagnostic] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, line in enumerate(lines, start=1):
         result = _accept(line, line_no, filename) or _parse_tokens(line, line_no, filename)
         if isinstance(result, Diagnostic):
             diags.append(result)

@@ -19,14 +19,33 @@ the least fixpoint is reached regardless of application order:
 
 Existential bodies are evaluated over declared instances only, and
 disjointness is never used to derive anything; contradictions surface in
-the validator.  Every derived entry records its rule code and premises,
-which `okc explain` prints.
+the validator.
+
+The fixpoint and the derivation traces are computed apart.  `saturate`
+computes the fixpoint alone: each instance's memberships are one bitset
+over the closure's concept bits, closed under M-up by one union with an
+ancestor bitset.  Derivation traces, which `okc explain` prints, come
+from a FIFO queue of entries in which each entry keeps the first
+derivation that reaches it; `FactBase.trace` runs it on first read.
+Both are exact:
+
+- R-up is the only rule that derives a ground fact, and its premise is
+  a ground fact.  Members never enqueue grounds, so a FIFO queue over
+  the grounds alone records the ground derivations the full queue
+  records, and `saturate` keeps those (S1, S2, A13 and R13 cite their
+  spans).
+- Rules join entries only through the arguments of asserted facts, so
+  the entries of one component (instances linked by facts, with those
+  facts) never meet another component's in a rule body, and the queue
+  keeps their relative order.  Tracing one instance's component
+  (`instance_component`) gives the traces of a full run.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import NamedTuple, Optional, Sequence, Union
+from functools import cached_property
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import kernel
 from .model import KERNEL_SPAN, ConceptDecl, Ontology, SourceSpan, direct_supers
@@ -52,13 +71,24 @@ class SubsumptionClosure:
         d = self._bit.get(descendant)
         return a is not None and d is not None and (self._up[d] >> a) & 1 == 1
 
-    def ancestors(self, concept: str) -> frozenset[str]:
+    def ancestors(self, concept: str, among: int = -1) -> frozenset[str]:
+        """Subsumers of `concept`; only those in the bitset `among`, if given."""
         i = self._bit.get(concept)
-        return frozenset() if i is None else self._decode(self._up[i])
+        return frozenset() if i is None else self._decode(self._up[i] & among)
 
-    def descendants(self, concept: str) -> frozenset[str]:
+    def descendants(self, concept: str, among: int = -1) -> frozenset[str]:
+        """Concepts `concept` subsumes; only those in the bitset `among`, if given."""
         i = self._bit.get(concept)
-        return frozenset() if i is None else self._decode(self._down[i])
+        return frozenset() if i is None else self._decode(self._down[i] & among)
+
+    def mask(self, concepts: Iterable[str]) -> int:
+        """Bitset of the given concepts, for `among`; unknown names are left out."""
+        bits = 0
+        for concept in concepts:
+            i = self._bit.get(concept)
+            if i is not None:
+                bits |= 1 << i
+        return bits
 
     @property
     def concepts(self) -> tuple[str, ...]:
@@ -204,39 +234,78 @@ class Derivation(NamedTuple):
     note: str = ""
 
 
+_ASSERTED = Derivation(RULE_ASSERTED, ())
+
+
 def entry_sort_key(entry: Entry) -> tuple:
     if isinstance(entry, Member):
         return (0, entry.instance, entry.concept)
     return (1, entry.relation, entry.args, -1 if entry.time is None else entry.time)
 
 
+def _r_up_edges(ontology: Ontology) -> dict[str, tuple[str, bool, str]]:
+    """Relation -> (parent, parent is temporal, trace note) for every R-up edge."""
+    edges = {}
+    for rel in ontology.relations.values():
+        parent = ontology.relations.get(rel.particularizes)
+        if parent is not None and (rel.temporal or not parent.temporal):
+            edges[rel.name] = (parent.name, parent.temporal,
+                               f"{rel.name} particularizes {parent.name}")
+    return edges
+
+
 class FactBase:
     """Memberships and ground facts closed under the rule set.
 
-    Every ground fact is listed once under each of its argument
-    positions, keyed by (relation, position, value), so the rule bodies
-    and checks join on one bucket instead of scanning a relation.
+    An instance's memberships are one integer bitset over the closure's
+    concept bits.  Every ground fact is listed once under each of its
+    argument positions, keyed by (relation, position, value), so the
+    rule bodies and checks join on one bucket instead of scanning a
+    relation.  Ground derivations are kept as the fixpoint is computed;
+    `trace` builds the rest on first read.
     """
 
-    def __init__(self) -> None:
-        self.members: set[Member] = set()
+    def __init__(self, ontology: Ontology, closure: SubsumptionClosure) -> None:
+        self._ontology = ontology
+        self._closure = closure
+        self._bits: dict[str, int] = {}  # instance -> concept bitset
         self.grounds: set[Ground] = set()
-        self.trace: dict[Entry, Derivation] = {}
-        self._spans: dict[Entry, SourceSpan] = {}
-        # indexes
-        self.members_of: dict[str, set[str]] = {}     # instance -> concepts
-        self.instances_of: dict[str, set[str]] = {}   # concept -> instances
-        self.grounds_by_rel: dict[str, set[Ground]] = {}
+        self._r_up: dict[Ground, Derivation] = {}  # derivations of derived grounds
+        self._by_rel: dict[str, set[Ground]] = {}
         self._by_arg: dict[tuple[str, int, str], list[Ground]] = {}
 
-    def has_member(self, instance: str, concept: str) -> bool:
-        return Member(instance, concept) in self.members
+    @cached_property
+    def members(self) -> set[Member]:
+        decode = self._closure._decode
+        return {Member(i, c) for i, bits in self._bits.items() for c in decode(bits)}
 
-    def concepts_of(self, instance: str) -> set[str]:
-        return self.members_of.get(instance, set())
+    @cached_property
+    def instances_of(self) -> dict[str, set[str]]:
+        """Concept -> its instances."""
+        out: dict[str, set[str]] = {}
+        decoded: dict[int, frozenset[str]] = {}  # instances often share a bitset
+        for instance, bits in self._bits.items():
+            concepts = decoded.get(bits)
+            if concepts is None:
+                concepts = decoded[bits] = self._closure._decode(bits)
+            for concept in concepts:
+                out.setdefault(concept, set()).add(instance)
+        return out
+
+    @cached_property
+    def trace(self) -> dict[Entry, Derivation]:
+        """Derivation of every entry: the FIFO engine, run on first read."""
+        return _Engine(self._ontology).run()
+
+    def has_member(self, instance: str, concept: str) -> bool:
+        bit = self._closure._bit.get(concept)
+        return bit is not None and (self._bits.get(instance, 0) >> bit) & 1 == 1
+
+    def concepts_of(self, instance: str) -> frozenset[str]:
+        return self._closure._decode(self._bits.get(instance, 0))
 
     def facts_of(self, relation: str) -> set[Ground]:
-        return self.grounds_by_rel.get(relation, set())
+        return self._by_rel.get(relation, set())
 
     def facts_with(self, relation: str, position: int, value: str) -> Sequence[Ground]:
         """Facts of `relation` whose argument at `position` is `value`."""
@@ -244,60 +313,158 @@ class FactBase:
 
     def span_of(self, entry: Entry) -> SourceSpan:
         """Span of the entry, following derivations back to an asserted one."""
+        trace = self._r_up if isinstance(entry, Ground) else self.trace
         current = entry
         seen = set()
-        while current not in self._spans:
-            deriv = self.trace.get(current)
+        while True:
+            if isinstance(current, Ground):
+                decl = self._ontology.facts.get(current)  # a Ground equals its fact's key
+            else:
+                decl = self._ontology.instances.get(current.instance)
+                if decl is not None and current.concept not in decl.concepts:
+                    decl = None
+            if decl is not None:
+                return decl.span
+            deriv = trace.get(current)
             if deriv is None or not deriv.premises or current in seen:
                 return KERNEL_SPAN
             seen.add(current)
             current = deriv.premises[0]
-        return self._spans[current]
-
-    def _insert(self, entry: Entry) -> bool:
-        if isinstance(entry, Member):
-            if entry in self.members:
-                return False
-            self.members.add(entry)
-            self.members_of.setdefault(entry.instance, set()).add(entry.concept)
-            self.instances_of.setdefault(entry.concept, set()).add(entry.instance)
-            return True
-        if entry in self.grounds:
-            return False
-        self.grounds.add(entry)
-        self.grounds_by_rel.setdefault(entry.relation, set()).add(entry)
-        for position, value in enumerate(entry.args):
-            self._by_arg.setdefault((entry.relation, position, value), []).append(entry)
-        return True
-
-    def add_asserted(self, entry: Entry, span: SourceSpan) -> bool:
-        added = self._insert(entry)
-        if added:
-            self.trace[entry] = Derivation(RULE_ASSERTED, ())
-            self._spans[entry] = span
-        return added
-
-    def add_derived(self, entry: Entry, rule: str, premises: tuple[Entry, ...],
-                    note: str = "") -> bool:
-        added = self._insert(entry)
-        if added:
-            self.trace[entry] = Derivation(rule, premises, note)
-        return added
 
     def entries(self) -> list[Entry]:
         return sorted(self.members, key=entry_sort_key) + \
             sorted(self.grounds, key=entry_sort_key)
 
+    # -- the least fixpoint
 
-# --- saturation engine -------------------------------------------------------
+    def _add_ground(self, g: Ground) -> None:
+        self.grounds.add(g)
+        self._by_rel.setdefault(g.relation, set()).add(g)
+        for position, value in enumerate(g.args):
+            self._by_arg.setdefault((g.relation, position, value), []).append(g)
+
+    def _close_grounds(self) -> None:
+        """R-up as a FIFO queue over the ground facts alone."""
+        edges = _r_up_edges(self._ontology)
+        queue = [Ground(f.relation, f.args, f.time)
+                 for f in sorted(self._ontology.facts.values(), key=lambda f: f.key())]
+        for g in queue:
+            self._add_ground(g)
+        for g in queue:  # grows while it is walked
+            edge = edges.get(g.relation)
+            if edge is not None:
+                parent, temporal, note = edge
+                derived = Ground(parent, g.args, g.time if temporal else None)
+                if derived not in self.grounds:
+                    self._add_ground(derived)
+                    self._r_up[derived] = Derivation("R-up", (g,), note)
+                    queue.append(derived)
+
+    def _close_members(self) -> None:
+        """M-up is a union with the closure's ancestor bitset.  D3 and D4
+        fire from the grounds; D1, D2, D5 and D6 fire from the bits an
+        instance gained since it was last taken off the worklist."""
+        onto = self._ontology
+        bit, up, bits = self._closure._bit, self._closure._up, self._bits
+        work: list[str] = []
+
+        def add(instance: str, concept: str) -> None:
+            old = bits.get(instance, 0)
+            new = old | up[bit[concept]]
+            if new != old:
+                bits[instance] = new
+                work.append(instance)
+
+        for inst in onto.instances.values():
+            for concept in inst.concepts:
+                add(inst.name, concept)
+        for relation, concept in ((kernel.REL_AFFECTED, kernel.PATIENT),
+                                  (kernel.REL_DATA, kernel.DATA),
+                                  (kernel.REL_RESULT, kernel.RESULT)):
+            for g in self.facts_of(relation):
+                add(g.args[0], concept)
+
+        mask = self._closure.mask
+        conjunctions = [(mask((c.definition.type_concept, c.definition.formal_role)), c.name)
+                        for c in onto.conjunctions()]
+        roles = [(mask((c.definition.reasoning_concept,)),
+                  kernel.REL_DATA if c.definition.mode == "data" else kernel.REL_RESULT, c.name)
+                 for c in onto.role_definitions()]
+        any_operand = any_covered = 0
+        for operands, _ in conjunctions:
+            any_operand |= operands
+        for covered, _, _ in roles:
+            any_covered |= covered
+        action, interaction = mask((kernel.ACTION,)), mask((kernel.INTERACTION,))
+        agentive = mask(kernel.AGENTIVE_UNION)
+        proposition, idea = mask((kernel.PROPOSITION,)), mask((kernel.IDA_CONCEPT,))
+
+        def d1(act: str) -> None:
+            own = bits.get(act, 0)
+            if not own & action or own & interaction:
+                return
+            agents = self.facts_with(kernel.REL_AGENT, 1, act)
+            for pc in self.facts_with(kernel.REL_PARTICIPATION, 1, act) if agents else ():
+                z = pc.args[0]
+                if bits.get(z, 0) & agentive and any(a.args[0] != z for a in agents):
+                    add(act, kernel.INTERACTION)
+                    return
+
+        def d2(g: Ground) -> None:
+            if bits.get(g.args[0], 0) & proposition and bits.get(g.args[1], 0) & idea:
+                add(g.args[1], kernel.SUBJECT)
+
+        done: dict[str, int] = {}
+        while work:
+            x = work.pop()
+            now = bits[x]
+            new = now & ~done.get(x, 0)
+            if not new:
+                continue
+            done[x] = now
+            if new & any_operand:
+                for operands, name in conjunctions:
+                    if new & operands and now & operands == operands:
+                        add(x, name)
+            if new & any_covered:
+                for covered, relation, name in roles:
+                    if new & covered:
+                        for g in self.facts_with(relation, 1, x):
+                            add(g.args[0], name)
+            if new & action:
+                d1(x)
+            if new & agentive:
+                for g in self.facts_with(kernel.REL_PARTICIPATION, 0, x):
+                    d1(g.args[1])
+            if new & proposition:
+                for g in self.facts_with(kernel.REL_SUBJECT, 0, x):
+                    d2(g)
+            if new & idea:
+                for g in self.facts_with(kernel.REL_SUBJECT, 1, x):
+                    d2(g)
+
+
+def saturate(ontology: Ontology, closure: SubsumptionClosure) -> FactBase:
+    """Least fixpoint of the rule set over the asserted instance level."""
+    facts = FactBase(ontology, closure)
+    facts._close_grounds()
+    facts._close_members()
+    return facts
+
+
+# --- derivation traces -------------------------------------------------------
 
 
 class _Engine:
-    def __init__(self, ontology: Ontology, closure: SubsumptionClosure):
+    """The rule set as a FIFO queue of entries; each entry keeps the first
+    derivation that reaches it."""
+
+    def __init__(self, ontology: Ontology):
         self.onto = ontology
-        self.closure = closure
-        self.fb = FactBase()
+        self.trace: dict[Entry, Derivation] = {}
+        self.by_arg: dict[tuple[str, int, str], list[Ground]] = {}
         self.queue: deque[Entry] = deque()
+        self.r_up = _r_up_edges(ontology)
         # role definitions indexed by the relation that feeds them, and
         # by the reasoning concept they cover (data roles first)
         self.roles_by_rel: dict[str, list[ConceptDecl]] = {
@@ -318,25 +485,31 @@ class _Engine:
         # M-up edges with their trace notes, built on a concept's first use
         self.up_edges: dict[str, tuple[tuple[str, str], ...]] = {}
 
-    def push(self, added: bool, entry: Entry) -> None:
-        if added:
-            self.queue.append(entry)
+    def add(self, entry: Entry, deriv: Derivation) -> None:
+        if entry in self.trace:
+            return
+        self.trace[entry] = deriv
+        if isinstance(entry, Ground):
+            for position, value in enumerate(entry.args):
+                self.by_arg.setdefault((entry.relation, position, value), []).append(entry)
+        self.queue.append(entry)
 
-    def run(self) -> FactBase:
+    def facts_with(self, relation: str, position: int, value: str) -> list[Ground]:
+        return self.by_arg.get((relation, position, value), [])
+
+    def run(self) -> dict[Entry, Derivation]:
         for inst in sorted(self.onto.instances.values(), key=lambda d: d.name):
             for concept in sorted(inst.concepts):
-                entry = Member(inst.name, concept)
-                self.push(self.fb.add_asserted(entry, inst.span), entry)
+                self.add(Member(inst.name, concept), _ASSERTED)
         for fact in sorted(self.onto.facts.values(), key=lambda f: f.key()):
-            entry = Ground(fact.relation, fact.args, fact.time)
-            self.push(self.fb.add_asserted(entry, fact.span), entry)
+            self.add(Ground(fact.relation, fact.args, fact.time), _ASSERTED)
         while self.queue:
             entry = self.queue.popleft()
             if isinstance(entry, Member):
                 self.on_member(entry)
             else:
                 self.on_ground(entry)
-        return self.fb
+        return self.trace
 
     # -- triggers
 
@@ -348,41 +521,34 @@ class _Engine:
                 (parent, f"{m.concept} specializes {parent}")
                 for parent in sorted(direct_supers(decl)) if parent in self.onto.concepts)
         for parent, note in edges:
-            derived = Member(m.instance, parent)
-            self.push(self.fb.add_derived(derived, "M-up", (m,), note), derived)
+            self.add(Member(m.instance, parent), Derivation("M-up", (m,), note))
         for conj in self.conjunctions_by_operand.get(m.concept, ()):
             self.try_d6(m.instance, conj)
         for rel_name, role in self.roles_by_reasoning.get(m.concept, ()):
-            for g in sorted(self.fb.facts_with(rel_name, 1, m.instance)):
+            for g in sorted(self.facts_with(rel_name, 1, m.instance)):
                 self.try_d5(g, role)
         if m.concept == kernel.ACTION:
             self.try_d1(m.instance)
         if m.concept in kernel.AGENTIVE_UNION:
-            for g in sorted(self.fb.facts_with(kernel.REL_PARTICIPATION, 0, m.instance)):
+            for g in sorted(self.facts_with(kernel.REL_PARTICIPATION, 0, m.instance)):
                 self.try_d1(g.args[1])
         if m.concept in (kernel.PROPOSITION, kernel.IDA_CONCEPT):
-            for g in sorted({*self.fb.facts_with(kernel.REL_SUBJECT, 0, m.instance),
-                             *self.fb.facts_with(kernel.REL_SUBJECT, 1, m.instance)}):
+            for g in sorted({*self.facts_with(kernel.REL_SUBJECT, 0, m.instance),
+                             *self.facts_with(kernel.REL_SUBJECT, 1, m.instance)}):
                 self.try_d2(g)
 
     def on_ground(self, g: Ground) -> None:
-        rel = self.onto.relations.get(g.relation)
-        if rel is not None and rel.particularizes in self.onto.relations:
-            parent = self.onto.relations[rel.particularizes]
-            if not (rel.temporal is False and parent.temporal is True):
-                derived = Ground(parent.name, g.args, g.time if parent.temporal else None)
-                self.push(self.fb.add_derived(derived, "R-up", (g,),
-                                              f"{rel.name} particularizes {parent.name}"),
-                          derived)
+        edge = self.r_up.get(g.relation)
+        if edge is not None:
+            parent, temporal, note = edge
+            self.add(Ground(parent, g.args, g.time if temporal else None),
+                     Derivation("R-up", (g,), note))
         if g.relation == kernel.REL_AFFECTED:
-            derived = Member(g.args[0], kernel.PATIENT)
-            self.push(self.fb.add_derived(derived, "D3", (g,)), derived)
+            self.add(Member(g.args[0], kernel.PATIENT), Derivation("D3", (g,)))
         if g.relation == kernel.REL_DATA:
-            derived = Member(g.args[0], kernel.DATA)
-            self.push(self.fb.add_derived(derived, "D4", (g,)), derived)
+            self.add(Member(g.args[0], kernel.DATA), Derivation("D4", (g,)))
         if g.relation == kernel.REL_RESULT:
-            derived = Member(g.args[0], kernel.RESULT)
-            self.push(self.fb.add_derived(derived, "D4", (g,)), derived)
+            self.add(Member(g.args[0], kernel.RESULT), Derivation("D4", (g,)))
         if g.relation in self.roles_by_rel:
             for role in self.roles_by_rel[g.relation]:
                 self.try_d5(g, role)
@@ -398,53 +564,68 @@ class _Engine:
     def try_d1(self, action: str) -> None:
         """Interaction: AC(x) with an agent y and a distinct agentive z in PC."""
         ac = Member(action, kernel.ACTION)
-        if ac not in self.fb.members:
+        derived = Member(action, kernel.INTERACTION)
+        if ac not in self.trace or derived in self.trace:
             return
-        agents = sorted(self.fb.facts_with(kernel.REL_AGENT, 1, action))
+        agents = sorted(self.facts_with(kernel.REL_AGENT, 1, action))
         if not agents:
             return
-        for pc in sorted(self.fb.facts_with(kernel.REL_PARTICIPATION, 1, action)):
+        for pc in sorted(self.facts_with(kernel.REL_PARTICIPATION, 1, action)):
             z = pc.args[0]
             z_agentive = next((Member(z, c) for c in kernel.AGENTIVE_UNION
-                               if self.fb.has_member(z, c)), None)
+                               if Member(z, c) in self.trace), None)
             if z_agentive is None:
                 continue
             agent_fact = next((a for a in agents if a.args[0] != z), None)
             if agent_fact is None:
                 continue
-            derived = Member(action, kernel.INTERACTION)
-            self.push(self.fb.add_derived(
-                derived, "D1", (ac, agent_fact, z_agentive, pc)), derived)
+            self.add(derived, Derivation("D1", (ac, agent_fact, z_agentive, pc)))
             return
 
     def try_d2(self, g: Ground) -> None:
         prop, idea = g.args
         prop_m = Member(prop, kernel.PROPOSITION)
         idea_m = Member(idea, kernel.IDA_CONCEPT)
-        if prop_m in self.fb.members and idea_m in self.fb.members:
-            derived = Member(idea, kernel.SUBJECT)
-            self.push(self.fb.add_derived(derived, "D2", (g, prop_m, idea_m)), derived)
+        if prop_m in self.trace and idea_m in self.trace:
+            self.add(Member(idea, kernel.SUBJECT), Derivation("D2", (g, prop_m, idea_m)))
 
     def try_d5(self, g: Ground, role: ConceptDecl) -> None:
         covered = Member(g.args[1], role.definition.reasoning_concept)
-        if covered in self.fb.members:
-            derived = Member(g.args[0], role.name)
-            self.push(self.fb.add_derived(derived, "D5", (g, covered)), derived)
+        if covered in self.trace:
+            self.add(Member(g.args[0], role.name), Derivation("D5", (g, covered)))
 
     def try_d6(self, instance: str, conj: ConceptDecl) -> None:
         left = Member(instance, conj.definition.type_concept)
         right = Member(instance, conj.definition.formal_role)
-        if left in self.fb.members and right in self.fb.members:
-            derived = Member(instance, conj.name)
-            self.push(self.fb.add_derived(derived, "D6", (left, right)), derived)
-
-
-def saturate(ontology: Ontology, closure: SubsumptionClosure) -> FactBase:
-    """Least fixpoint of the rule set over the asserted instance level."""
-    return _Engine(ontology, closure).run()
+        if left in self.trace and right in self.trace:
+            self.add(Member(instance, conj.name), Derivation("D6", (left, right)))
 
 
 # --- explanation -------------------------------------------------------------
+
+
+def instance_component(ontology: Ontology, instance: str) -> Ontology:
+    """`ontology` cut down to the instances linked to `instance` through
+    asserted facts, directly or not, and to those facts."""
+    facts_by_arg: dict[str, list[tuple]] = {}
+    for key, fact in ontology.facts.items():
+        for arg in fact.args:
+            facts_by_arg.setdefault(arg, []).append(key)
+    instances, facts = {instance}, set()
+    todo = [instance]
+    while todo:
+        for key in facts_by_arg.get(todo.pop(), ()):
+            if key not in facts:
+                facts.add(key)
+                fresh = [a for a in ontology.facts[key].args if a not in instances]
+                instances.update(fresh)
+                todo += fresh
+    return Ontology(
+        ontology.concepts, ontology.relations,
+        {n: d for n, d in ontology.instances.items() if n in instances},
+        ontology.annotations, ontology.labels,
+        {k: f for k, f in ontology.facts.items() if k in facts},
+        ontology.disjoints)
 
 
 def explain_instance(ontology: Ontology, factbase: FactBase, instance: str) -> str:

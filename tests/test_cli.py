@@ -5,12 +5,15 @@ from __future__ import annotations
 import io
 import json
 import random
+import re
+import shutil
 import sys
 
 import pytest
 
 from helpers import CORPUS
 
+from okc import reasoner
 from okc.bundle import BUNDLE_FILES
 from okc.checks import REGISTRY
 from okc.cli import main
@@ -246,6 +249,133 @@ def test_ten_thousand_relation_particularization_chain_checks_clean(tmp_path):
     chain = tmp_path / "chain.oks"
     chain.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert run("check", str(chain)) == (0, "", "")
+
+
+def test_ten_thousand_deep_anti_rigid_chain_reports_each_l6(tmp_path):
+    # Every concept of the chain is anti-rigid and subsumes the rigid leaf.
+    depth = 10_000
+    lines = [f"concept C{i:05d} specializes "
+             f"{f'C{i + 1:05d}' if i + 1 < depth else 'Reasoning'}" for i in range(depth)]
+    lines += [f"annotate C{i:05d} rigidity anti-rigid" for i in range(1, depth)]
+    lines.append("annotate C00000 rigidity rigid")
+    chain = tmp_path / "chain.oks"
+    chain.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = run("check", str(chain), "--format", "json")
+    findings = json.loads(err)
+    assert code == 1 and {f["code"] for f in findings} == {"L6"}
+    assert sorted(f["subjects"] for f in findings) == \
+        [[f"C{i:05d}", "C00000"] for i in range(1, depth)]
+
+
+def test_ten_thousand_material_role_labels_report_each_l4(tmp_path):
+    count = 10_000
+    lines = ["role Formal = data of Reasoning",
+             "annotate Formal rigidity anti-rigid",
+             "annotate Formal dependence dependent",
+             "annotate Formal identity none",
+             "annotate Model rigidity rigid",
+             "annotate Model identity carries",
+             "label FormalKnowledgeRole Formal at 0"]
+    for i in range(count):
+        lines += [f"concept M{i:05d} = Model and Formal",
+                  f"annotate M{i:05d} rigidity anti-rigid",
+                  f"annotate M{i:05d} dependence dependent",
+                  f"annotate M{i:05d} identity carries",
+                  f"label MaterialKnowledgeRole M{i:05d} at {i % 2}"]
+    model = tmp_path / "material.oks"
+    model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = run("check", str(model), "--format", "json")
+    findings = json.loads(err)
+    # Labels at time 1 have no FormalKnowledgeRole subsumer at their time.
+    assert code == 1 and {f["code"] for f in findings} == {"L4"}
+    assert sorted(f["subjects"] for f in findings) == \
+        [[f"M{i:05d}"] for i in range(1, count, 2)]
+
+
+def assert_coded_outcomes(tmp_path, model: str, instance: str) -> dict:
+    """check, compile and explain end in an exit code and registered codes."""
+    outcomes = {}
+    for argv in (("check", model, "--format", "json"),
+                 ("compile", model, "--out", str(tmp_path / "out"), "--format", "json"),
+                 ("explain", model, instance)):
+        code, out, err = run(*argv)
+        assert code in (0, 1, 2, 3), argv
+        if argv[0] == "explain":
+            codes = set(re.findall(r"(?:error|warning)\[(\w+)\]", err))
+        else:
+            codes = {f["code"] for f in json.loads(err)} if err else set()
+        assert codes <= set(REGISTRY), (argv, codes)
+        outcomes[argv[0]] = (code, out, err)
+    return outcomes
+
+
+def test_ten_thousand_participants_of_one_action(tmp_path):
+    count = 10_000
+    lines = ["concept Negotiating specializes AC", "instance act : Negotiating",
+             "instance lead : APO", "fact isAgentOf(lead, act)", "fact PC(lead, act, 0)"]
+    for i in range(count):
+        lines += [f"instance p{i:05d} : {'APO' if i % 2 else 'Model'}",
+                  f"fact PC(p{i:05d}, act, 0)"]
+    model = tmp_path / "wide_action.oks"
+    model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    outcomes = assert_coded_outcomes(tmp_path, str(model), "act")
+    assert outcomes["check"] == (0, "", "")
+    assert "act : Interaction  [D1] from act : AC, isAgentOf(lead, act), " \
+        "p00001 : APO, PC(p00001, act, 0)" in outcomes["explain"][1]
+
+
+def test_ten_thousand_children_of_one_concept(tmp_path):
+    count = 10_000
+    lines = ["concept Wide specializes Reasoning"]
+    for i in range(count):
+        lines += [f"concept W{i:05d} specializes Wide", f"instance w{i:05d} : W{i:05d}"]
+    model = tmp_path / "wide.oks"
+    model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    outcomes = assert_coded_outcomes(tmp_path, str(model), "w09999")
+    assert outcomes["check"] == (0, "", "")
+    assert outcomes["compile"][0] == 0
+    assert "w09999 : Wide  [M-up] from w09999 : W09999" in outcomes["explain"][1]
+
+
+def test_crlf_file_with_a_bom_reads_like_the_lf_file(tmp_path):
+    source = (CORPUS / "calibration.oks").read_bytes()
+    assert b"\r" not in source
+    model = tmp_path / "calibration.oks"
+    model.write_bytes(b"\xef\xbb\xbf" + source.replace(b"\n", b"\r\n"))
+    outcomes = assert_coded_outcomes(tmp_path, str(model), "m1")
+    assert outcomes["check"] == (0, "", "")
+    for name in BUNDLE_FILES:
+        assert (tmp_path / "out" / name).read_bytes() == \
+            (CORPUS / "golden" / "calibration" / name).read_bytes()
+    assert outcomes["explain"] == run("explain", str(CORPUS / "calibration.oks"), "m1")
+
+
+def test_check_and_compile_build_no_member_traces(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(CORPUS.parent / "perfbench"))
+    import families
+
+    models = sorted(str(p) for p in CORPUS.rglob("*.oks"))
+    for planned in (families.activities_file(1, n=40), *families.single_plants()):
+        models.append(str(tmp_path / planned.name))
+        (tmp_path / planned.name).write_text(planned.text, encoding="utf-8")
+    out = tmp_path / "out"
+
+    def outcomes() -> list:
+        found = []
+        for model in models:
+            found.append(run("check", model, "--format", "json"))
+            shutil.rmtree(out, ignore_errors=True)
+            found.append(run("compile", model, "--out", str(out)))
+            found.append({p.name: p.read_bytes() for p in out.iterdir()} if out.is_dir() else {})
+        return found
+
+    expected = outcomes()
+
+    def refuse(engine):
+        raise AssertionError("member traces were built")
+
+    monkeypatch.setattr(reasoner._Engine, "run", refuse)
+    assert outcomes() == expected
 
 
 def test_particularization_tail_into_cycle_reports_every_walk(tmp_path):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import CORPUS, load_corpus_file, round_trip
+from helpers import CORPUS, check_source, load_corpus_file, round_trip
 
 from okc.frontend import MAX_TIME_DIGITS, _accept, _parse_tokens, _tokenize_line, parse, render
 from okc.kernel import kernel_ontology
@@ -115,6 +115,17 @@ def test_recovery_reports_multiple_errors_per_file():
 def test_crlf_accepted():
     decls, diags = parse("concept A specializes PT\r\nconcept B specializes A\r\n", "<crlf>")
     assert not diags and len(decls) == 2
+
+
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                  "\u2028", "\u2029"])
+def test_only_lf_crlf_and_cr_end_a_line(char):
+    decls, diags = parse(f"# note{char}more\nconcept A specializes PT\r\n"
+                         f"concept B specializes A\rconcept C{char}specializes B\n", "<b>")
+    assert not diags
+    assert [(d.name, d.span.line) for d in decls] == [("A", 2), ("B", 3), ("C", 4)]
+    diags = check_source(f"# note{char}more\nconcept A specializes Nope\n")
+    assert [(d.code, d.span.line) for d in diags] == [("E3", 2)]
 
 
 def test_comment_only_and_blank_lines():

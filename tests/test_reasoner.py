@@ -8,12 +8,14 @@ import pytest
 
 from helpers import (
     engine_sets,
+    load_corpus_file,
     load_source,
     naive_saturate,
     random_saturation_model,
     random_shared_model,
     random_taxonomy,
     reachability_oracle,
+    shared_temporal_model,
 )
 
 from okc.kernel import kernel_ontology, merge_with_kernel
@@ -21,10 +23,14 @@ from okc.model import ConceptDecl, Fact, InstanceDecl, Loader
 from okc.reasoner import (
     RULE_ASSERTED,
     RULE_CODES,
+    Ground,
+    Member,
+    _Engine,
     compute_closure,
     direct_supers,
     explain_instance,
     find_subsumption_cycles,
+    instance_component,
     saturate,
 )
 
@@ -261,3 +267,69 @@ def test_explain_output(calibration_ontology):
     assert "m1 : CalibrationData  [D5]" in text
     assert "m1 : ModelToCalibrate  [D6]" in text
     assert "isAffectedBy(m1, calib1)  [R-up]" in text
+
+
+# --- fixpoint against the traced engine ------------------------------------------
+
+FIXPOINT_MODELS = {
+    "random_saturation_model": (random_saturation_model, range(200)),
+    "random_shared_model": (random_shared_model, range(60)),
+    "shared_temporal_model": (lambda seed: shared_temporal_model(seed)[0], range(60)),
+    "corpus": (load_corpus_file, ("car_diagnosis.oks", "calibration.oks", "a4_a5_a6.oks")),
+}
+
+
+def assert_fixpoint_matches_engine(onto, what) -> None:
+    facts = saturate(onto, compute_closure(onto))
+    trace = _Engine(onto).run()
+    assert facts.members == {e for e in trace if isinstance(e, Member)}, what
+    assert facts.grounds == {e for e in trace if isinstance(e, Ground)}, what
+    derived_grounds = {e: d for e, d in trace.items()
+                       if isinstance(e, Ground) and d.rule != RULE_ASSERTED}
+    assert facts._r_up == derived_grounds, what
+
+
+@pytest.mark.parametrize("family", sorted(FIXPOINT_MODELS))
+def test_fixpoint_matches_traced_engine(family):
+    build, seeds = FIXPOINT_MODELS[family]
+    for seed in seeds:
+        assert_fixpoint_matches_engine(build(seed), (family, seed))
+
+
+def test_trace_is_built_on_first_read_only(monkeypatch):
+    onto = random_shared_model(0)
+    facts = saturate(onto, compute_closure(onto))
+    runs = []
+    monkeypatch.setattr(_Engine, "run", lambda self: runs.append(1) or {})
+    assert facts.has_member("x00", "PT") and facts.grounds and not runs
+    assert facts.trace is facts.trace
+    assert runs == [1]
+
+
+def test_instance_component_keeps_linked_instances_and_their_facts():
+    onto, _ = load_source(
+        "instance a : Model\ninstance b : Model\ninstance c : APO\n"
+        "instance d : Model\ninstance e : Model\n"
+        "fact PC(a, b, 0)\nfact PC(c, b, 1)\nfact PRE(d, 0)\n")
+    component = instance_component(onto, "a")
+    assert sorted(component.instances) == ["a", "b", "c"]
+    assert sorted(component.facts) == [("PC", ("a", "b"), 0), ("PC", ("c", "b"), 1)]
+    assert component.concepts is onto.concepts
+    assert sorted(instance_component(onto, "e").instances) == ["e"]
+
+
+@pytest.mark.parametrize("model", [
+    *(f"corpus:{name}" for name in ("car_diagnosis", "calibration")),
+    *(f"random_saturation_model:{seed}" for seed in range(25)),
+    *(f"random_shared_model:{seed}" for seed in range(10)),
+])
+def test_component_explain_equals_full_model_explain(model):
+    family, _, arg = model.partition(":")
+    onto = (load_corpus_file(f"{arg}.oks") if family == "corpus"
+            else FIXPOINT_MODELS[family][0](int(arg)))
+    closure = compute_closure(onto)
+    full = saturate(onto, closure)
+    for instance in sorted(onto.instances):
+        component = instance_component(onto, instance)
+        assert explain_instance(component, saturate(component, closure), instance) == \
+            explain_instance(onto, full, instance), (model, instance)
