@@ -13,14 +13,20 @@ whose signature concepts all live in the domain model.
 
 Emission writes `domain.json`, `inference.json` and `task.json` with
 sorted keys, two-space indentation and LF endings; files are written to
-a temporary name and renamed into place.
+a temporary name and renamed into place.  The bytes equal those of
+`json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)`, but
+`canonical_json` renders them itself: every reasoning concept lists the
+role records it inherits, so one record recurs under many concepts, and
+`documents` shares one dict per record, which is rendered once per
+indentation depth and reused.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -78,16 +84,22 @@ class BundleConcept:
     outputs: Optional[tuple[RoleRecord, ...]] = None
     methods: Optional[tuple[str, ...]] = None
 
-    def to_json(self) -> dict:
+    def to_json(self, role_docs: dict[RoleRecord, dict]) -> dict:
+        """The concept's document; `role_docs` shares one dict per role record."""
         doc: dict = {
             "name": self.name,
             "parents": list(self.parents),
             "annotations": dict(self.annotations),
         }
         if self.inputs is not None or self.outputs is not None:
+            def role_doc(r: RoleRecord) -> dict:
+                shared = role_docs.get(r)
+                if shared is None:
+                    shared = role_docs[r] = r.to_json()
+                return shared
             doc["io"] = {
-                "inputs": [r.to_json() for r in self.inputs or ()],
-                "outputs": [r.to_json() for r in self.outputs or ()],
+                "inputs": [role_doc(r) for r in self.inputs or ()],
+                "outputs": [role_doc(r) for r in self.outputs or ()],
             }
         if self.methods is not None:
             doc["methods"] = list(self.methods)
@@ -130,21 +142,23 @@ class ModelBundle:
                 self.inference_concepts, self.task_concepts)
 
     def documents(self) -> dict[str, dict]:
+        """The three documents; equal role records share one dict."""
         common = {"schema_version": SCHEMA_VERSION, "snapshot_time": self.snapshot_time}
+        role_docs: dict[RoleRecord, dict] = {}
         return {
             "domain.json": {
                 **common,
-                "concepts": [c.to_json() for c in self.domain_concepts],
+                "concepts": [c.to_json(role_docs) for c in self.domain_concepts],
                 "relations": [r.to_json() for r in self.domain_relations],
                 "plays": [p.to_json() for p in self.plays],
             },
             "inference.json": {
                 **common,
-                "concepts": [c.to_json() for c in self.inference_concepts],
+                "concepts": [c.to_json(role_docs) for c in self.inference_concepts],
             },
             "task.json": {
                 **common,
-                "concepts": [c.to_json() for c in self.task_concepts],
+                "concepts": [c.to_json(role_docs) for c in self.task_concepts],
             },
         }
 
@@ -186,16 +200,21 @@ def _role_records(ontology: Ontology) -> list[RoleRecord]:
     return records
 
 
+_by_name = attrgetter("name")
+
+
 def _io_of(
-    roles: list[RoleRecord], closure: SubsumptionClosure, concept: str
+    roles_at: dict[str, list[RoleRecord]], among: int,
+    closure: SubsumptionClosure, concept: str
 ) -> tuple[tuple[RoleRecord, ...], tuple[RoleRecord, ...]]:
-    ancestors = closure.ancestors(concept)
-    inputs = []
-    outputs = []
-    for record in roles:
-        if record.reasoning_concept in ancestors:
-            (inputs if record.mode == "data" else outputs).append(record)
-    return tuple(inputs), tuple(outputs)
+    """The data and the result roles whose reasoning concept subsumes
+    `concept`, each in role-name order.  `roles_at` groups the role
+    records by reasoning concept, and `among` is the bitset of those
+    concepts, so only the subsumers that carry roles are decoded."""
+    hits = closure.ancestors(concept, among)
+    records = sorted([r for c in hits for r in roles_at[c]], key=_by_name)
+    return (tuple(r for r in records if r.mode == "data"),
+            tuple(r for r in records if r.mode != "data"))
 
 
 def _parents_within(
@@ -236,12 +255,15 @@ def compile_bundle(
     inference_set = set(effective.get("Inference", set())) \
         | set(effective.get("TransferFunction", set()))
     domain_set = set(effective.get("DomainConcept", set()))
-    roles = _role_records(ontology)
+    roles_at: dict[str, list[RoleRecord]] = {}
+    for record in _role_records(ontology):
+        roles_at.setdefault(record.reasoning_concept, []).append(record)
+    among = closure.mask(roles_at)
 
     def reasoning_concepts(members: set[str], with_methods: bool) -> tuple[BundleConcept, ...]:
         out = []
         for name in sorted(members):
-            inputs, outputs = _io_of(roles, closure, name)
+            inputs, outputs = _io_of(roles_at, among, closure, name)
             out.append(BundleConcept(
                 name, _parents_within(ontology, name, members),
                 _annotations_of(ontology, name),
@@ -277,13 +299,55 @@ def compile_bundle(
 BUNDLE_FILES = ("domain.json", "inference.json", "task.json")
 
 
+def canonical_json(value: object, memo: Optional[dict[tuple[int, int], str]] = None) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)`
+    for the types a bundle holds: dict, list, str, int and bool.
+
+    Each dict is rendered once per depth: `memo` maps (id, depth) to its
+    text, so a dict that occurs twice at one depth is reused.  Pass one
+    memo only while the values it was filled from are alive.
+    """
+    return _render(value, 0, {} if memo is None else memo)
+
+
+def _render(value: object, depth: int, memo: dict[tuple[int, int], str]) -> str:
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        key = (id(value), depth)
+        text = memo.get(key)
+        if text is None:
+            inner = "\n" + "  " * (depth + 1)
+            text = memo[key] = "{" + inner + ("," + inner).join([
+                encode_basestring(k) + ": " + _render(value[k], depth + 1, memo)
+                for k in sorted(value)]) + "\n" + "  " * depth + "}"
+        return text
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = "\n" + "  " * (depth + 1)
+        return "[" + inner + ("," + inner).join([
+            _render(item, depth + 1, memo) for item in value]) + "\n" + "  " * depth + "]"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"a bundle holds no {type(value).__name__}")
+
+
 def emit_bundle(bundle: ModelBundle, directory: Path | str) -> list[Path]:
     """Write the three bundle documents; byte-identical for equal bundles."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
-    for filename, doc in bundle.documents().items():
-        payload = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    documents = bundle.documents()
+    memo: dict[tuple[int, int], str] = {}
+    for filename, doc in documents.items():
+        payload = canonical_json(doc, memo) + "\n"
         target = directory / filename
         tmp = directory / f".{filename}.tmp-{os.getpid()}"
         try:

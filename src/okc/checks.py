@@ -120,8 +120,8 @@ def check_w2(ctx: CheckContext) -> list[Diagnostic]:
                 ctx.ontology.concepts[concept].span, (concept, a, b)))
         if pair == a3_pair:
             continue  # instance level of this pair is owned by A3
-        both = sorted(ctx.facts.instances_of.get(a, set())
-                      & ctx.facts.instances_of.get(b, set()))
+        both = sorted(ctx.facts.disjoint_instances.get(a, set())
+                      & ctx.facts.disjoint_instances.get(b, set()))
         for instance in both:
             span = ctx.ontology.instances[instance].span \
                 if instance in ctx.ontology.instances else decl.span
@@ -176,8 +176,8 @@ def check_s2(ctx: CheckContext) -> list[Diagnostic]:
 
 def check_a3(ctx: CheckContext) -> list[Diagnostic]:
     diags = []
-    both = sorted(ctx.facts.instances_of.get(kernel.REASONING, set())
-                  & ctx.facts.instances_of.get(kernel.COMMUNICATION, set()))
+    both = sorted(ctx.facts.disjoint_instances.get(kernel.REASONING, set())
+                  & ctx.facts.disjoint_instances.get(kernel.COMMUNICATION, set()))
     for instance in both:
         span = ctx.ontology.instances[instance].span \
             if instance in ctx.ontology.instances else kernel.kernel_ontology().concepts[

@@ -280,11 +280,17 @@ class FactBase:
         return {Member(i, c) for i, bits in self._bits.items() for c in decode(bits)}
 
     @cached_property
-    def instances_of(self) -> dict[str, set[str]]:
-        """Concept -> its instances."""
+    def disjoint_instances(self) -> dict[str, set[str]]:
+        """Concept named in a disjoint pair -> its instances; no other concept.
+
+        W2 and A3 read only these (Reasoning/Communication is a kernel
+        disjoint pair), so each bitset is decoded under their mask alone.
+        """
+        mask = self._closure.mask(c for pair in self._ontology.disjoints for c in pair)
         out: dict[str, set[str]] = {}
         decoded: dict[int, frozenset[str]] = {}  # instances often share a bitset
         for instance, bits in self._bits.items():
+            bits &= mask
             concepts = decoded.get(bits)
             if concepts is None:
                 concepts = decoded[bits] = self._closure._decode(bits)

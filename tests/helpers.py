@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+from okc.bundle import RoleRecord
 from okc.frontend import parse, render
 from okc.kernel import merge_with_kernel
 from okc.checks import validate
@@ -527,6 +528,20 @@ def effective_labels_oracle(ontology, snapshot_time: int) -> dict[str, set[str]]
     return out
 
 
+def role_io_oracle(ontology, closure, concept: str):
+    """The data and the result roles of `concept`, by testing every role
+    definition's reasoning concept with `closure.subsumes`."""
+    hits = []
+    for role in sorted(ontology.role_definitions(), key=lambda c: c.name):
+        if closure.subsumes(role.definition.reasoning_concept, concept):
+            players = sorted(c.definition.type_concept for c in ontology.conjunctions()
+                             if c.definition.formal_role == role.name)
+            hits.append(RoleRecord(role.name, role.definition.mode,
+                                   role.definition.reasoning_concept, tuple(players)))
+    return (tuple(r for r in hits if r.mode == "data"),
+            tuple(r for r in hits if r.mode == "result"))
+
+
 def random_label_model(seed: int):
     """Random labels of every primitive on up to six concepts at times
     0-6.  C0 always carries Task and Inference at time 2: two labels of
@@ -539,6 +554,50 @@ def random_label_model(seed: int):
     for _ in range(rng.randint(0, 20)):
         triples.add((rng.choice(primitives), rng.choice(concepts), rng.randint(0, 6)))
     decls += [MetaLabel(*triple) for triple in sorted(triples)]
+    onto, diags = merge_with_kernel(decls)
+    assert onto is not None, [d.render() for d in diags]
+    return onto
+
+
+def random_role_model(seed: int):
+    """Random reasoning taxonomy with role definitions and labels that
+    compile.
+
+    2-9 concepts under Reasoning and 0-2 under Communication, each with
+    one or two parents among its hook and the earlier concepts.  Up to
+    eight data and result roles target random concepts, kernel ones
+    included; their names are drawn from one pool, so the roles a concept
+    inherits from unrelated ancestors interleave by name.  Some roles are
+    played through a conjunction.  Every reasoning concept is labelled
+    Task or Inference at one or two distinct times, every Communication
+    concept TransferFunction, and a few domain concepts DomainConcept.
+    """
+    rng = random.Random(f"roles-{seed}")
+    decls = []
+    taxonomy: dict[str, list[str]] = {"Reasoning": [], "Communication": []}
+    for hook, low, high in (("Reasoning", 2, 9), ("Communication", 0, 2)):
+        for _ in range(rng.randint(low, high)):
+            pool = [hook] + taxonomy[hook]
+            name = f"{hook[:3]}{len(taxonomy[hook])}"
+            decls.append(ConceptDecl(name, tuple(sorted(set(
+                rng.sample(pool, k=min(len(pool), rng.randint(1, 2))))))))
+            taxonomy[hook].append(name)
+    targets = taxonomy["Reasoning"] + taxonomy["Communication"] \
+        + ["Reasoning", "Communication", "AC"]
+    for name in rng.sample([f"Role{c}" for c in "ABCDEFGHJK"], k=rng.randint(0, 8)):
+        decls.append(ConceptDecl(name, (), RoleDefinition(
+            rng.choice(["data", "result"]), rng.choice(targets))))
+        if rng.random() < 0.4:
+            player = rng.choice(["Model", "Hypothesis"])
+            decls.append(ConceptDecl(f"{player}As{name}", (), Conjunction(player, name)))
+    for concept in taxonomy["Reasoning"]:
+        for time in rng.sample(range(4), k=rng.randint(1, 2)):
+            decls.append(MetaLabel(rng.choice(["Task", "Inference"]), concept, time))
+    for concept in taxonomy["Communication"]:
+        decls.append(MetaLabel("TransferFunction", concept, rng.randint(0, 3)))
+    for i in range(rng.randint(0, 3)):
+        decls.append(ConceptDecl(f"Dom{i}", (rng.choice(["Model", "Document"]),)))
+        decls.append(MetaLabel("DomainConcept", f"Dom{i}", rng.randint(0, 3)))
     onto, diags = merge_with_kernel(decls)
     assert onto is not None, [d.render() for d in diags]
     return onto

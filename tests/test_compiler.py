@@ -6,18 +6,28 @@ import json
 
 import pytest
 
-from helpers import effective_labels_oracle, load_source, random_label_model
+from helpers import (
+    effective_labels_oracle,
+    load_corpus_file,
+    load_source,
+    random_label_model,
+    random_role_model,
+    role_io_oracle,
+)
 
 from okc.bundle import (
     BUNDLE_FILES,
     CompileRefusedError,
+    canonical_json,
     compile_bundle,
     effective_labels,
     emit_bundle,
 )
 from okc.checks import validate
+from okc.corpus import positive_entries
 from okc.kernel import kernel_ontology
 from okc.model import sort_diagnostics
+from okc.reasoner import compute_closure
 
 
 def compile_clean(onto, snapshot):
@@ -82,6 +92,38 @@ def test_role_attachment_uses_subsumption():
     task = bundle.task_concepts[0]
     # ProblemData targets Troubleshooting, which subsumes the task.
     assert [r.name for r in task.inputs] == ["ProblemData"]
+
+
+def test_roles_inherited_from_unrelated_ancestors_merge_by_name():
+    onto, _ = load_source(
+        "concept Left specializes Reasoning\n"
+        "concept Right specializes Reasoning\n"
+        "concept Both specializes Left, Right\n"
+        "role Delta = data of Left\n"
+        "role Alpha = data of Right\n"
+        "role Echo = data of Right\n"
+        "role Charlie = result of Left\n"
+        "role Bravo = result of Right\n"
+        "label Task Both at 1\n")
+    bundle, _ = compile_bundle(onto, 1)
+    task = bundle.task_concepts[0]
+    assert [r.name for r in task.inputs] == ["Alpha", "Delta", "Echo"]
+    assert [r.name for r in task.outputs] == ["Bravo", "Charlie"]
+    assert (task.inputs, task.outputs) == role_io_oracle(onto, compute_closure(onto), "Both")
+
+
+def _io_against_oracle(onto, snapshot):
+    bundle, _ = compile_bundle(onto, snapshot)
+    closure = compute_closure(onto)
+    concepts = bundle.task_concepts + bundle.inference_concepts
+    for concept in concepts:
+        assert (concept.inputs, concept.outputs) == \
+            role_io_oracle(onto, closure, concept.name), concept.name
+    return sum(len(c.inputs) + len(c.outputs) for c in concepts)
+
+
+def test_role_io_against_subsumption_scan():
+    assert sum(_io_against_oracle(random_role_model(seed), 3) for seed in range(100)) > 0
 
 
 def test_effective_labels_latest_wins():
@@ -237,6 +279,48 @@ def test_emitted_json_is_canonical(calibration_ontology, tmp_path):
         doc = json.loads(raw)
         assert raw == json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
         assert doc["schema_version"] == "1"
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], {"a": {}, "b": [], "c": [[], {}, [[]]]}, [{}], [[]],
+    True, False, [True, False, 0], {"t": True, "f": False},
+    10 ** 100, -(10 ** 100), 0, -1,
+    "", 'a "quoted" word', "back\\slash and /slash",
+    "".join(chr(c) for c in range(32)) + "\x7f",
+    "ünïcödé ☃ 𝄞 \u2028\u2029 \ufeff",
+    {"z": 1, "a": [1, "x", {"k": True}], "M": {"nested": {"deeper": []}}},
+    {"é": 1, "e": 2, "Z": 3, "\n": 4, '"': 5},
+])
+def test_canonical_json_equals_json_dumps(value):
+    assert canonical_json(value) == _dumps(value)
+
+
+def test_canonical_json_renders_a_shared_dict_per_depth():
+    shared = {"name": "R", "players": ["A", "B"], "io": {"inputs": []}}
+    value = {"top": shared, "deep": {"inner": [shared, {"again": shared}]},
+             "list": [shared, shared]}
+    memo: dict = {}
+    assert canonical_json(value, memo) == _dumps(value)
+    assert len({depth for (ident, depth) in memo if ident == id(shared)}) == 4
+
+
+def test_emitted_bundles_equal_json_dumps(tmp_path):
+    bundles = []
+    for entry in positive_entries():
+        if entry.golden_dir is not None:
+            onto = load_corpus_file(entry.relative_path)
+            bundles.append(compile_bundle(onto, onto.max_label_time())[0])
+    bundles += [compile_bundle(random_role_model(seed), 3)[0] for seed in range(30)]
+    for i, bundle in enumerate(bundles):
+        emit_bundle(bundle, tmp_path / str(i))
+        for name, doc in bundle.documents().items():
+            expected = _dumps(doc) + "\n"
+            assert canonical_json(doc) + "\n" == expected
+            assert (tmp_path / str(i) / name).read_text(encoding="utf-8") == expected
 
 
 def test_negative_snapshot_rejected(car_ontology):

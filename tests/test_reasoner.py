@@ -11,6 +11,7 @@ from helpers import (
     load_corpus_file,
     load_source,
     naive_saturate,
+    random_loadable_model,
     random_saturation_model,
     random_shared_model,
     random_taxonomy,
@@ -174,9 +175,26 @@ def test_t_theorems_hold_in_saturated_bases():
     for seed in range(10):
         onto = random_saturation_model(seed)
         facts = saturate(onto, compute_closure(onto))
-        data = facts.instances_of.get("Data", set())
-        assert data <= facts.instances_of.get("Patient", set())
-        assert data <= facts.instances_of.get("Content", set())
+        instances_of = {}
+        for m in facts.members:
+            instances_of.setdefault(m.concept, set()).add(m.instance)
+        data = instances_of.get("Data", set())
+        assert data <= instances_of.get("Patient", set())
+        assert data <= instances_of.get("Content", set())
+
+
+def test_disjoint_instances_are_the_members_of_disjoint_concepts():
+    models = [random_saturation_model(seed) for seed in range(30)]
+    models += [random_shared_model(seed) for seed in range(10)]
+    models += [random_loadable_model(seed) for seed in range(50)]
+    for onto in models:
+        facts = saturate(onto, compute_closure(onto))
+        named = {c for pair in onto.disjoints for c in pair}
+        expected: dict[str, set[str]] = {}
+        for m in facts.members:
+            if m.concept in named:
+                expected.setdefault(m.concept, set()).add(m.instance)
+        assert facts.disjoint_instances == expected
 
 
 @pytest.mark.parametrize("seed", range(25))
