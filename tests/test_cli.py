@@ -378,6 +378,20 @@ def test_check_and_compile_build_no_member_traces(tmp_path, monkeypatch):
     assert outcomes() == expected
 
 
+def test_role_and_conjunction_of_the_same_names_are_one_e1(tmp_path):
+    model = tmp_path / "m.oks"
+    model.write_text("\n".join([
+        "concept data specializes Reasoning",
+        "concept X specializes Reasoning",
+        "role N = data of X",
+        "concept N = data and X",
+    ]) + "\n", encoding="utf-8")
+    code, _, err = run("check", str(model), "--format", "json")
+    assert code == 1
+    assert [(f["code"], f["line"], f["subjects"]) for f in json.loads(err)] == [
+        ("E1", 4, ["N"])]
+
+
 def test_particularization_tail_into_cycle_reports_every_walk(tmp_path):
     model = tmp_path / "m.oks"
     model.write_text("\n".join([

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -82,7 +83,7 @@ def test_negative_time_literal_is_one_diagnostic_with_recovery():
 ])
 def test_statement_forms(line, expected):
     decl = parse_one(line)
-    expected = type(expected)(**{**expected.__dict__, "span": decl.span})
+    expected = dataclasses.replace(expected, span=decl.span)
     assert decl == expected
 
 

@@ -4,17 +4,25 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from helpers import CORPUS, error_codes, load_source
 
 from okc.frontend import parse
 from okc.kernel import kernel_ontology, merge_with_kernel
 from okc.model import (
+    AnnotationDecl,
     ConceptDecl,
+    Conjunction,
+    DisjointDecl,
     Fact,
     InstanceDecl,
     Loader,
     MetaLabel,
+    Origin,
     RelationDecl,
+    RoleDefinition,
+    SourceSpan,
     add_declaration,
 )
 
@@ -163,3 +171,47 @@ def test_equality_ignores_spans():
     first, _ = load_source(text, "a.oks")
     second, _ = load_source("# leading comment\n" + text, "b.oks")
     assert first == second
+
+
+# --- record semantics --------------------------------------------------------
+
+_SPAN = SourceSpan("a.oks", 1, 2, 3)
+
+# (record class, a field to overwrite, the values of all its fields)
+RECORDS = [
+    (SourceSpan, "line", ("a.oks", 1, 2, 3)),
+    (RoleDefinition, "mode", ("data", "X")),
+    (Conjunction, "type_concept", ("data", "X")),
+    (ConceptDecl, "parents", ("N", ("PT",), None, Origin.USER, _SPAN)),
+    (RelationDecl, "signature", ("r", (("ED",),), False, None, Origin.USER, _SPAN)),
+    (AnnotationDecl, "value", ("N", "rigidity", "rigid", Origin.USER, _SPAN)),
+    (MetaLabel, "time", ("Task", "N", 1, Origin.USER, _SPAN)),
+    (InstanceDecl, "concepts", ("i", ("N",), Origin.USER, _SPAN)),
+    (Fact, "args", ("r", ("i",), None, Origin.USER, _SPAN)),
+    (DisjointDecl, "second", ("A", "B", Origin.USER, _SPAN)),
+]
+
+
+@pytest.mark.parametrize("cls, field, values", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_are_hashable_values(cls, field, values):
+    first, second = cls(*values), cls(*values)
+    assert first is not second
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    assert len({first, second}) == 1
+    with pytest.raises(AttributeError):
+        setattr(first, field, second)
+    assert first == second
+
+
+@pytest.mark.parametrize("cls, field, values", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_equal_only_records_of_their_own_class(cls, field, values):
+    record = cls(*values)
+    assert record != values and values != record
+    assert not record == values and not values == record
+    others = [other(*values) for other, _, other_values in RECORDS
+              if other is not cls and len(other_values) == len(values)]
+    for other in others:
+        assert record != other and other != record
+        assert not record == other and not other == record
+        assert len({record, other}) == 2
