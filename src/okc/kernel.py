@@ -47,12 +47,9 @@ REL_RESULT = "isResultOf"
 REL_SUBJECT = "hasForSubject"
 
 # Concept names referenced from code.
-PARTICULAR = "PT"
 ENDURANT = "ED"
-PERDURANT = "PD"
 ACTION = "AC"
 AGENTIVE_UNION = ("APO", "ASO")
-CONTENT = "Content"
 PROPOSITION = "Proposition"
 IDA_CONCEPT = "IdaConcept"
 SUBJECT = "Subject"

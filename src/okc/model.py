@@ -10,13 +10,18 @@ produces an equal Ontology.
 Identical re-declarations are collapsed silently (set semantics).  The
 one exception is meta-labels: a duplicate (primitive, concept, time)
 triple is a load error (E5).
+
+Declarations, their definitions and source spans are immutable tuple
+records (`typing.NamedTuple`) with read-only fields.  Each equals only
+records of its own class, never a plain tuple or another record class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Union
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple, Optional, Union, get_args
 
 
 class Severity(str, Enum):
@@ -29,8 +34,25 @@ class Origin(str, Enum):
     USER = "user"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+def _record(cls):
+    """Make a NamedTuple class equal only records of its own class.
+
+    A plain NamedTuple equals every tuple with the same fields, so a role
+    definition would equal a conjunction of the same two names.
+    """
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not __eq__(self, other)
+
+    cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, tuple.__hash__
+    return cls
+
+
+@_record
+class SourceSpan(NamedTuple):
     """Location of a declaration or token inside a source file.
 
     Lines and columns are 1-based; kernel declarations use the
@@ -57,8 +79,7 @@ class Diagnostic:
     subjects: tuple[str, ...] = ()
 
     def sort_key(self) -> tuple:
-        return (self.span.file, self.span.line, self.span.column,
-                self.code, self.message, self.subjects)
+        return (*self.span[:3], self.code, self.message, self.subjects)
 
     def render(self) -> str:
         if self.span.line <= 0:
@@ -133,16 +154,16 @@ ANNOTATION_AXES: tuple[str, ...] = (AXIS_RIGIDITY, AXIS_IDENTITY, AXIS_DEPENDENC
 # --- declarations ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RoleDefinition:
+@_record
+class RoleDefinition(NamedTuple):
     """Defined concept of the form `role N = data|result of R`."""
 
     mode: str  # "data" | "result"
     reasoning_concept: str
 
 
-@dataclass(frozen=True)
-class Conjunction:
+@_record
+class Conjunction(NamedTuple):
     """Defined concept of the form `concept N = Type and FormalRole`."""
 
     type_concept: str
@@ -152,8 +173,8 @@ class Conjunction:
 Definition = Union[RoleDefinition, Conjunction]
 
 
-@dataclass(frozen=True)
-class ConceptDecl:
+@_record
+class ConceptDecl(NamedTuple):
     name: str
     parents: tuple[str, ...] = ()
     definition: Optional[Definition] = None
@@ -164,8 +185,8 @@ class ConceptDecl:
         return ("concept", frozenset(self.parents), self.definition)
 
 
-@dataclass(frozen=True)
-class RelationDecl:
+@_record
+class RelationDecl(NamedTuple):
     """Relation with a positional signature.
 
     Each signature position is a union of concept names (almost always a
@@ -187,8 +208,8 @@ class RelationDecl:
         return ("relation", self.signature, self.temporal, self.particularizes)
 
 
-@dataclass(frozen=True)
-class AnnotationDecl:
+@_record
+class AnnotationDecl(NamedTuple):
     """One meta-property axis value for one concept."""
 
     concept: str
@@ -198,8 +219,8 @@ class AnnotationDecl:
     span: SourceSpan = KERNEL_SPAN
 
 
-@dataclass(frozen=True)
-class MetaLabel:
+@_record
+class MetaLabel(NamedTuple):
     """Classification of a concept by a modeling primitive at a time."""
 
     primitive: str
@@ -212,8 +233,8 @@ class MetaLabel:
         return (self.primitive, self.concept, self.time)
 
 
-@dataclass(frozen=True)
-class InstanceDecl:
+@_record
+class InstanceDecl(NamedTuple):
     name: str
     concepts: tuple[str, ...]
     origin: Origin = Origin.USER
@@ -223,8 +244,8 @@ class InstanceDecl:
         return ("instance", frozenset(self.concepts))
 
 
-@dataclass(frozen=True)
-class Fact:
+@_record
+class Fact(NamedTuple):
     """Ground relational fact; `time` present iff the relation is temporal."""
 
     relation: str
@@ -234,11 +255,12 @@ class Fact:
     span: SourceSpan = KERNEL_SPAN
 
     def key(self) -> tuple:
+        # A plain tuple: it equals the reasoner's Ground of the same fact.
         return (self.relation, self.args, self.time)
 
 
-@dataclass(frozen=True)
-class DisjointDecl:
+@_record
+class DisjointDecl(NamedTuple):
     first: str
     second: str
     origin: Origin = Origin.USER
@@ -341,12 +363,37 @@ def direct_supers(concept: ConceptDecl) -> tuple[str, ...]:
     return concept.parents + implied
 
 
+def _span_order(decl) -> tuple:
+    return (decl.origin is not Origin.KERNEL, *decl.span[:3])
+
+
+def _earliest(decls, key) -> tuple[dict, dict[object, list]]:
+    """The earliest declaration per key (kernel first, then by source
+    position), and each repeated key's declarations in that order."""
+    first: dict = {}
+    duplicates: dict[object, list] = {}
+    for d in decls:
+        k = key(d)
+        if k in first:
+            duplicates.setdefault(k, [first[k]]).append(d)
+        else:
+            first[k] = d
+    for k, group in duplicates.items():
+        group.sort(key=_span_order)
+        first[k] = group[0]
+    return first, duplicates
+
+
+def _error(code: str, message: str, span: SourceSpan, *subjects: str) -> Diagnostic:
+    return Diagnostic(Severity.ERROR, code, message, span, subjects)
+
+
 class Loader:
     """Accumulates declarations, then resolves them into an Ontology.
 
     Resolution is two-phase: every declaration is staged first, then
     names are resolved over the complete set, which makes the result
-    independent of declaration order.
+    independent of declaration order.  Every finding of a load is an error.
     """
 
     def __init__(self, base: Optional[Ontology] = None):
@@ -366,26 +413,22 @@ class Loader:
 
     def finalize(self) -> tuple[Optional[Ontology], list[Diagnostic]]:
         diags: list[Diagnostic] = []
+        staged: dict[type, list] = {kind: [] for kind in get_args(Declaration)}
+        for d in self._staged:
+            staged[type(d)].append(d)
 
-        concepts = self._collapse_named(
-            [d for d in self._staged if isinstance(d, ConceptDecl)], diags)
-        relations = self._collapse_named(
-            [d for d in self._staged if isinstance(d, RelationDecl)], diags)
-        instances = self._collapse_named(
-            [d for d in self._staged if isinstance(d, InstanceDecl)], diags)
+        concepts = self._collapse_named(staged[ConceptDecl], diags)
+        relations = self._collapse_named(staged[RelationDecl], diags)
+        instances = self._collapse_named(staged[InstanceDecl], diags)
         self._check_cross_kind(concepts, relations, instances, diags)
 
-        annotations = self._collapse_annotations(
-            [d for d in self._staged if isinstance(d, AnnotationDecl)], diags)
-        labels = self._collapse_labels(
-            [d for d in self._staged if isinstance(d, MetaLabel)], diags)
-
-        facts: dict[tuple, Fact] = {}
-        for f in (d for d in self._staged if isinstance(d, Fact)):
-            facts.setdefault(f.key(), f)
-        disjoints: dict[tuple[str, str], DisjointDecl] = {}
-        for dis in (d for d in self._staged if isinstance(d, DisjointDecl)):
-            disjoints.setdefault(dis.pair(), dis)
+        annotations = self._collapse_annotations(staged[AnnotationDecl], diags)
+        labels, duplicates = _earliest(staged[MetaLabel], MetaLabel.triple)
+        diags.extend(_error("E5", f"duplicate label ({d.primitive}, {d.concept}, {d.time})",
+                            d.span, d.concept)
+                     for group in duplicates.values() for d in group[1:])
+        facts, _ = _earliest(staged[Fact], Fact.key)
+        disjoints, _ = _earliest(staged[DisjointDecl], DisjointDecl.pair)
 
         onto = Ontology(concepts, relations, instances, annotations, labels, facts, disjoints)
         self._check_references(onto, diags)
@@ -397,32 +440,20 @@ class Loader:
 
     # -- duplicate handling
 
-    @staticmethod
-    def _span_order(decl) -> tuple:
-        return (decl.origin is not Origin.KERNEL, decl.span.file, decl.span.line, decl.span.column)
-
     def _collapse_named(self, decls, diags: list[Diagnostic]) -> dict:
-        grouped: dict[str, list] = {}
-        for d in decls:
-            grouped.setdefault(d.name, []).append(d)
-        out = {}
-        for name in grouped:
-            group = sorted(grouped[name], key=self._span_order)
+        out, duplicates = _earliest(decls, attrgetter("name"))
+        for name, group in duplicates.items():
             canonical = group[0]
-            out[name] = canonical
             for other in group[1:]:
                 if other.content() == canonical.content():
                     continue  # identical re-declaration: set semantics
                 if canonical.origin is Origin.KERNEL:
-                    diags.append(Diagnostic(
-                        Severity.ERROR, "E2",
-                        f"'{name}' redefines a kernel declaration",
-                        other.span, (name,)))
+                    diags.append(_error(
+                        "E2", f"'{name}' redefines a kernel declaration", other.span, name))
                 else:
-                    diags.append(Diagnostic(
-                        Severity.ERROR, "E1",
-                        f"duplicate declaration of '{name}' with different content",
-                        other.span, (name,)))
+                    diags.append(_error(
+                        "E1", f"duplicate declaration of '{name}' with different content",
+                        other.span, name))
         return out
 
     def _check_cross_kind(self, concepts, relations, instances, diags) -> None:
@@ -430,72 +461,48 @@ class Loader:
         kinds = [("concept", concepts), ("relation", relations), ("instance", instances)]
         for i, (kind_a, map_a) in enumerate(kinds):
             for kind_b, map_b in kinds[i + 1:]:
-                for name in sorted(set(map_a) & set(map_b)):
+                for name in map_a.keys() & map_b.keys():
                     a, b = map_a[name], map_b[name]
-                    first, second = sorted((a, b), key=self._span_order)
+                    first, second = sorted((a, b), key=_span_order)
                     code = "E2" if first.origin is Origin.KERNEL else "E1"
                     what = ("redefines a kernel declaration" if code == "E2"
                             else f"already declared as a {kind_a if second is b else kind_b}")
-                    diags.append(Diagnostic(
-                        Severity.ERROR, code, f"'{name}' {what}", second.span, (name,)))
+                    diags.append(_error(code, f"'{name}' {what}", second.span, name))
 
     def _collapse_annotations(self, decls, diags) -> dict[str, dict[str, AnnotationDecl]]:
-        grouped: dict[tuple[str, str], list[AnnotationDecl]] = {}
-        for d in decls:
-            grouped.setdefault((d.concept, d.axis), []).append(d)
+        first, duplicates = _earliest(decls, attrgetter("concept", "axis"))
         out: dict[str, dict[str, AnnotationDecl]] = {}
-        for (concept, axis) in grouped:
-            group = sorted(grouped[(concept, axis)], key=self._span_order)
-            canonical = group[0]
+        for (concept, axis), canonical in first.items():
             if canonical.value not in ANNOTATION_VALUES.get(axis, ()):
-                diags.append(Diagnostic(
-                    Severity.ERROR, "E4",
-                    f"invalid {axis} value '{canonical.value}' for '{concept}'",
-                    canonical.span, (concept,)))
+                diags.append(_error(
+                    "E4", f"invalid {axis} value '{canonical.value}' for '{concept}'",
+                    canonical.span, concept))
                 continue
             out.setdefault(concept, {})[axis] = canonical
-            for other in group[1:]:
+            for other in duplicates.get((concept, axis), ())[1:]:
                 if other.value != canonical.value:
-                    diags.append(Diagnostic(
-                        Severity.ERROR, "E6",
-                        f"conflicting {axis} annotation for '{concept}': "
-                        f"'{canonical.value}' vs '{other.value}'",
-                        other.span, (concept,)))
-        return out
-
-    def _collapse_labels(self, decls, diags) -> dict[tuple[str, str, int], MetaLabel]:
-        out: dict[tuple[str, str, int], MetaLabel] = {}
-        grouped: dict[tuple[str, str, int], list[MetaLabel]] = {}
-        for d in decls:
-            grouped.setdefault(d.triple(), []).append(d)
-        for triple in grouped:
-            group = sorted(grouped[triple], key=self._span_order)
-            out[triple] = group[0]
-            for other in group[1:]:
-                diags.append(Diagnostic(
-                    Severity.ERROR, "E5",
-                    f"duplicate label ({other.primitive}, {other.concept}, {other.time})",
-                    other.span, (other.concept,)))
+                    diags.append(_error(
+                        "E6", f"conflicting {axis} annotation for '{concept}': "
+                        f"'{canonical.value}' vs '{other.value}'", other.span, concept))
         return out
 
     # -- reference and shape checking
 
     def _check_references(self, onto: Ontology, diags: list[Diagnostic]) -> None:
+        # Each dict is walked in declaration order; finalize sorts the findings.
         def need_concept(name: str, span: SourceSpan, context: str) -> None:
             if name not in onto.concepts:
                 kind = "relation" if name in onto.relations else (
                     "instance" if name in onto.instances else None)
                 detail = f"names a {kind}, not a concept" if kind else "is not declared"
-                diags.append(Diagnostic(
-                    Severity.ERROR, "E3", f"{context}: '{name}' {detail}", span, (name,)))
+                diags.append(_error("E3", f"{context}: '{name}' {detail}", span, name))
 
-        for c in sorted(onto.concepts.values(), key=lambda d: d.name):
+        for c in onto.concepts.values():
             if c.definition is not None and c.parents:
                 # The statement grammar offers either form, never both.
-                diags.append(Diagnostic(
-                    Severity.ERROR, "E4",
-                    f"concept '{c.name}' has both asserted parents and a definition",
-                    c.span, (c.name,)))
+                diags.append(_error(
+                    "E4", f"concept '{c.name}' has both asserted parents and a definition",
+                    c.span, c.name))
             for p in c.parents:
                 need_concept(p, c.span, f"parent of '{c.name}'")
             if isinstance(c.definition, RoleDefinition):
@@ -507,111 +514,102 @@ class Loader:
                 need_concept(c.definition.formal_role, c.span,
                              f"conjunct of '{c.name}'")
 
-        for r in sorted(onto.relations.values(), key=lambda d: d.name):
+        for r in onto.relations.values():
             for position in r.signature:
                 for member in position:
                     need_concept(member, r.span, f"signature of relation '{r.name}'")
             if not r.signature:
-                diags.append(Diagnostic(
-                    Severity.ERROR, "E4",
-                    f"relation '{r.name}' has an empty signature", r.span, (r.name,)))
+                diags.append(_error(
+                    "E4", f"relation '{r.name}' has an empty signature", r.span, r.name))
             if r.particularizes is not None:
                 parent = onto.relations.get(r.particularizes)
                 if parent is None:
-                    diags.append(Diagnostic(
-                        Severity.ERROR, "E3",
-                        f"relation '{r.name}' particularizes undeclared "
-                        f"relation '{r.particularizes}'", r.span, (r.name, r.particularizes)))
+                    diags.append(_error(
+                        "E3", f"relation '{r.name}' particularizes undeclared "
+                        f"relation '{r.particularizes}'", r.span, r.name, r.particularizes))
                 elif parent.arity != r.arity:
-                    diags.append(Diagnostic(
-                        Severity.ERROR, "E7",
-                        f"relation '{r.name}' (arity {r.arity}) particularizes "
-                        f"'{parent.name}' (arity {parent.arity})", r.span,
-                        (r.name, parent.name)))
+                    diags.append(_error(
+                        "E7", f"relation '{r.name}' (arity {r.arity}) particularizes "
+                        f"'{parent.name}' (arity {parent.arity})", r.span, r.name, parent.name))
         self._check_particularization_cycles(onto, diags)
 
-        for inst in sorted(onto.instances.values(), key=lambda d: d.name):
+        for inst in onto.instances.values():
             for cname in inst.concepts:
                 need_concept(cname, inst.span, f"concept of instance '{inst.name}'")
 
-        for lb in sorted(onto.labels.values(), key=lambda d: d.triple()):
+        for lb in onto.labels.values():
             if lb.primitive not in PRIMITIVES:
-                diags.append(Diagnostic(
-                    Severity.ERROR, "E4",
-                    f"unknown modeling primitive '{lb.primitive}'", lb.span, (lb.concept,)))
+                diags.append(_error(
+                    "E4", f"unknown modeling primitive '{lb.primitive}'", lb.span, lb.concept))
             need_concept(lb.concept, lb.span, f"label {lb.primitive}")
             if lb.time < 0:
-                diags.append(Diagnostic(
-                    Severity.ERROR, "E4",
-                    f"negative label time {lb.time}", lb.span, (lb.concept,)))
+                diags.append(_error("E4", f"negative label time {lb.time}", lb.span, lb.concept))
 
         for per_concept in onto.annotations.values():
             for ann in per_concept.values():
                 need_concept(ann.concept, ann.span, f"annotate {ann.axis}")
 
-        for dis in sorted(onto.disjoints.values(), key=lambda d: d.pair()):
+        for dis in onto.disjoints.values():
             need_concept(dis.first, dis.span, "disjointness")
             need_concept(dis.second, dis.span, "disjointness")
             if dis.first == dis.second:
-                diags.append(Diagnostic(
-                    Severity.ERROR, "E4",
-                    f"'{dis.first}' declared disjoint with itself", dis.span, (dis.first,)))
+                diags.append(_error(
+                    "E4", f"'{dis.first}' declared disjoint with itself", dis.span, dis.first))
 
-        for f in sorted(onto.facts.values(), key=lambda d: d.key()):
+        for f in onto.facts.values():
             rel = onto.relations.get(f.relation)
             if rel is None:
                 kind = "concept" if f.relation in onto.concepts else None
                 detail = "names a concept, not a relation" if kind else "is not declared"
-                diags.append(Diagnostic(
-                    Severity.ERROR, "E3",
-                    f"fact relation '{f.relation}' {detail}", f.span, (f.relation,)))
+                diags.append(_error(
+                    "E3", f"fact relation '{f.relation}' {detail}", f.span, f.relation))
                 continue
             if len(f.args) != rel.arity:
-                diags.append(Diagnostic(
-                    Severity.ERROR, "E4",
-                    f"fact {f.relation} expects {rel.arity} argument(s), got {len(f.args)}",
-                    f.span, (f.relation,)))
+                diags.append(_error(
+                    "E4", f"fact {f.relation} expects {rel.arity} argument(s), "
+                    f"got {len(f.args)}", f.span, f.relation))
             if rel.temporal and f.time is None:
-                diags.append(Diagnostic(
-                    Severity.ERROR, "E4",
-                    f"fact {f.relation} requires a trailing time point", f.span, (f.relation,)))
+                diags.append(_error(
+                    "E4", f"fact {f.relation} requires a trailing time point", f.span, f.relation))
             if not rel.temporal and f.time is not None:
-                diags.append(Diagnostic(
-                    Severity.ERROR, "E4",
-                    f"fact {f.relation} takes no time point", f.span, (f.relation,)))
+                diags.append(_error(
+                    "E4", f"fact {f.relation} takes no time point", f.span, f.relation))
             if f.time is not None and f.time < 0:
-                diags.append(Diagnostic(
-                    Severity.ERROR, "E4",
-                    f"negative time point {f.time}", f.span, (f.relation,)))
+                diags.append(_error("E4", f"negative time point {f.time}", f.span, f.relation))
             for arg in f.args:
                 if arg not in onto.instances:
                     kind = "concept" if arg in onto.concepts else (
                         "relation" if arg in onto.relations else None)
                     detail = f"names a {kind}, not an instance" if kind else "is not declared"
-                    diags.append(Diagnostic(
-                        Severity.ERROR, "E3",
-                        f"fact argument '{arg}' {detail}", f.span, (arg,)))
+                    diags.append(_error("E3", f"fact argument '{arg}' {detail}", f.span, arg))
 
     @staticmethod
     def _check_particularization_cycles(onto: Ontology, diags: list[Diagnostic]) -> None:
-        acyclic: set[str] = set()  # relations whose chain ends at a root or an unknown name
-        for name in sorted(onto.relations):
-            seen = [name]
-            on_path = {name}
-            current = onto.relations[name].particularizes
-            while current is not None and current not in acyclic:
-                if current in on_path:
-                    diags.append(Diagnostic(
-                        Severity.ERROR, "E7",
-                        f"particularization cycle through '{name}'",
-                        onto.relations[name].span, tuple(seen)))
-                    break
-                seen.append(current)
-                on_path.add(current)
-                rel = onto.relations.get(current)
-                current = rel.particularizes if rel else None
+        # Every chain ends at a root, at an undeclared name or in a cycle.
+        # One E7 names each cycle, and one more each relation leading into it.
+        reaches: dict[str, Optional[str]] = {}  # walked relation -> its cycle's least name
+        for name in onto.relations:
+            walk: dict[str, int] = {}  # relation -> its position on this walk
+            current = name
+            while current in onto.relations and current not in reaches and current not in walk:
+                walk[current] = len(walk)
+                current = onto.relations[current].particularizes
+            path = list(walk)
+            if current in walk:
+                tail, cycle = path[:walk[current]], path[walk[current]:]
+                least = min(cycle)
+                start = cycle.index(least)
+                diags.append(_error("E7", f"particularization cycle through '{least}'",
+                                    onto.relations[least].span, *cycle[start:], *cycle[:start]))
+                reaches.update(dict.fromkeys(cycle, least))
             else:
-                acyclic.update(seen)
+                tail, least = path, reaches.get(current)
+            for r in tail:
+                reaches[r] = least
+                if least is not None:
+                    diags.append(_error(
+                        "E7", f"relation '{r}' particularizes into the cycle through '{least}'",
+                        onto.relations[r].span, r, least))
 
 
 def add_declaration(

@@ -406,11 +406,46 @@ def test_particularization_tail_into_cycle_reports_every_walk(tmp_path):
     assert code == 1
     found = [(f["code"], f["line"], f["message"], f["subjects"]) for f in json.loads(err)]
     assert found == [
-        ("E7", 1, "particularization cycle through 'a'", ["a", "b", "c"]),
+        ("E7", 1, "relation 'a' particularizes into the cycle through 'b'", ["a", "b"]),
         ("E7", 2, "particularization cycle through 'b'", ["b", "c"]),
-        ("E7", 3, "particularization cycle through 'c'", ["c", "b"]),
-        ("E7", 4, "particularization cycle through 'd'", ["d", "a", "b", "c"]),
+        ("E7", 4, "relation 'd' particularizes into the cycle through 'b'", ["d", "b"]),
     ]
+
+
+def _particularization_findings(tmp_path, lines: list[str]) -> tuple[list[dict], int]:
+    model = tmp_path / "m.oks"
+    model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = run("check", str(model), "--format", "json")
+    assert code == 1
+    return json.loads(err), len(err)
+
+
+@pytest.mark.parametrize("shape", ["tail", "cycle"])
+def test_particularization_findings_grow_linearly(tmp_path, shape):
+    sizes = {}
+    for n in (1000, 2000):
+        if shape == "tail":  # r0 -> r1 -> ... -> r(n-1) -> x <-> y
+            lines = [f"relation r{i} particularizes r{i + 1} signature (ED)"
+                     for i in range(n - 1)]
+            lines += [f"relation r{n - 1} particularizes x signature (ED)",
+                      "relation x particularizes y signature (ED)",
+                      "relation y particularizes x signature (ED)"]
+        else:  # r0 -> r1 -> ... -> r(n-1) -> r0
+            lines = [f"relation r{i} particularizes r{(i + 1) % n} signature (ED)"
+                     for i in range(n)]
+        found, sizes[n] = _particularization_findings(tmp_path, lines)
+        assert {f["code"] for f in found} == {"E7"}
+        cycles = [f for f in found if f["message"].startswith("particularization cycle")]
+        assert len(cycles) == 1
+        tails = [f for f in found if f not in cycles]
+        if shape == "tail":
+            assert cycles[0]["subjects"] == ["x", "y"]
+            assert len(tails) == n
+            assert all(len(f["subjects"]) <= 2 for f in tails)
+        else:
+            assert cycles[0]["subjects"] == [f"r{i}" for i in range(n)]
+            assert tails == []
+    assert sizes[2000] <= 2.1 * sizes[1000]
 
 
 @pytest.mark.parametrize("statement, digits, int_limit", [

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -83,7 +82,7 @@ def test_negative_time_literal_is_one_diagnostic_with_recovery():
 ])
 def test_statement_forms(line, expected):
     decl = parse_one(line)
-    expected = dataclasses.replace(expected, span=decl.span)
+    expected = expected._replace(span=decl.span)
     assert decl == expected
 
 

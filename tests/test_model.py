@@ -135,6 +135,63 @@ def test_load_order_independence():
         assert onto == reference
 
 
+def _faulty_model(seed: int) -> str:
+    """Random model text with planted load errors E1-E7, several of them as
+    groups of two or more declarations of one name, label or key."""
+    rng = random.Random(seed)
+    concepts = [f"C{i}" for i in range(rng.randint(3, 6))]
+    instances = [f"i{k}" for k in range(rng.randint(2, 4))]
+    lines = [f"concept {c} specializes {rng.choice(['PT', 'ED', 'Reasoning'])}"
+             for c in concepts]
+    lines += [f"instance {i} : {rng.choice(concepts)}" for i in instances]
+    lines += ["relation r2 signature (ED, PD)", "relation t1 signature (PD) temporal"]
+
+    def group(lines_of_group: list[str]) -> list[str]:
+        return [rng.choice(lines_of_group) for _ in range(rng.randint(2, 4))]
+
+    c, i = rng.choice(concepts), rng.choice(instances)
+    plants = {
+        "E1": lambda n: group([f"concept D{n} specializes {p}" for p in ("PT", "ED", "AC")])
+        + [rng.choice([f"instance {c} : {c}", f"relation {c} signature (ED)"])],
+        "E2": lambda n: [rng.choice(["concept PT specializes ED", "relation PC signature (ED)",
+                                     f"instance Reasoning : {c}"])],
+        "E3": lambda n: group([f"concept D{n} specializes Ghost{n}", f"fact r2({i}, ghost)",
+                               f"fact ghost({i})", f"disjoint {c} Ghost",
+                               f"disjoint Ghost {c}", f"instance j{n} : Ghost"]),
+        "E4": lambda n: group([f"fact r2({i})", f"fact t1({i})", f"fact r2({i}, {i}, 3)",
+                               f"disjoint {c} {c}"]),
+        "E5": lambda n: group([f"label Task {c} at 1"]),
+        "E6": lambda n: group([f"annotate {c} rigidity {v}"
+                               for v in ("rigid", "anti-rigid", "semi-rigid")]),
+        "E7": lambda n: [f"relation p{n}_{k} particularizes p{n}_{(k + 1) % 3} signature (ED)"
+                         for k in range(3)]
+        + [f"relation q{n} particularizes p{n}_0 signature (ED)",
+           f"relation s{n} particularizes r2 signature (ED)"],
+    }
+    for n, code in enumerate(rng.choices(sorted(plants), k=rng.randint(3, 8))):
+        lines += plants[code](n)
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def test_load_diagnostics_do_not_depend_on_declaration_order():
+    sources = [(path.name, path.read_text(encoding="utf-8"))
+               for path in sorted((CORPUS / "negative").glob("*.oks"))]
+    sources += [(f"random_{seed}.oks", _faulty_model(seed)) for seed in range(60)]
+    codes = set()
+    for name, text in sources:
+        decls, _ = parse(text, name)
+        _, reference = merge_with_kernel(decls)
+        codes.update(d.code for d in reference)
+        for seed in range(3):
+            shuffled = decls[:]
+            random.Random(seed).shuffle(shuffled)
+            _, diags = merge_with_kernel(shuffled)
+            assert [d.render() for d in diags] == [d.render() for d in reference], name
+            assert diags == reference, name
+    assert {"E1", "E2", "E3", "E4", "E5", "E6", "E7"} <= codes
+
+
 def test_every_identifier_resolves(car_ontology):
     onto = car_ontology
     for c in onto.concepts.values():
