@@ -412,14 +412,6 @@ def test_particularization_tail_into_cycle_reports_every_walk(tmp_path):
     ]
 
 
-def _particularization_findings(tmp_path, lines: list[str]) -> tuple[list[dict], int]:
-    model = tmp_path / "m.oks"
-    model.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    code, _, err = run("check", str(model), "--format", "json")
-    assert code == 1
-    return json.loads(err), len(err)
-
-
 @pytest.mark.parametrize("shape", ["tail", "cycle"])
 def test_particularization_findings_grow_linearly(tmp_path, shape):
     sizes = {}
@@ -433,7 +425,11 @@ def test_particularization_findings_grow_linearly(tmp_path, shape):
         else:  # r0 -> r1 -> ... -> r(n-1) -> r0
             lines = [f"relation r{i} particularizes r{(i + 1) % n} signature (ED)"
                      for i in range(n)]
-        found, sizes[n] = _particularization_findings(tmp_path, lines)
+        model = tmp_path / f"m{n}.oks"
+        model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run("check", str(model), "--format", "json")
+        assert code == 1
+        found, sizes[n] = json.loads(err), len(err)
         assert {f["code"] for f in found} == {"E7"}
         cycles = [f for f in found if f["message"].startswith("particularization cycle")]
         assert len(cycles) == 1
