@@ -21,14 +21,29 @@ Existential bodies are evaluated over declared instances only, and
 disjointness is never used to derive anything; contradictions surface in
 the validator.
 
-The fixpoint and the derivation traces are computed apart.  `saturate`
-computes the fixpoint alone: each instance's memberships are one bitset
-over the closure's concept bits, closed under M-up by one union with an
-ancestor bitset.  Derivation traces, which `okc explain` prints, come
-from a FIFO queue of entries in which each entry keeps the first
-derivation that reaches it; `FactBase.trace` runs it on first read.
-Both are exact:
+Each rule is written once: `_RuleTable` holds what an ontology makes of
+R-up and D3-D6, and `_d1` and `_d2` are the D1 and D2 bodies over a
+`has(instance, concept)` test.  Two evaluators read them, as in
+semi-naive Datalog evaluation.  `saturate` computes the fixpoint alone,
+each instance's memberships one bitset over the closure's concept bits,
+closed under M-up by a union with an ancestor bitset: it adds the
+asserted, D3 and D4 memberships, fires D1 and D2 once, then serves D5
+and D6 from a worklist.  `FactBase.trace` runs `_Engine` on first read, a
+FIFO queue of entries in which each entry keeps the first derivation
+that reaches it; `okc explain` prints these traces.
 
+One pass of D1 and D2 suffices because the bits they read (AC, APO, ASO,
+Proposition, IdaConcept) are final once the asserted, D3 and D4
+memberships are in; no later membership adds one:
+- kernel declarations are fixed, so kernel concepts keep these ancestors;
+- a role concept's only supertype is Data or Result, whose ancestors are
+  Patient, Content, MOB, NPOB, ED and PT;
+- a conjunction's supertypes are its operands, which the instance has
+  (the loader refuses a definition with asserted parents);
+- D1 and D2 add Interaction and Subject, whose new ancestors stop at AC
+  and IdaConcept, which they require.
+
+Both evaluators are exact:
 - R-up is the only rule that derives a ground fact, and its premise is
   a ground fact.  Members never enqueue grounds, so a FIFO queue over
   the grounds alone records the ground derivations the full queue
@@ -43,12 +58,13 @@ Both are exact:
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import kernel
-from .model import KERNEL_SPAN, ConceptDecl, Ontology, SourceSpan, direct_supers
+from .model import KERNEL_SPAN, Ontology, SourceSpan, direct_supers
 
 
 class SubsumptionClosure:
@@ -243,15 +259,67 @@ def entry_sort_key(entry: Entry) -> tuple:
     return (1, entry.relation, entry.args, -1 if entry.time is None else entry.time)
 
 
-def _r_up_edges(ontology: Ontology) -> dict[str, tuple[str, bool, str]]:
-    """Relation -> (parent, parent is temporal, trace note) for every R-up edge."""
-    edges = {}
-    for rel in ontology.relations.values():
-        parent = ontology.relations.get(rel.particularizes)
-        if parent is not None and (rel.temporal or not parent.temporal):
-            edges[rel.name] = (parent.name, parent.temporal,
-                               f"{rel.name} particularizes {parent.name}")
-    return edges
+# --- the rule set ------------------------------------------------------------
+
+
+class _RuleTable:
+    """R-up and D3-D6 as one ontology instantiates them (M-up is the closure)."""
+
+    # D3 and D4: relation -> (rule, concept its first argument joins)
+    d34 = {kernel.REL_AFFECTED: ("D3", kernel.PATIENT),
+           kernel.REL_DATA: ("D4", kernel.DATA),
+           kernel.REL_RESULT: ("D4", kernel.RESULT)}
+
+    def __init__(self, ontology: Ontology) -> None:
+        # R-up: relation -> (parent, parent is temporal, trace note)
+        self.r_up: dict[str, tuple[str, bool, str]] = {}
+        for rel in ontology.relations.values():
+            parent = ontology.relations.get(rel.particularizes)
+            if parent is not None and (rel.temporal or not parent.temporal):
+                self.r_up[rel.name] = (parent.name, parent.temporal,
+                                       f"{rel.name} particularizes {parent.name}")
+        # D5: covered concept -> (feeding relation, role), data roles first, by name
+        self.d5: dict[str, list[tuple[str, str]]] = {}
+        for c in sorted(ontology.role_definitions(), key=lambda d: (d.definition.mode, d.name)):
+            relation = kernel.REL_DATA if c.definition.mode == "data" else kernel.REL_RESULT
+            self.d5.setdefault(c.definition.reasoning_concept, []).append((relation, c.name))
+        # D6: operand -> other operand -> (conjunction, type, formal role), by name
+        self.d6: dict[str, dict[str, list[tuple[str, str, str]]]] = {}
+        for c in sorted(ontology.conjunctions(), key=lambda d: d.name):
+            left, right = c.definition
+            for operand, other in ((left, right), (right, left)):
+                self.d6.setdefault(operand, {}).setdefault(other, []).append((c.name, left, right))
+
+
+def _d1(action: str, has: Callable[[str, str], bool],
+        facts_with: Callable[..., Sequence[Ground]]) -> Optional[tuple[Entry, ...]]:
+    """Premises of `action : Interaction` by D1: AC(action), an agent y and
+    an agentive participant z other than y.  None unless D1 derives it anew."""
+    if not has(action, kernel.ACTION) or has(action, kernel.INTERACTION):
+        return None
+    agents = sorted(facts_with(kernel.REL_AGENT, 1, action))
+    for pc in sorted(facts_with(kernel.REL_PARTICIPATION, 1, action)) if agents else ():
+        z = pc.args[0]
+        agentive = next((c for c in kernel.AGENTIVE_UNION if has(z, c)), None)
+        agent = next((a for a in agents if a.args[0] != z), None)
+        if agentive is not None and agent is not None:
+            return (Member(action, kernel.ACTION), agent, Member(z, agentive), pc)
+    return None
+
+
+def _d2(fact: Ground, has: Callable[[str, str], bool]) -> Optional[tuple[Entry, ...]]:
+    """Premises of D2 from `hasForSubject(p, c)`: p is a Proposition and c
+    an IdaConcept.  None unless both hold."""
+    prop, idea = Member(fact.args[0], kernel.PROPOSITION), Member(fact.args[1], kernel.IDA_CONCEPT)
+    return (fact, prop, idea) if has(*prop) and has(*idea) else None
+
+
+def _bit_names(names: tuple[str, ...], bits: int) -> Iterator[str]:
+    """The names of the set bits, cheaper than decoding a sparse bitset."""
+    while bits:
+        low = bits & -bits
+        yield names[low.bit_length() - 1]
+        bits ^= low
 
 
 class FactBase:
@@ -349,15 +417,14 @@ class FactBase:
         for position, value in enumerate(g.args):
             self._by_arg.setdefault((g.relation, position, value), []).append(g)
 
-    def _close_grounds(self) -> None:
+    def _close_grounds(self, rules: _RuleTable) -> None:
         """R-up as a FIFO queue over the ground facts alone."""
-        edges = _r_up_edges(self._ontology)
         queue = [Ground(f.relation, f.args, f.time)
                  for f in sorted(self._ontology.facts.values(), key=lambda f: f.key())]
         for g in queue:
             self._add_ground(g)
         for g in queue:  # grows while it is walked
-            edge = edges.get(g.relation)
+            edge = rules.r_up.get(g.relation)
             if edge is not None:
                 parent, temporal, note = edge
                 derived = Ground(parent, g.args, g.time if temporal else None)
@@ -366,12 +433,10 @@ class FactBase:
                     self._r_up[derived] = Derivation("R-up", (g,), note)
                     queue.append(derived)
 
-    def _close_members(self) -> None:
-        """M-up is a union with the closure's ancestor bitset.  D3 and D4
-        fire from the grounds; D1, D2, D5 and D6 fire from the bits an
-        instance gained since it was last taken off the worklist."""
-        onto = self._ontology
-        bit, up, bits = self._closure._bit, self._closure._up, self._bits
+    def _close_members(self, rules: _RuleTable) -> None:
+        """M-up is a union with an ancestor bitset; D5 and D6 fire from a worklist."""
+        onto, closure = self._ontology, self._closure
+        bit, up, names, bits = closure._bit, closure._up, closure._names, self._bits
         work: list[str] = []
 
         def add(instance: str, concept: str) -> None:
@@ -384,77 +449,39 @@ class FactBase:
         for inst in onto.instances.values():
             for concept in inst.concepts:
                 add(inst.name, concept)
-        for relation, concept in ((kernel.REL_AFFECTED, kernel.PATIENT),
-                                  (kernel.REL_DATA, kernel.DATA),
-                                  (kernel.REL_RESULT, kernel.RESULT)):
+        for relation, (_, concept) in rules.d34.items():
             for g in self.facts_of(relation):
                 add(g.args[0], concept)
-
-        mask = self._closure.mask
-        conjunctions = [(mask((c.definition.type_concept, c.definition.formal_role)), c.name)
-                        for c in onto.conjunctions()]
-        roles = [(mask((c.definition.reasoning_concept,)),
-                  kernel.REL_DATA if c.definition.mode == "data" else kernel.REL_RESULT, c.name)
-                 for c in onto.role_definitions()]
-        any_operand = any_covered = 0
-        for operands, _ in conjunctions:
-            any_operand |= operands
-        for covered, _, _ in roles:
-            any_covered |= covered
-        action, interaction = mask((kernel.ACTION,)), mask((kernel.INTERACTION,))
-        agentive = mask(kernel.AGENTIVE_UNION)
-        proposition, idea = mask((kernel.PROPOSITION,)), mask((kernel.IDA_CONCEPT,))
-
-        def d1(act: str) -> None:
-            own = bits.get(act, 0)
-            if not own & action or own & interaction:
-                return
-            agents = self.facts_with(kernel.REL_AGENT, 1, act)
-            for pc in self.facts_with(kernel.REL_PARTICIPATION, 1, act) if agents else ():
-                z = pc.args[0]
-                if bits.get(z, 0) & agentive and any(a.args[0] != z for a in agents):
-                    add(act, kernel.INTERACTION)
-                    return
-
-        def d2(g: Ground) -> None:
-            if bits.get(g.args[0], 0) & proposition and bits.get(g.args[1], 0) & idea:
+        for action in {g.args[1] for g in self.facts_of(kernel.REL_AGENT)}:
+            if _d1(action, self.has_member, self.facts_with) is not None:
+                add(action, kernel.INTERACTION)
+        for g in self.facts_of(kernel.REL_SUBJECT):
+            if _d2(g, self.has_member) is not None:
                 add(g.args[1], kernel.SUBJECT)
 
+        trigger = closure.mask(rules.d5) | closure.mask(rules.d6)
+        others = {operand: closure.mask(by_other) for operand, by_other in rules.d6.items()}
         done: dict[str, int] = {}
         while work:
             x = work.pop()
             now = bits[x]
-            new = now & ~done.get(x, 0)
-            if not new:
-                continue
+            new = (now ^ done.get(x, 0)) & trigger
             done[x] = now
-            if new & any_operand:
-                for operands, name in conjunctions:
-                    if new & operands and now & operands == operands:
-                        add(x, name)
-            if new & any_covered:
-                for covered, relation, name in roles:
-                    if new & covered:
-                        for g in self.facts_with(relation, 1, x):
-                            add(g.args[0], name)
-            if new & action:
-                d1(x)
-            if new & agentive:
-                for g in self.facts_with(kernel.REL_PARTICIPATION, 0, x):
-                    d1(g.args[1])
-            if new & proposition:
-                for g in self.facts_with(kernel.REL_SUBJECT, 0, x):
-                    d2(g)
-            if new & idea:
-                for g in self.facts_with(kernel.REL_SUBJECT, 1, x):
-                    d2(g)
+            for concept in _bit_names(names, new):
+                for relation, role in rules.d5.get(concept, ()):
+                    for g in self.facts_with(relation, 1, x):
+                        add(g.args[0], role)
+                for other in _bit_names(names, now & others.get(concept, 0)):
+                    for conjunction, _, _ in rules.d6[concept][other]:
+                        add(x, conjunction)
 
 
 def saturate(ontology: Ontology, closure: SubsumptionClosure) -> FactBase:
     """Least fixpoint of the rule set over the asserted instance level."""
     facts = FactBase(ontology, closure)
-    facts._close_grounds()
-    facts._close_members()
+    rules = _RuleTable(ontology)
+    facts._close_grounds(rules)
+    facts._close_members(rules)
     return facts
 
 
@@ -467,38 +494,29 @@ class _Engine:
 
     def __init__(self, ontology: Ontology):
         self.onto = ontology
+        self.rules = _RuleTable(ontology)
         self.trace: dict[Entry, Derivation] = {}
         self.by_arg: dict[tuple[str, int, str], list[Ground]] = {}
+        # instance -> the concepts it has that key D5 or D6 in the table
+        self.keyed: dict[str, list[str]] = {}
         self.queue: deque[Entry] = deque()
-        self.r_up = _r_up_edges(ontology)
-        # role definitions indexed by the relation that feeds them, and
-        # by the reasoning concept they cover (data roles first)
-        self.roles_by_rel: dict[str, list[ConceptDecl]] = {
-            kernel.REL_DATA: [], kernel.REL_RESULT: []}
-        for c in sorted(ontology.role_definitions(), key=lambda d: d.name):
-            rel = kernel.REL_DATA if c.definition.mode == "data" else kernel.REL_RESULT
-            self.roles_by_rel[rel].append(c)
-        self.roles_by_reasoning: dict[str, list[tuple[str, ConceptDecl]]] = {}
-        for rel, roles in self.roles_by_rel.items():
-            for c in roles:
-                self.roles_by_reasoning.setdefault(
-                    c.definition.reasoning_concept, []).append((rel, c))
-        # conjunctions indexed by either operand
-        self.conjunctions_by_operand: dict[str, list[ConceptDecl]] = {}
-        for c in sorted(ontology.conjunctions(), key=lambda d: d.name):
-            for operand in (c.definition.type_concept, c.definition.formal_role):
-                self.conjunctions_by_operand.setdefault(operand, []).append(c)
         # M-up edges with their trace notes, built on a concept's first use
         self.up_edges: dict[str, tuple[tuple[str, str], ...]] = {}
 
-    def add(self, entry: Entry, deriv: Derivation) -> None:
+    def add(self, entry: Entry, deriv: Derivation) -> bool:
         if entry in self.trace:
-            return
+            return False
         self.trace[entry] = deriv
         if isinstance(entry, Ground):
             for position, value in enumerate(entry.args):
                 self.by_arg.setdefault((entry.relation, position, value), []).append(entry)
+        elif entry.concept in self.rules.d5 or entry.concept in self.rules.d6:
+            self.keyed.setdefault(entry.instance, []).append(entry.concept)
         self.queue.append(entry)
+        return True
+
+    def has(self, instance: str, concept: str) -> bool:
+        return Member(instance, concept) in self.trace
 
     def facts_with(self, relation: str, position: int, value: str) -> list[Ground]:
         return self.by_arg.get((relation, position, value), [])
@@ -520,6 +538,7 @@ class _Engine:
     # -- triggers
 
     def on_member(self, m: Member) -> None:
+        x, rules = m.instance, self.rules
         edges = self.up_edges.get(m.concept)
         if edges is None:
             decl = self.onto.concepts.get(m.concept)
@@ -527,84 +546,64 @@ class _Engine:
                 (parent, f"{m.concept} specializes {parent}")
                 for parent in sorted(direct_supers(decl)) if parent in self.onto.concepts)
         for parent, note in edges:
-            self.add(Member(m.instance, parent), Derivation("M-up", (m,), note))
-        for conj in self.conjunctions_by_operand.get(m.concept, ()):
-            self.try_d6(m.instance, conj)
-        for rel_name, role in self.roles_by_reasoning.get(m.concept, ()):
-            for g in sorted(self.facts_with(rel_name, 1, m.instance)):
-                self.try_d5(g, role)
+            self.add(Member(x, parent), Derivation("M-up", (m,), note))
+        by_other = rules.d6.get(m.concept)
+        if by_other:
+            todo = sorted(c for other in self.keyed[x] if other in by_other
+                          for c in by_other[other])
+            for c in todo:  # in name order; one derived here can enable a later one
+                conjunction, left, right = c
+                if self.add(Member(x, conjunction),
+                            Derivation("D6", (Member(x, left), Member(x, right)))):
+                    for later in by_other.get(conjunction, ()):
+                        if later > c:
+                            insort(todo, later)
+        for relation, role in rules.d5.get(m.concept, ()):
+            for g in sorted(self.facts_with(relation, 1, x)):
+                self.add(Member(g.args[0], role), Derivation("D5", (g, m)))
         if m.concept == kernel.ACTION:
-            self.try_d1(m.instance)
+            self.d1(x)
         if m.concept in kernel.AGENTIVE_UNION:
-            for g in sorted(self.facts_with(kernel.REL_PARTICIPATION, 0, m.instance)):
-                self.try_d1(g.args[1])
+            for g in sorted(self.facts_with(kernel.REL_PARTICIPATION, 0, x)):
+                self.d1(g.args[1])
         if m.concept in (kernel.PROPOSITION, kernel.IDA_CONCEPT):
-            for g in sorted({*self.facts_with(kernel.REL_SUBJECT, 0, m.instance),
-                             *self.facts_with(kernel.REL_SUBJECT, 1, m.instance)}):
-                self.try_d2(g)
+            for g in sorted({*self.facts_with(kernel.REL_SUBJECT, 0, x),
+                             *self.facts_with(kernel.REL_SUBJECT, 1, x)}):
+                self.d2(g)
 
     def on_ground(self, g: Ground) -> None:
-        edge = self.r_up.get(g.relation)
+        rules = self.rules
+        edge = rules.r_up.get(g.relation)
         if edge is not None:
             parent, temporal, note = edge
             self.add(Ground(parent, g.args, g.time if temporal else None),
                      Derivation("R-up", (g,), note))
-        if g.relation == kernel.REL_AFFECTED:
-            self.add(Member(g.args[0], kernel.PATIENT), Derivation("D3", (g,)))
-        if g.relation == kernel.REL_DATA:
-            self.add(Member(g.args[0], kernel.DATA), Derivation("D4", (g,)))
-        if g.relation == kernel.REL_RESULT:
-            self.add(Member(g.args[0], kernel.RESULT), Derivation("D4", (g,)))
-        if g.relation in self.roles_by_rel:
-            for role in self.roles_by_rel[g.relation]:
-                self.try_d5(g, role)
-        if g.relation == kernel.REL_AGENT:
-            self.try_d1(g.args[1])
-        if g.relation == kernel.REL_PARTICIPATION:
-            self.try_d1(g.args[1])
+        d34 = rules.d34.get(g.relation)
+        if d34 is not None:
+            rule, concept = d34
+            self.add(Member(g.args[0], concept), Derivation(rule, (g,)))
+        if g.relation in (kernel.REL_DATA, kernel.REL_RESULT):
+            player, reasoning = g.args
+            todo = sorted((role, c) for c in self.keyed.get(reasoning, ())
+                          for rel, role in rules.d5.get(c, ()) if rel == g.relation)
+            for role, covered in todo:  # in name order; grows while it is walked
+                if self.add(Member(player, role),
+                            Derivation("D5", (g, Member(reasoning, covered)))):
+                    for rel, later in rules.d5.get(role, ()) if player == reasoning else ():
+                        if rel == g.relation and later > role:
+                            insort(todo, (later, role))
+        if g.relation in (kernel.REL_AGENT, kernel.REL_PARTICIPATION):
+            self.d1(g.args[1])
         if g.relation == kernel.REL_SUBJECT:
-            self.try_d2(g)
+            self.d2(g)
 
-    # -- rule bodies
+    def d1(self, action: str) -> None:
+        if (premises := _d1(action, self.has, self.facts_with)) is not None:
+            self.add(Member(action, kernel.INTERACTION), Derivation("D1", premises))
 
-    def try_d1(self, action: str) -> None:
-        """Interaction: AC(x) with an agent y and a distinct agentive z in PC."""
-        ac = Member(action, kernel.ACTION)
-        derived = Member(action, kernel.INTERACTION)
-        if ac not in self.trace or derived in self.trace:
-            return
-        agents = sorted(self.facts_with(kernel.REL_AGENT, 1, action))
-        if not agents:
-            return
-        for pc in sorted(self.facts_with(kernel.REL_PARTICIPATION, 1, action)):
-            z = pc.args[0]
-            z_agentive = next((Member(z, c) for c in kernel.AGENTIVE_UNION
-                               if Member(z, c) in self.trace), None)
-            if z_agentive is None:
-                continue
-            agent_fact = next((a for a in agents if a.args[0] != z), None)
-            if agent_fact is None:
-                continue
-            self.add(derived, Derivation("D1", (ac, agent_fact, z_agentive, pc)))
-            return
-
-    def try_d2(self, g: Ground) -> None:
-        prop, idea = g.args
-        prop_m = Member(prop, kernel.PROPOSITION)
-        idea_m = Member(idea, kernel.IDA_CONCEPT)
-        if prop_m in self.trace and idea_m in self.trace:
-            self.add(Member(idea, kernel.SUBJECT), Derivation("D2", (g, prop_m, idea_m)))
-
-    def try_d5(self, g: Ground, role: ConceptDecl) -> None:
-        covered = Member(g.args[1], role.definition.reasoning_concept)
-        if covered in self.trace:
-            self.add(Member(g.args[0], role.name), Derivation("D5", (g, covered)))
-
-    def try_d6(self, instance: str, conj: ConceptDecl) -> None:
-        left = Member(instance, conj.definition.type_concept)
-        right = Member(instance, conj.definition.formal_role)
-        if left in self.trace and right in self.trace:
-            self.add(Member(instance, conj.name), Derivation("D6", (left, right)))
+    def d2(self, g: Ground) -> None:
+        if (premises := _d2(g, self.has)) is not None:
+            self.add(Member(g.args[1], kernel.SUBJECT), Derivation("D2", premises))
 
 
 # --- explanation -------------------------------------------------------------

@@ -324,6 +324,78 @@ def random_shared_model(seed: int):
     return onto
 
 
+def role_web_model(seed: int):
+    """Random model woven from 20-60 roles and conjunctions.
+
+    Roles cover reasoning concepts and, now and then, earlier roles and
+    conjunctions.  Conjunctions pair a content type, role or conjunction
+    with a role or conjunction, each declared before them, so they share
+    operands and nest.  15-30 instances hold types, reasoning concepts
+    and roles, and up to 90 facts feed data and result participants to four
+    hub instances, so one instance gains many roles and conjunctions.
+    """
+    rng = random.Random(f"web-{seed}")
+    reasonings = [f"Reason{i}" for i in range(rng.randint(2, 5))]
+    decls = [ConceptDecl(r, (rng.choice(["Reasoning"] + reasonings[:i]),))
+             for i, r in enumerate(reasonings)]
+    types = ["Model", "Hypothesis", "Assertion", "Proposition"]
+    roles: list[str] = []
+    conjunctions: list[str] = []
+    for _ in range(rng.randint(20, 60)):
+        if len(roles) < 2 or rng.random() < 0.4:
+            roles.append(f"Role{len(roles)}")
+            covered = rng.choice(reasonings + ["Reasoning"] if len(roles) < 2 or rng.random() < 0.8
+                                 else roles[:-1] + conjunctions)
+            decls.append(ConceptDecl(roles[-1], (), RoleDefinition(
+                rng.choice(["data", "result"]), covered)))
+        else:
+            conjunctions.append(f"Conj{len(conjunctions)}")
+            decls.append(ConceptDecl(conjunctions[-1], (), Conjunction(
+                rng.choice(types + roles + conjunctions[:-1]),
+                rng.choice(roles + conjunctions[:-1]))))
+    decls.append(RelationDecl("feeds", (("Content",), ("AC",)), particularizes="isDataOf"))
+    decls.append(RelationDecl("yields", (("Content",), ("AC",)), particularizes="isResultOf"))
+
+    instances = [f"x{i:02d}" for i in range(rng.randint(15, 30))]
+    hubs = rng.sample(instances, k=4)
+    pool = types + reasonings + roles + conjunctions
+    for name in instances:
+        decls.append(InstanceDecl(name, tuple(rng.sample(pool, k=rng.randint(1, 3)))))
+    facts = {(rng.choice(["isDataOf", "isResultOf", "feeds", "yields"]),
+              (rng.choice(instances), rng.choice(hubs)), None)
+             for _ in range(rng.randint(30, 90))}
+    decls.extend(Fact(*key) for key in sorted(facts))
+    onto, diags = merge_with_kernel(decls)
+    assert onto is not None, [d.render() for d in diags]
+    return onto
+
+
+def shared_operand_source(n: int) -> str:
+    """n conjunctions over one shared type: each Model instance m_i is data
+    of a reasoning r_i and so plays role Role_i and conjunction C_i."""
+    lines = []
+    for i in range(n):
+        lines += [f"concept R{i:05d} specializes Reasoning",
+                  f"role Role{i:05d} = data of R{i:05d}",
+                  f"concept C{i:05d} = Model and Role{i:05d}",
+                  f"instance r{i:05d} : R{i:05d}", f"instance m{i:05d} : Model",
+                  f"fact PRE(r{i:05d}, 0)", f"fact PC(m{i:05d}, r{i:05d}, 0)",
+                  f"fact isDataOf(m{i:05d}, r{i:05d})"]
+    return "\n".join(lines) + "\n"
+
+
+def role_fan_in_source(n: int) -> str:
+    """n data roles, each of its own reasoning concept, and n data
+    participants of one reasoning instance r, which only the first role
+    covers."""
+    lines = ["instance r : R00000", "fact PRE(r, 0)"]
+    for i in range(n):
+        lines += [f"concept R{i:05d} specializes Reasoning",
+                  f"role Role{i:05d} = data of R{i:05d}", f"instance m{i:05d} : Model",
+                  f"fact PC(m{i:05d}, r, 0)", f"fact isDataOf(m{i:05d}, r)"]
+    return "\n".join(lines) + "\n"
+
+
 # --- random loadable models for round-trips ------------------------------------
 
 

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from helpers import CORPUS
+from helpers import CORPUS, role_fan_in_source, shared_operand_source
 
 from okc import reasoner
 from okc.bundle import BUNDLE_FILES
@@ -335,6 +335,26 @@ def test_ten_thousand_children_of_one_concept(tmp_path):
     assert outcomes["check"] == (0, "", "")
     assert outcomes["compile"][0] == 0
     assert "w09999 : Wide  [M-up] from w09999 : W09999" in outcomes["explain"][1]
+
+
+def test_four_thousand_conjunctions_over_one_shared_type(tmp_path):
+    model = tmp_path / "shared_operand.oks"
+    model.write_text(shared_operand_source(4_000), encoding="utf-8")
+    outcomes = assert_coded_outcomes(tmp_path, str(model), "m03999")
+    assert outcomes["check"] == (0, "", "")
+    assert outcomes["compile"][0] == 0
+    assert "m03999 : C03999  [D6] from m03999 : Model, m03999 : Role03999\n" \
+        in outcomes["explain"][1]
+
+
+def test_four_thousand_data_roles_around_one_reasoning_instance(tmp_path):
+    model = tmp_path / "fan_in.oks"
+    model.write_text(role_fan_in_source(4_000), encoding="utf-8")
+    outcomes = assert_coded_outcomes(tmp_path, str(model), "m03999")
+    assert outcomes["check"] == (0, "", "")
+    assert outcomes["compile"][0] == 0
+    assert "m03999 : Role00000  [D5] from isDataOf(m03999, r), r : R00000\n" \
+        in outcomes["explain"][1]
 
 
 def test_crlf_file_with_a_bom_reads_like_the_lf_file(tmp_path):

@@ -16,9 +16,13 @@ from helpers import (
     random_shared_model,
     random_taxonomy,
     reachability_oracle,
+    role_fan_in_source,
+    role_web_model,
+    shared_operand_source,
     shared_temporal_model,
 )
 
+from okc import kernel, reasoner
 from okc.kernel import kernel_ontology, merge_with_kernel
 from okc.model import ConceptDecl, Fact, InstanceDecl, Loader
 from okc.reasoner import (
@@ -171,6 +175,70 @@ def test_d2_premise_follows_the_engine_visit_order():
         "c : IdaConcept\n" in explain_instance(onto, facts, "c")
 
 
+# The engine visits the asserted memberships, then the asserted facts, then
+# what they derive.  In the first five cases a membership two concepts up,
+# or a fact derived by R-up, is visited after every other premise of its
+# rule, so one D1 or D2 trigger alone can fire.  In the chained ones a
+# rule fires twice in one visit, the second time from the first's
+# conclusion, ahead of an M-up chain that derives the same entry later.
+AGENT = "instance a : AC\ninstance y : APO\n"
+VISIT_ORDER = {
+    "D1-agentive": (AGENT + "concept Robot specializes APO\nconcept Droid specializes Robot\n"
+                    "instance z : Droid\nfact isAgentOf(y, a)\nfact PC(z, a, 0)\n",
+                    "a : Interaction  [D1] from a : AC, isAgentOf(y, a), z : APO, PC(z, a, 0)"),
+    "D1-action": (AGENT + "concept Deeper specializes AC\nconcept Deep specializes Deeper\n"
+                  "instance b : Deep\ninstance z : APO\nfact isAgentOf(y, b)\nfact PC(z, b, 0)\n",
+                  "b : Interaction  [D1] from b : AC, isAgentOf(y, b), z : APO, PC(z, b, 0)"),
+    "D1-PC": (AGENT + "relation joins particularizes PC signature (ED, PD) temporal\n"
+              "instance z : APO\nfact isAgentOf(y, a)\nfact joins(z, a, 0)\n",
+              "a : Interaction  [D1] from a : AC, isAgentOf(y, a), z : APO, PC(z, a, 0)"),
+    "D1-isAgentOf": (AGENT + "relation leads particularizes isAgentOf signature (APO|ASO, AC)\n"
+                     "instance z : APO\nfact leads(y, a)\nfact PC(z, a, 0)\n",
+                     "a : Interaction  [D1] from a : AC, isAgentOf(y, a), z : APO, PC(z, a, 0)"),
+    "D2-hasForSubject": ("relation about particularizes hasForSubject "
+                         "signature (Proposition, IdaConcept)\n"
+                         "instance p : Proposition\ninstance c : IdaConcept\nfact about(p, c)\n",
+                         "c : Subject  [D2] from hasForSubject(p, c), p : Proposition, "
+                         "c : IdaConcept"),
+    "D6-chained": ("role Role1 = data of Reasoning\nconcept Conj0 = Model and Role1\n"
+                   "concept Conj1 = Model and Conj0\nconcept Conj3 = Conj1 and Conj0\n"
+                   "concept Deep specializes Conj3\ninstance x : Deep, Model, Role1\n",
+                   "x : Conj1  [D6] from x : Model, x : Conj0"),
+    "D5-chained": ("concept R specializes Reasoning\nrole RoleA = data of R\n"
+                   "role RoleB = data of RoleA\nconcept Mid specializes RoleB\n"
+                   "concept Mid2 specializes Mid\nconcept DeepB specializes Mid2\n"
+                   "relation feeds particularizes isDataOf signature (Content, AC)\n"
+                   "instance r : R, DeepB\nfact feeds(r, r)\n",
+                   "r : RoleB  [D5] from isDataOf(r, r), r : RoleA"),
+    # reduced from role_web_model(291): D6 must try x12's candidates in name order
+    "D6-name-order": ("".join(f"concept {c} = {a} and {b}\n" for c, a, b in (
+        ("Conj0", "Role0", "Role0"), ("Conj1", "Role1", "Conj0"),
+        ("Conj12", "Hypothesis", "Conj3"), ("Conj14", "Conj9", "Conj12"),
+        ("Conj19", "Role0", "Conj1"), ("Conj2", "Conj1", "Conj0"), ("Conj25", "Conj6", "Role11"),
+        ("Conj28", "Conj5", "Conj0"), ("Conj3", "Role1", "Conj2"), ("Conj31", "Role8", "Conj25"),
+        ("Conj33", "Conj9", "Conj0"), ("Conj39", "Conj31", "Conj14"),
+        ("Conj5", "Hypothesis", "Role0"), ("Conj6", "Hypothesis", "Role1"),
+        ("Conj9", "Proposition", "Role3"))) +
+        "concept Reason0 specializes Reasoning\nconcept Reason1 specializes Reason0\n"
+        "concept Reason2 specializes Reason0\nrole Role0 = data of Reason1\n"
+        "role Role1 = result of Role0\nrole Role11 = data of Conj19\n"
+        "role Role3 = result of Reason1\nrole Role8 = data of Reason2\n"
+        "instance x12 : Conj31, Conj39, Conj5\n",
+        "x12 : Conj2  [D6] from x12 : Conj1, x12 : Conj0"),
+}
+
+
+@pytest.mark.parametrize("case", VISIT_ORDER)
+def test_traces_follow_the_engine_visit_order(case):
+    source, derived = VISIT_ORDER[case]
+    onto, diags = load_source(source)
+    assert onto is not None, diags
+    assert_fixpoint_matches_engine(onto, case)
+    instance = derived.split(" ", 1)[0]
+    facts = saturate(onto, compute_closure(onto))
+    assert f"\n  {derived}\n" in explain_instance(onto, facts, instance), case
+
+
 def test_t_theorems_hold_in_saturated_bases():
     for seed in range(10):
         onto = random_saturation_model(seed)
@@ -209,6 +277,15 @@ def test_saturation_against_naive_fixpoint(seed):
 def test_shared_model_saturation_against_naive_fixpoint(seed):
     onto = random_shared_model(seed)
     assert 40 <= len(onto.instances) <= 80 and 60 <= len(onto.facts) <= 150
+    engine = engine_sets(saturate(onto, compute_closure(onto)))
+    assert engine == naive_saturate(onto, random.Random(seed))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_role_web_saturation_against_naive_fixpoint(seed):
+    onto = role_web_model(seed)
+    defined = [c for c in onto.concepts.values() if c.definition is not None]
+    assert 20 <= len(defined) <= 60
     engine = engine_sets(saturate(onto, compute_closure(onto)))
     assert engine == naive_saturate(onto, random.Random(seed))
 
@@ -292,6 +369,7 @@ def test_explain_output(calibration_ontology):
 FIXPOINT_MODELS = {
     "random_saturation_model": (random_saturation_model, range(200)),
     "random_shared_model": (random_shared_model, range(60)),
+    "role_web_model": (role_web_model, range(60)),
     "shared_temporal_model": (lambda seed: shared_temporal_model(seed)[0], range(60)),
     "corpus": (load_corpus_file, ("car_diagnosis.oks", "calibration.oks", "a4_a5_a6.oks")),
 }
@@ -340,6 +418,7 @@ def test_instance_component_keeps_linked_instances_and_their_facts():
     *(f"corpus:{name}" for name in ("car_diagnosis", "calibration")),
     *(f"random_saturation_model:{seed}" for seed in range(25)),
     *(f"random_shared_model:{seed}" for seed in range(10)),
+    *(f"role_web_model:{seed}" for seed in range(10)),
 ])
 def test_component_explain_equals_full_model_explain(model):
     family, _, arg = model.partition(":")
@@ -351,3 +430,70 @@ def test_component_explain_equals_full_model_explain(model):
         component = instance_component(onto, instance)
         assert explain_instance(component, saturate(component, closure), instance) == \
             explain_instance(onto, full, instance), (model, instance)
+
+
+# --- the rule table ---------------------------------------------------------------
+
+D1_D2_READS = (kernel.ACTION, *kernel.AGENTIVE_UNION, kernel.PROPOSITION, kernel.IDA_CONCEPT)
+
+
+@pytest.mark.parametrize("family", sorted(FIXPOINT_MODELS))
+def test_d1_d2_inputs_are_final_after_d3_d4(family):
+    # saturate fires D1 and D2 once, before D5 and D6: the memberships
+    # they read must follow from the asserted, D3 and D4 ones by M-up.
+    feeds = {"isAffectedBy": "Patient", "isDataOf": "Data", "isResultOf": "Result"}
+    build, seeds = FIXPOINT_MODELS[family]
+    for seed in seeds:
+        onto = build(seed)
+        closure = compute_closure(onto)
+        facts = saturate(onto, closure)
+        early = {(i.name, c) for i in onto.instances.values() for c in i.concepts}
+        early |= {(g.args[0], feeds[g.relation]) for g in facts.grounds if g.relation in feeds}
+        expected = {(x, a) for x, c in early for a in closure.ancestors(c) if a in D1_D2_READS}
+        final = {(m.instance, m.concept) for m in facts.members if m.concept in D1_D2_READS}
+        assert final == expected, (family, seed)
+
+
+def count_d5_d6_evaluations(monkeypatch, evaluate, source: str) -> int:
+    """Entries of the rule table's D5 and D6 lists and dicts that `evaluate` iterates."""
+    visited = [0]
+
+    class CountedList(list):
+        def __iter__(self):
+            visited[0] += len(self)
+            return super().__iter__()
+
+    class CountedDict(dict):
+        def __iter__(self):
+            visited[0] += len(self)
+            return super().__iter__()
+
+        def items(self):
+            visited[0] += len(self)
+            return super().items()
+
+    build = reasoner._RuleTable.__init__
+
+    def counting(table, ontology):
+        build(table, ontology)
+        table.d5 = CountedDict((c, CountedList(roles)) for c, roles in table.d5.items())
+        table.d6 = CountedDict(
+            (c, CountedDict((o, CountedList(conjunctions)) for o, conjunctions in by.items()))
+            for c, by in table.d6.items())
+
+    onto, _ = load_source(source)
+    with monkeypatch.context() as patch:
+        patch.setattr(reasoner._RuleTable, "__init__", counting)
+        evaluate(onto)
+    return visited[0]
+
+
+@pytest.mark.parametrize("source", [shared_operand_source, role_fan_in_source])
+@pytest.mark.parametrize("evaluate", [
+    lambda onto: saturate(onto, compute_closure(onto)),
+    lambda onto: _Engine(onto).run(),
+], ids=["fixpoint", "engine"])
+def test_d5_d6_work_is_linear_in_the_model(monkeypatch, source, evaluate):
+    small, large = (count_d5_d6_evaluations(monkeypatch, evaluate, source(n))
+                    for n in (200, 400))
+    assert 0 < small and large <= 2.1 * small, (small, large)
