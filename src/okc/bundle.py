@@ -24,11 +24,10 @@ indentation depth and reused.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .model import (
     Conjunction,
@@ -38,6 +37,7 @@ from .model import (
     Origin,
     RoleDefinition,
     Severity,
+    _record,
     has_errors,
     sort_diagnostics,
 )
@@ -59,8 +59,8 @@ class CompileRefusedError(Exception):
         self.diagnostics = list(diagnostics)
 
 
-@dataclass(frozen=True)
-class RoleRecord:
+@_record
+class RoleRecord(NamedTuple):
     name: str
     mode: str
     reasoning_concept: str
@@ -75,8 +75,8 @@ class RoleRecord:
         }
 
 
-@dataclass(frozen=True)
-class BundleConcept:
+@_record
+class BundleConcept(NamedTuple):
     name: str
     parents: tuple[str, ...]
     annotations: tuple[tuple[str, str], ...]
@@ -106,8 +106,8 @@ class BundleConcept:
         return doc
 
 
-@dataclass(frozen=True)
-class DomainRelation:
+@_record
+class DomainRelation(NamedTuple):
     name: str
     domain: str
     range: str
@@ -118,8 +118,8 @@ class DomainRelation:
                 "range": self.range, "temporal": self.temporal}
 
 
-@dataclass(frozen=True)
-class PlaysLink:
+@_record
+class PlaysLink(NamedTuple):
     type_concept: str
     role: str
 
@@ -127,8 +127,8 @@ class PlaysLink:
         return {"type": self.type_concept, "role": self.role}
 
 
-@dataclass
-class ModelBundle:
+@_record
+class ModelBundle(NamedTuple):
     snapshot_time: int
     domain_concepts: tuple[BundleConcept, ...] = ()
     domain_relations: tuple[DomainRelation, ...] = ()
@@ -138,8 +138,7 @@ class ModelBundle:
 
     def content(self) -> tuple:
         """Everything except the snapshot time, for equality over content."""
-        return (self.domain_concepts, self.domain_relations, self.plays,
-                self.inference_concepts, self.task_concepts)
+        return self[1:]
 
     def documents(self) -> dict[str, dict]:
         """The three documents; equal role records share one dict."""

@@ -30,8 +30,7 @@ so the code registry is closed in one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import kernel
 from .model import (
@@ -44,6 +43,7 @@ from .model import (
     MetaLabel,
     Ontology,
     Severity,
+    _record,
     sort_diagnostics,
 )
 from .reasoner import (
@@ -55,17 +55,16 @@ from .reasoner import (
 )
 
 
-@dataclass(frozen=True)
-class CheckInfo:
+@_record
+class CheckInfo(NamedTuple):
     code: str
     severity: Severity
     description: str
     axioms: tuple[str, ...] = ()
-    stage: str = "validate"  # parse | load | validate | compile
 
 
-@dataclass(frozen=True)
-class CheckContext:
+@_record
+class CheckContext(NamedTuple):
     ontology: Ontology
     closure: SubsumptionClosure
     facts: FactBase
@@ -107,17 +106,27 @@ def check_w1(ontology: Ontology) -> list[Diagnostic]:
 
 
 def check_w2(ctx: CheckContext) -> list[Diagnostic]:
+    """Concept level: one pass over the concepts, each meeting its
+    disjoint-pair ancestors.  Instance level: one check per pair."""
     diags = []
+    partners: dict[str, set[str]] = {}
+    for a, b in ctx.ontology.disjoints:
+        partners.setdefault(a, set()).add(b)
+        partners.setdefault(b, set()).add(a)
+    among = ctx.closure.mask(partners)
+    for concept in ctx.closure.concepts:
+        above = ctx.closure.ancestors(concept, among)
+        for a in above:
+            for b in partners[a] & above:
+                if a <= b:  # each pair once, in the order of its key
+                    diags.append(_error(
+                        "W2",
+                        f"'{concept}' is subsumed by both disjoint concepts '{a}' and '{b}'",
+                        ctx.ontology.concepts[concept].span, (concept, a, b)))
     a3_pair = tuple(sorted((kernel.REASONING, kernel.COMMUNICATION)))
     for pair in sorted(ctx.ontology.disjoints):
         a, b = pair
         decl = ctx.ontology.disjoints[pair]
-        overlap = (ctx.closure.descendants(a) & ctx.closure.descendants(b))
-        for concept in sorted(overlap):
-            diags.append(_error(
-                "W2",
-                f"'{concept}' is subsumed by both disjoint concepts '{a}' and '{b}'",
-                ctx.ontology.concepts[concept].span, (concept, a, b)))
         if pair == a3_pair:
             continue  # instance level of this pair is owned by A3
         both = sorted(ctx.facts.disjoint_instances.get(a, set())
@@ -251,10 +260,6 @@ def check_ad35(ctx: CheckContext) -> list[Diagnostic]:
 # --- labeling checks ----------------------------------------------------------
 
 
-def _sorted_labels(ontology: Ontology) -> list[MetaLabel]:
-    return sorted(ontology.labels.values(), key=lambda lb: (lb.concept, lb.time, lb.primitive))
-
-
 def check_labels(
     ontology: Ontology, closure: SubsumptionClosure, facts: FactBase
 ) -> list[Diagnostic]:
@@ -268,7 +273,8 @@ def check_labels(
         c for c in ontology.annotations
         if ontology.annotation_value(c, AXIS_RIGIDITY) == "rigid"
         and ontology.annotation_value(c, AXIS_IDENTITY) == "carries")
-    for lb in _sorted_labels(ontology):
+    labels = sorted(ontology.labels.values(), key=lambda lb: (lb.concept, lb.time, lb.primitive))
+    for lb in labels:
         if lb.concept not in ontology.concepts:
             continue  # load error already reported
         if lb.primitive == "Task" and not closure.subsumes(kernel.REASONING, lb.concept):
@@ -306,7 +312,7 @@ def check_labels(
                         f"{lb.primitive} label on '{lb.concept}': "
                         f"{'; '.join(failures)}",
                         lb.span, (lb.concept,)))
-    diags.extend(_check_l5(ontology))
+    diags.extend(_check_l5(labels))
     diags.extend(_check_l6(ontology, closure))
     return diags
 
@@ -355,10 +361,12 @@ def _role_identity(
     return failures
 
 
-def _check_l5(ontology: Ontology) -> list[Diagnostic]:
+def _check_l5(labels: list[MetaLabel]) -> list[Diagnostic]:
+    """L5 over the labels sorted by (concept, time, primitive); each
+    finding takes the span of the last label of its group."""
     diags = []
     grouped: dict[tuple[str, int, str], list[MetaLabel]] = {}
-    for lb in _sorted_labels(ontology):
+    for lb in labels:
         family = LABEL_FAMILY.get(lb.primitive)
         if family in ("reasoning", "domain"):
             grouped.setdefault((lb.concept, lb.time, family), []).append(lb)
@@ -376,35 +384,29 @@ def _check_l5(ontology: Ontology) -> list[Diagnostic]:
 def _check_l6(ontology: Ontology, closure: SubsumptionClosure) -> list[Diagnostic]:
     diags = []
     rigidity = {c: ontology.annotation_value(c, AXIS_RIGIDITY) for c in ontology.annotations}
-    rigid = closure.mask(c for c, value in rigidity.items() if value == "rigid")
-    for upper in sorted(c for c, value in rigidity.items() if value == "anti-rigid"):
-        ann = ontology.annotations[upper][AXIS_RIGIDITY]
-        for lower in sorted(closure.descendants(upper, rigid)):
+    anti_rigid = closure.mask(c for c, value in rigidity.items() if value == "anti-rigid")
+    for lower in sorted(c for c, value in rigidity.items() if value == "rigid"):
+        for upper in sorted(closure.ancestors(lower, anti_rigid)):
             diags.append(_error(
                 "L6",
                 f"anti-rigid concept '{upper}' subsumes rigid "
                 f"concept '{lower}'",
-                ann.span, (upper, lower)))
+                ontology.annotations[upper][AXIS_RIGIDITY].span, (upper, lower)))
     return diags
 
 
 # --- registry and driver -----------------------------------------------------
 
 FRONTEND_CODES: tuple[CheckInfo, ...] = (
-    CheckInfo("P1", Severity.ERROR, "syntax or lexical error", (), "parse"),
-    CheckInfo("E1", Severity.ERROR, "duplicate declaration name", (), "load"),
-    CheckInfo("E2", Severity.ERROR, "redefinition of a kernel name", (), "load"),
-    CheckInfo("E3", Severity.ERROR,
-              "reference to an undeclared or wrong-kind name", (), "load"),
-    CheckInfo("E4", Severity.ERROR,
-              "malformed declaration (arity, temporality, value)", (), "load"),
-    CheckInfo("E5", Severity.ERROR, "duplicate meta-label triple", (), "load"),
-    CheckInfo("E6", Severity.ERROR,
-              "conflicting annotation for a meta-property axis", (), "load"),
-    CheckInfo("E7", Severity.ERROR,
-              "invalid particularization (cycle or arity mismatch)", (), "load"),
-    CheckInfo("C1", Severity.WARNING,
-              "no labels effective at the compile snapshot", (), "compile"),
+    CheckInfo("P1", Severity.ERROR, "syntax or lexical error"),
+    CheckInfo("E1", Severity.ERROR, "duplicate declaration name"),
+    CheckInfo("E2", Severity.ERROR, "redefinition of a kernel name"),
+    CheckInfo("E3", Severity.ERROR, "reference to an undeclared or wrong-kind name"),
+    CheckInfo("E4", Severity.ERROR, "malformed declaration (arity, temporality, value)"),
+    CheckInfo("E5", Severity.ERROR, "duplicate meta-label triple"),
+    CheckInfo("E6", Severity.ERROR, "conflicting annotation for a meta-property axis"),
+    CheckInfo("E7", Severity.ERROR, "invalid particularization (cycle or arity mismatch)"),
+    CheckInfo("C1", Severity.WARNING, "no labels effective at the compile snapshot"),
 )
 
 _VALIDATOR_CHECKS: tuple[tuple[CheckInfo, Optional[CheckFn]], ...] = (

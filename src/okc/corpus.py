@@ -11,17 +11,18 @@ rewrites.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
+
+from .model import _record
 
 
 class UnknownExampleError(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+@_record
+class CorpusEntry(NamedTuple):
     name: str
     relative_path: str
     expected_codes: tuple[str, ...] = ()

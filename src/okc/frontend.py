@@ -40,8 +40,7 @@ equal one for the same line, span included.  It need not be complete.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .model import (
     ANNOTATION_AXES,
@@ -61,6 +60,7 @@ from .model import (
     RoleDefinition,
     Severity,
     SourceSpan,
+    _record,
     sort_diagnostics,
 )
 
@@ -79,8 +79,8 @@ _PUNCT_KIND = {"(": "lparen", ")": "rparen", ",": "comma", ":": "colon",
                "=": "equals", "|": "pipe"}
 
 
-@dataclass(frozen=True)
-class Token:
+@_record
+class Token(NamedTuple):
     kind: str  # word | nat | lparen | rparen | comma | colon | equals | pipe | bad | eol
     text: str
     line: int

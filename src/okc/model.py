@@ -11,14 +11,16 @@ Identical re-declarations are collapsed silently (set semantics).  The
 one exception is meta-labels: a duplicate (primitive, concept, time)
 triple is a load error (E5).
 
-Declarations, their definitions and source spans are immutable tuple
-records (`typing.NamedTuple`) with read-only fields.  Each equals only
-records of its own class, never a plain tuple or another record class.
+Every okc record is an immutable tuple record (`typing.NamedTuple`)
+with read-only fields under `_record`: declarations, their definitions,
+source spans and diagnostics here, and the tokens, registry rows, bundle
+records, corpus rows and traceability rows of the other modules.  Each
+equals only records of its own class, never a plain tuple or another
+record class, and hashes as the tuple of its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Union, get_args
@@ -68,8 +70,8 @@ class SourceSpan(NamedTuple):
 KERNEL_SPAN = SourceSpan("<kernel>", 0, 0, 0)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+@_record
+class Diagnostic(NamedTuple):
     """One coded finding. Error-severity findings block compilation."""
 
     severity: Severity

@@ -70,16 +70,17 @@ from .model import KERNEL_SPAN, Ontology, SourceSpan, direct_supers
 class SubsumptionClosure:
     """Reflexive-transitive subsumption over all declared concepts.
 
-    Concept i is bit i, and each concept keeps its ancestors and its
-    descendants as integer bitsets, so a 10,000-deep chain costs
+    Concept i is bit i, and each concept keeps its ancestors, and only
+    its ancestors, as an integer bitset, so a 10,000-deep chain costs
     megabytes where one frozenset per concept would cost gigabytes.
+    Questions about what a concept subsumes are asked from below: walk
+    the concepts and read their ancestors under a mask.
     """
 
-    def __init__(self, names: tuple[str, ...], up: list[int], down: list[int]):
+    def __init__(self, names: tuple[str, ...], up: list[int]):
         self._names = names
         self._bit = {name: i for i, name in enumerate(names)}
         self._up = up
-        self._down = down
 
     def subsumes(self, ancestor: str, descendant: str) -> bool:
         """True iff every instance of `descendant` is one of `ancestor`."""
@@ -91,11 +92,6 @@ class SubsumptionClosure:
         """Subsumers of `concept`; only those in the bitset `among`, if given."""
         i = self._bit.get(concept)
         return frozenset() if i is None else self._decode(self._up[i] & among)
-
-    def descendants(self, concept: str, among: int = -1) -> frozenset[str]:
-        """Concepts `concept` subsumes; only those in the bitset `among`, if given."""
-        i = self._bit.get(concept)
-        return frozenset() if i is None else self._decode(self._down[i] & among)
 
     def mask(self, concepts: Iterable[str]) -> int:
         """Bitset of the given concepts, for `among`; unknown names are left out."""
@@ -124,8 +120,9 @@ def compute_closure(ontology: Ontology) -> SubsumptionClosure:
     """Subsumption over asserted edges, role definitions and conjunctions.
 
     Concepts are visited in topological order (Kahn), parents before
-    children for ancestors and the reverse for descendants, so depth
-    costs no stack.  The taxonomy must be acyclic: `check_w1` runs first.
+    children, so depth costs no stack; each concept's ancestor bitset is
+    its own bit joined with its parents' bitsets.  No descendant sets are
+    kept.  The taxonomy must be acyclic: `check_w1` runs first.
     """
     names = sorted(ontology.concepts)
     parents = {n: sorted({p for p in direct_supers(ontology.concepts[n])
@@ -152,13 +149,7 @@ def compute_closure(ontology: Ontology) -> SubsumptionClosure:
         for p in parents[n]:
             bits |= up[bit[p]]
         up[i] = bits
-    down = [0] * len(order)
-    for i in range(len(order) - 1, -1, -1):
-        bits = 1 << i
-        for child in children[order[i]]:
-            bits |= down[bit[child]]
-        down[i] = bits
-    return SubsumptionClosure(tuple(order), up, down)
+    return SubsumptionClosure(tuple(order), up)
 
 
 def find_subsumption_cycles(ontology: Ontology) -> list[tuple[str, ...]]:

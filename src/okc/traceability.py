@@ -20,12 +20,13 @@ expectation the test suite executes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
+
+from .model import _record
 
 
-@dataclass(frozen=True)
-class Fixture:
+@_record
+class Fixture(NamedTuple):
     expect: str  # clean | emits | derives | absent
     corpus: Optional[str] = None
     source: Optional[str] = None
@@ -50,8 +51,8 @@ def _absent(instance: str, concept: str, *, source: str) -> Fixture:
     return Fixture("absent", source=source, instance=instance, concept=concept)
 
 
-@dataclass(frozen=True)
-class TraceRow:
+@_record
+class TraceRow(NamedTuple):
     code: str
     mechanism: tuple[str, ...]
     falsifiable: bool

@@ -396,6 +396,16 @@ def role_fan_in_source(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def wide_disjointness_source(n: int) -> str:
+    """Concept A declared disjoint with n others B_i, with n concepts C_i
+    under it; only C00000 is also under a partner, B00000."""
+    lines = ["concept A specializes Reasoning", "instance c : C00001"]
+    for i in range(n):
+        lines += [f"concept B{i:05d} specializes Reasoning", f"disjoint A B{i:05d}",
+                  f"concept C{i:05d} specializes A{', B00000' if i == 0 else ''}"]
+    return "\n".join(lines) + "\n"
+
+
 # --- random loadable models for round-trips ------------------------------------
 
 

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from helpers import CORPUS, role_fan_in_source, shared_operand_source
+from helpers import CORPUS, role_fan_in_source, shared_operand_source, wide_disjointness_source
 
 from okc import reasoner
 from okc.bundle import BUNDLE_FILES
@@ -335,6 +335,18 @@ def test_ten_thousand_children_of_one_concept(tmp_path):
     assert outcomes["check"] == (0, "", "")
     assert outcomes["compile"][0] == 0
     assert "w09999 : Wide  [M-up] from w09999 : W09999" in outcomes["explain"][1]
+
+
+def test_ten_thousand_disjoint_partners_of_one_concept(tmp_path):
+    model = tmp_path / "wide_disjoint.oks"
+    model.write_text(wide_disjointness_source(10_000), encoding="utf-8")
+    outcomes = assert_coded_outcomes(tmp_path, str(model), "c")
+    code, _, err = outcomes["check"]
+    [finding] = json.loads(err)
+    assert code == 1 and finding["code"] == "W2"
+    assert finding["subjects"] == ["C00000", "A", "B00000"]
+    assert outcomes["compile"][0] == 1
+    assert "c : A  [M-up] from c : C00001" in outcomes["explain"][1]
 
 
 def test_four_thousand_conjunctions_over_one_shared_type(tmp_path):

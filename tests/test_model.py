@@ -3,17 +3,25 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import CORPUS, error_codes, load_source
 
-from okc.frontend import parse
+import okc
+from okc.bundle import BundleConcept, DomainRelation, ModelBundle, PlaysLink, RoleRecord
+from okc.checks import CheckContext, CheckInfo
+from okc.corpus import CorpusEntry
+from okc.frontend import Token, parse
 from okc.kernel import kernel_ontology, merge_with_kernel
 from okc.model import (
     AnnotationDecl,
     ConceptDecl,
     Conjunction,
+    Diagnostic,
     DisjointDecl,
     Fact,
     InstanceDecl,
@@ -22,9 +30,11 @@ from okc.model import (
     Origin,
     RelationDecl,
     RoleDefinition,
+    Severity,
     SourceSpan,
     add_declaration,
 )
+from okc.traceability import Fixture, TraceRow
 
 
 def test_add_concept_to_kernel():
@@ -245,6 +255,19 @@ RECORDS = [
     (InstanceDecl, "concepts", ("i", ("N",), Origin.USER, _SPAN)),
     (Fact, "args", ("r", ("i",), None, Origin.USER, _SPAN)),
     (DisjointDecl, "second", ("A", "B", Origin.USER, _SPAN)),
+    (Diagnostic, "code", (Severity.ERROR, "W2", "m", _SPAN, ("A", "B"))),
+    (CheckInfo, "axioms", ("S1", Severity.ERROR, "d", ("A9",))),
+    # Placeholders: an Ontology is unhashable, so a real context is too.
+    (CheckContext, "closure", ("ontology", "closure", "facts")),
+    (RoleRecord, "players", ("R", "data", "C", ("T",))),
+    (BundleConcept, "methods", ("C", ("P",), (("rigidity", "rigid"),), (), (), ())),
+    (DomainRelation, "range", ("r", "A", "B", False)),
+    (PlaysLink, "role", ("T", "R")),
+    (ModelBundle, "plays", (1, (), (), (), (), ())),
+    (Token, "text", ("word", "concept", 1, 1)),
+    (CorpusEntry, "golden_dir", ("n", "n.oks", ("W2",), "golden/n")),
+    (Fixture, "expect", ("derives", None, "src", "i", "C")),
+    (TraceRow, "note", ("W2", ("check",), True, (), (), "n")),
 ]
 
 
@@ -271,3 +294,11 @@ def test_records_equal_only_records_of_their_own_class(cls, field, values):
         assert record != other and other != record
         assert not record == other and not other == record
         assert len({record, other}) == 2
+
+
+def test_importing_okc_leaves_dataclasses_unloaded():
+    probe = ("import sys, okc, okc.cli, okc.corpus, okc.traceability; "
+             "print('dataclasses' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            cwd=Path(okc.__file__).parents[1], check=True)
+    assert result.stdout == "False\n"

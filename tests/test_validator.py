@@ -10,15 +10,33 @@ from helpers import (
     all_codes,
     check_source,
     error_codes,
+    random_taxonomy,
+    reachability_oracle,
     shared_temporal_model,
     temporal_model,
     temporal_oracle,
 )
 
-from okc.checks import REGISTRY, VALIDATOR_CODES, check_temporal_participation, validate
+from okc.checks import (
+    REGISTRY,
+    VALIDATOR_CODES,
+    CheckContext,
+    check_labels,
+    check_temporal_participation,
+    check_w2,
+    validate,
+)
 from okc.frontend import parse
 from okc.kernel import kernel_ontology, merge_with_kernel
-from okc.model import Severity
+from okc.model import (
+    AXIS_RIGIDITY,
+    AnnotationDecl,
+    DisjointDecl,
+    Origin,
+    Severity,
+    SourceSpan,
+    direct_supers,
+)
 from okc.reasoner import compute_closure, saturate
 
 
@@ -114,6 +132,8 @@ def test_l5_same_family_same_time_only():
     diags = check_source(
         base + "label Task Think at 1\nlabel Inference Think at 1\n")
     assert error_codes(diags) == ["L5"]
+    # The span is the last label's in (concept, time, primitive) order.
+    assert diags[0].span.line == 2
     # Different times are fine: classifications change over time.
     assert check_source(
         base + "label Task Think at 4\nlabel Inference Think at 1\n") == []
@@ -147,6 +167,43 @@ def test_w2_concept_and_instance_level():
         "concept Flora specializes NPOB\nconcept Fauna specializes NPOB\n"
         "disjoint Flora Fauna\ninstance x : Flora, Fauna\n")
     assert "W2" in error_codes(diags)
+
+
+def disjoint_rigidity_model(seed: int):
+    """A random taxonomy with random disjoint pairs and rigidity annotations."""
+    rng = random.Random(seed)
+    taxonomy = random_taxonomy(seed, max_nodes=16)
+    names = [d.name for d in taxonomy] + ["PT", "ED", "Reasoning", "Content"]
+    decls = taxonomy + [DisjointDecl(*rng.sample(names, 2)) for _ in range(rng.randint(0, 8))]
+    decls += [AnnotationDecl(d.name, AXIS_RIGIDITY,
+                             rng.choice(("rigid", "anti-rigid", "semi-rigid")),
+                             Origin.USER, SourceSpan("<test>", line, 1))
+              for line, d in enumerate(taxonomy, start=1) if rng.random() < 0.8]
+    onto, diags = merge_with_kernel(decls)
+    assert onto is not None, [d.render() for d in diags]
+    return onto
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_w2_and_l6_concept_findings_match_reachability_oracle(seed):
+    onto = disjoint_rigidity_model(seed)
+    nodes = sorted(onto.concepts)
+    reach = reachability_oracle(nodes, {(n, p) for n in nodes
+                                        for p in direct_supers(onto.concepts[n])})
+    closure = compute_closure(onto)
+    facts = saturate(onto, closure)
+    w2 = {(d.subjects, d.span) for d in check_w2(CheckContext(onto, closure, facts))
+          if d.subjects[0] in onto.concepts}
+    assert w2 == {((c, a, b), onto.concepts[c].span)
+                  for a, b in onto.disjoints for c in nodes
+                  if (c, a) in reach and (c, b) in reach}, seed
+    l6 = {(d.subjects, d.span) for d in check_labels(onto, closure, facts)
+          if d.code == "L6"}
+    rigidity = {c: onto.annotation_value(c, AXIS_RIGIDITY) for c in onto.annotations}
+    assert l6 == {((upper, lower), onto.annotations[upper][AXIS_RIGIDITY].span)
+                  for upper, value in rigidity.items() if value == "anti-rigid"
+                  for lower, other in rigidity.items() if other == "rigid"
+                  and (lower, upper) in reach}, seed
 
 
 def test_a3_owns_reasoning_communication_instances():
