@@ -23,6 +23,12 @@ Validator codes:
           DomainConcept/knowledge-role family
     L6    an anti-rigid concept must not subsume a rigid one
 
+Every validator check but W1 is a `CheckContext -> list[Diagnostic]`
+function; W1 takes the ontology, because it runs before a closure exists.
+A check returns its findings in any order: `validate` sorts them, and
+equal sort keys mean equal findings, so the output depends only on the
+set of findings.
+
 Parse, load and compile stages use P1, E1..E7 and C1; those are emitted
 by the frontend, the loader and the bundle compiler but registered here
 so the code registry is closed in one place.
@@ -30,7 +36,7 @@ so the code registry is closed in one place.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import kernel
 from .model import (
@@ -43,7 +49,9 @@ from .model import (
     MetaLabel,
     Ontology,
     Severity,
+    _error,
     _record,
+    _warning,
     sort_diagnostics,
 )
 from .reasoner import (
@@ -80,14 +88,6 @@ SIGNATURE_AXIOM = {
 }
 
 
-def _error(code: str, message: str, span, subjects=()) -> Diagnostic:
-    return Diagnostic(Severity.ERROR, code, message, span, tuple(subjects))
-
-
-def _warning(code: str, message: str, span, subjects=()) -> Diagnostic:
-    return Diagnostic(Severity.WARNING, code, message, span, tuple(subjects))
-
-
 # --- structural checks -------------------------------------------------------
 
 
@@ -101,7 +101,7 @@ def check_w1(ontology: Ontology) -> list[Diagnostic]:
         members = " -> ".join(cycle[:W1_LISTED])
         if len(cycle) > W1_LISTED:
             members += f" -> ... ({len(cycle)} concepts)"
-        diags.append(_error("W1", f"subsumption cycle: {members}", span, cycle))
+        diags.append(_error("W1", f"subsumption cycle: {members}", span, *cycle))
     return diags
 
 
@@ -122,29 +122,23 @@ def check_w2(ctx: CheckContext) -> list[Diagnostic]:
                     diags.append(_error(
                         "W2",
                         f"'{concept}' is subsumed by both disjoint concepts '{a}' and '{b}'",
-                        ctx.ontology.concepts[concept].span, (concept, a, b)))
-    a3_pair = tuple(sorted((kernel.REASONING, kernel.COMMUNICATION)))
-    for pair in sorted(ctx.ontology.disjoints):
-        a, b = pair
-        decl = ctx.ontology.disjoints[pair]
-        if pair == a3_pair:
+                        ctx.ontology.concepts[concept].span, concept, a, b))
+    instances = ctx.facts.disjoint_instances
+    for a, b in ctx.ontology.disjoints:
+        if {a, b} == {kernel.REASONING, kernel.COMMUNICATION}:
             continue  # instance level of this pair is owned by A3
-        both = sorted(ctx.facts.disjoint_instances.get(a, set())
-                      & ctx.facts.disjoint_instances.get(b, set()))
-        for instance in both:
-            span = ctx.ontology.instances[instance].span \
-                if instance in ctx.ontology.instances else decl.span
+        for instance in instances.get(a, set()) & instances.get(b, set()):
             diags.append(_error(
                 "W2",
                 f"instance '{instance}' falls under both disjoint "
                 f"concepts '{a}' and '{b}'",
-                span, (instance, a, b)))
+                ctx.ontology.instances[instance].span, instance, a, b))
     return diags
 
 
 def check_s1(ctx: CheckContext) -> list[Diagnostic]:
     diags = []
-    for g in sorted(ctx.facts.grounds):
+    for g in ctx.facts.grounds:
         rel = ctx.ontology.relations.get(g.relation)
         if rel is None:
             continue
@@ -159,51 +153,44 @@ def check_s1(ctx: CheckContext) -> list[Diagnostic]:
                 "S1",
                 f"fact {g.render()} violates the signature of "
                 f"{g.relation}: {'; '.join(bad)}{suffix}",
-                ctx.facts.span_of(g), g.args))
+                ctx.facts.span_of(g), *g.args))
     return diags
 
 
 def check_s2(ctx: CheckContext) -> list[Diagnostic]:
+    """Reads only the facts of atemporal particularizations of temporal relations."""
     diags = []
-    for g in sorted(ctx.facts.grounds):
-        rel = ctx.ontology.relations.get(g.relation)
-        if rel is None or rel.temporal or rel.particularizes is None:
-            continue
+    for rel in ctx.ontology.relations.values():
         parent = ctx.ontology.relations.get(rel.particularizes)
-        if parent is None or not parent.temporal:
+        if rel.temporal or parent is None or not parent.temporal:
             continue
-        witnessed = any(w.args == g.args
-                        for w in ctx.facts.facts_with(parent.name, 0, g.args[0]))
-        if not witnessed:
-            diags.append(_error(
-                "S2",
-                f"fact {g.render()} has no witnessing "
-                f"{parent.name}({', '.join(g.args)}, t) fact",
-                ctx.facts.span_of(g), g.args))
+        for g in ctx.facts.facts_of(rel.name):
+            if not any(w.args == g.args
+                       for w in ctx.facts.facts_with(parent.name, 0, g.args[0])):
+                diags.append(_error(
+                    "S2",
+                    f"fact {g.render()} has no witnessing "
+                    f"{parent.name}({', '.join(g.args)}, t) fact",
+                    ctx.facts.span_of(g), *g.args))
     return diags
 
 
 def check_a3(ctx: CheckContext) -> list[Diagnostic]:
     diags = []
-    both = sorted(ctx.facts.disjoint_instances.get(kernel.REASONING, set())
-                  & ctx.facts.disjoint_instances.get(kernel.COMMUNICATION, set()))
-    for instance in both:
-        span = ctx.ontology.instances[instance].span \
-            if instance in ctx.ontology.instances else kernel.kernel_ontology().concepts[
-                kernel.REASONING].span
+    instances = ctx.facts.disjoint_instances
+    for instance in instances.get(kernel.REASONING, set()) \
+            & instances.get(kernel.COMMUNICATION, set()):
         diags.append(_error(
             "A3",
             f"instance '{instance}' is both a Reasoning and a Communication",
-            span, (instance,)))
+            ctx.ontology.instances[instance].span, instance))
     return diags
 
 
 # --- temporal participation --------------------------------------------------
 
 
-def check_temporal_participation(
-    ontology: Ontology, facts: FactBase
-) -> list[Diagnostic]:
+def check_temporal_participation(ctx: CheckContext) -> list[Diagnostic]:
     """Data participates from the first presence time (A13); results
     participate through the last one (R13).
 
@@ -212,6 +199,7 @@ def check_temporal_participation(
     presence time.  A perdurant that has data or result participants but
     no presence record passes vacuously with a warning.
     """
+    facts = ctx.facts
     diags = []
     warned: set[str] = set()
     for rel_name, code, pick in (
@@ -220,8 +208,8 @@ def check_temporal_participation(
     ):
         for g in sorted(facts.facts_of(rel_name)):
             x, y = g.args
-            presence = sorted(p.time for p in facts.facts_with(kernel.REL_PRESENCE, 0, y)
-                              if p.time is not None)
+            presence = [p.time for p in facts.facts_with(kernel.REL_PRESENCE, 0, y)
+                        if p.time is not None]
             if not presence:
                 if y not in warned:
                     warned.add(y)
@@ -229,7 +217,7 @@ def check_temporal_participation(
                         code,
                         f"perdurant '{y}' has participants but no declared "
                         f"presence record; {code} holds vacuously",
-                        facts.span_of(g), (y,)))
+                        facts.span_of(g), y))
                 continue
             edge = pick(presence)
             pcs = min(facts.facts_with(kernel.REL_PARTICIPATION, 0, x),
@@ -241,29 +229,28 @@ def check_temporal_participation(
                     code,
                     f"{g.render()}: '{x}' does not participate in '{y}' at its "
                     f"{side} presence time {edge}",
-                    facts.span_of(g), (x, y)))
+                    facts.span_of(g), x, y))
     return diags
 
 
 def check_ad35(ctx: CheckContext) -> list[Diagnostic]:
     diags = []
     participants = {g.args[0] for g in ctx.facts.facts_of(kernel.REL_PARTICIPATION)}
-    for name in sorted(ctx.ontology.instances):
+    for name, inst in ctx.ontology.instances.items():
         if ctx.facts.has_member(name, kernel.ENDURANT) and name not in participants:
             diags.append(_warning(
                 "Ad35",
                 f"endurant instance '{name}' participates in no perdurant",
-                ctx.ontology.instances[name].span, (name,)))
+                inst.span, name))
     return diags
 
 
 # --- labeling checks ----------------------------------------------------------
 
 
-def check_labels(
-    ontology: Ontology, closure: SubsumptionClosure, facts: FactBase
-) -> list[Diagnostic]:
+def check_labels(ctx: CheckContext) -> list[Diagnostic]:
     """All per-label constraints (A7, A8, L2b, L3, L4) plus L5 and L6."""
+    ontology, closure = ctx.ontology, ctx.closure
     diags = []
     formal_at: dict[int, int] = {}  # time -> bitset of the concepts labeled FormalKnowledgeRole
     for lb in ontology.labels.values():
@@ -273,8 +260,7 @@ def check_labels(
         c for c in ontology.annotations
         if ontology.annotation_value(c, AXIS_RIGIDITY) == "rigid"
         and ontology.annotation_value(c, AXIS_IDENTITY) == "carries")
-    labels = sorted(ontology.labels.values(), key=lambda lb: (lb.concept, lb.time, lb.primitive))
-    for lb in labels:
+    for lb in ontology.labels.values():
         if lb.concept not in ontology.concepts:
             continue  # load error already reported
         if lb.primitive == "Task" and not closure.subsumes(kernel.REASONING, lb.concept):
@@ -282,28 +268,28 @@ def check_labels(
                 "A7",
                 f"Task label on '{lb.concept}': only concepts under Reasoning "
                 f"can be tasks",
-                lb.span, (lb.concept,)))
+                lb.span, lb.concept))
         elif lb.primitive == "TransferFunction" and \
                 not closure.subsumes(kernel.COMMUNICATION, lb.concept):
             diags.append(_error(
                 "A8",
                 f"TransferFunction label on '{lb.concept}': only concepts under "
                 f"Communication can be transfer functions",
-                lb.span, (lb.concept,)))
+                lb.span, lb.concept))
         elif lb.primitive == "Inference" and \
                 not closure.subsumes(kernel.REASONING, lb.concept):
             diags.append(_error(
                 "L2b",
                 f"Inference label on '{lb.concept}': only concepts under "
                 f"Reasoning can be inferences",
-                lb.span, (lb.concept,)))
+                lb.span, lb.concept))
         elif lb.primitive in KNOWLEDGE_ROLE_PRIMITIVES:
             failures = _role_preconditions(ontology, closure, lb)
             if failures:
                 diags.append(_error(
                     "L3",
                     f"{lb.primitive} label on '{lb.concept}': {'; '.join(failures)}",
-                    lb.span, (lb.concept,)))
+                    lb.span, lb.concept))
             else:
                 failures = _role_identity(ontology, closure, lb, formal_at, identity_types)
                 if failures:
@@ -311,8 +297,8 @@ def check_labels(
                         "L4",
                         f"{lb.primitive} label on '{lb.concept}': "
                         f"{'; '.join(failures)}",
-                        lb.span, (lb.concept,)))
-    diags.extend(_check_l5(labels))
+                        lb.span, lb.concept))
+    diags.extend(_check_l5(ontology.labels.values()))
     diags.extend(_check_l6(ontology, closure))
     return diags
 
@@ -361,23 +347,24 @@ def _role_identity(
     return failures
 
 
-def _check_l5(labels: list[MetaLabel]) -> list[Diagnostic]:
-    """L5 over the labels sorted by (concept, time, primitive); each
-    finding takes the span of the last label of its group."""
+def _check_l5(labels: Iterable[MetaLabel]) -> list[Diagnostic]:
+    """Each finding takes the span of the label whose primitive sorts last
+    in its group."""
     diags = []
     grouped: dict[tuple[str, int, str], list[MetaLabel]] = {}
     for lb in labels:
         family = LABEL_FAMILY.get(lb.primitive)
         if family in ("reasoning", "domain"):
             grouped.setdefault((lb.concept, lb.time, family), []).append(lb)
-    for (concept, time, family), labels in sorted(grouped.items()):
+    for (concept, time, family), labels in grouped.items():
         if len(labels) > 1:
             prims = sorted(lb.primitive for lb in labels)
+            last = max(labels, key=lambda lb: lb.primitive)
             diags.append(_error(
                 "L5",
                 f"'{concept}' carries exclusive labels {', '.join(prims)} "
                 f"at time {time}",
-                labels[-1].span, (concept, *prims)))
+                last.span, concept, *prims))
     return diags
 
 
@@ -385,13 +372,13 @@ def _check_l6(ontology: Ontology, closure: SubsumptionClosure) -> list[Diagnosti
     diags = []
     rigidity = {c: ontology.annotation_value(c, AXIS_RIGIDITY) for c in ontology.annotations}
     anti_rigid = closure.mask(c for c, value in rigidity.items() if value == "anti-rigid")
-    for lower in sorted(c for c, value in rigidity.items() if value == "rigid"):
-        for upper in sorted(closure.ancestors(lower, anti_rigid)):
+    for lower in (c for c, value in rigidity.items() if value == "rigid"):
+        for upper in closure.ancestors(lower, anti_rigid):
             diags.append(_error(
                 "L6",
                 f"anti-rigid concept '{upper}' subsumes rigid "
                 f"concept '{lower}'",
-                ontology.annotations[upper][AXIS_RIGIDITY].span, (upper, lower)))
+                ontology.annotations[upper][AXIS_RIGIDITY].span, upper, lower))
     return diags
 
 
@@ -444,7 +431,7 @@ VALIDATOR_CODES: tuple[str, ...] = tuple(info.code for info, _ in _VALIDATOR_CHE
 
 
 def validate(ontology: Ontology) -> list[Diagnostic]:
-    """Run every check; deterministic, sorted by (file, line, code)."""
+    """Run every check; the findings sorted by `Diagnostic.sort_key`."""
     w1 = check_w1(ontology)
     if w1:
         # Closure-dependent checks need an acyclic taxonomy.
@@ -456,6 +443,6 @@ def validate(ontology: Ontology) -> list[Diagnostic]:
     for info, fn in _VALIDATOR_CHECKS:
         if fn is not None:
             diags.extend(fn(ctx))
-    diags.extend(check_temporal_participation(ontology, facts))
-    diags.extend(check_labels(ontology, closure, facts))
+    diags.extend(check_temporal_participation(ctx))
+    diags.extend(check_labels(ctx))
     return sort_diagnostics(diags)

@@ -21,7 +21,7 @@ from .bundle import CompileRefusedError, compile_bundle, emit_bundle
 from .checks import check_w1, validate
 from .frontend import parse, render
 from .kernel import kernel_ontology, merge_with_kernel
-from .model import Diagnostic, Ontology, Severity, sort_diagnostics
+from .model import Diagnostic, Ontology, Severity, has_errors, sort_diagnostics
 from .reasoner import compute_closure, explain_instance, instance_component, saturate
 
 EXIT_CLEAN = 0
@@ -80,7 +80,7 @@ def _emit_diagnostics(diags: Sequence[Diagnostic], fmt: str, stream: TextIO) -> 
 
 
 def _exit_for(diags: Sequence[Diagnostic], werror: bool) -> int:
-    if any(d.severity is Severity.ERROR for d in diags):
+    if has_errors(diags):
         return EXIT_ERRORS
     if werror and any(d.severity is Severity.WARNING for d in diags):
         return EXIT_WARNINGS

@@ -61,7 +61,6 @@ from .model import (
     Severity,
     SourceSpan,
     _record,
-    sort_diagnostics,
 )
 
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*"
@@ -108,10 +107,6 @@ def _tokenize_line(text: str, line_no: int) -> list[Token]:
             pos += 1
             continue
         m = _TOKEN_RE.match(text, pos)
-        if m is None:  # pragma: no cover - regex covers every non-space char
-            tokens.append(Token("bad", ch, line_no, pos + 1))
-            pos += 1
-            continue
         text_match = m.group(0)
         if m.lastgroup == "word":
             kind = "word"
@@ -244,7 +239,7 @@ def parse(text: str, filename: str) -> tuple[list[Declaration], list[Diagnostic]
             diags.append(result)
         elif result is not None:
             decls.append(result)
-    return decls, sort_diagnostics(diags)
+    return decls, diags  # at most one P1 per line, in line order
 
 
 # --- statement parsers -----------------------------------------------------

@@ -390,6 +390,10 @@ def _error(code: str, message: str, span: SourceSpan, *subjects: str) -> Diagnos
     return Diagnostic(Severity.ERROR, code, message, span, subjects)
 
 
+def _warning(code: str, message: str, span: SourceSpan, *subjects: str) -> Diagnostic:
+    return Diagnostic(Severity.WARNING, code, message, span, subjects)
+
+
 class Loader:
     """Accumulates declarations, then resolves them into an Ontology.
 

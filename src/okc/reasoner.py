@@ -64,7 +64,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import kernel
-from .model import KERNEL_SPAN, Ontology, SourceSpan, direct_supers
+from .model import Ontology, SourceSpan, direct_supers
 
 
 class SubsumptionClosure:
@@ -376,29 +376,12 @@ class FactBase:
         """Facts of `relation` whose argument at `position` is `value`."""
         return self._by_arg.get((relation, position, value), ())
 
-    def span_of(self, entry: Entry) -> SourceSpan:
-        """Span of the entry, following derivations back to an asserted one."""
-        trace = self._r_up if isinstance(entry, Ground) else self.trace
-        current = entry
-        seen = set()
-        while True:
-            if isinstance(current, Ground):
-                decl = self._ontology.facts.get(current)  # a Ground equals its fact's key
-            else:
-                decl = self._ontology.instances.get(current.instance)
-                if decl is not None and current.concept not in decl.concepts:
-                    decl = None
-            if decl is not None:
-                return decl.span
-            deriv = trace.get(current)
-            if deriv is None or not deriv.premises or current in seen:
-                return KERNEL_SPAN
-            seen.add(current)
-            current = deriv.premises[0]
-
-    def entries(self) -> list[Entry]:
-        return sorted(self.members, key=entry_sort_key) + \
-            sorted(self.grounds, key=entry_sort_key)
+    def span_of(self, g: Ground) -> SourceSpan:
+        """Span of the asserted fact that `g` is or derives from by R-up."""
+        facts = self._ontology.facts
+        while g not in facts:  # a Ground equals its fact's key
+            g = self._r_up[g].premises[0]
+        return facts[g].span
 
     # -- the least fixpoint
 

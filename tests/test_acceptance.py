@@ -27,7 +27,7 @@ from helpers import (
 )
 
 from okc.bundle import BUNDLE_FILES, compile_bundle, emit_bundle
-from okc.checks import REGISTRY, VALIDATOR_CODES, check_temporal_participation
+from okc.checks import REGISTRY, VALIDATOR_CODES, CheckContext, check_temporal_participation
 from okc.cli import main
 from okc.corpus import load_example
 from okc.kernel import merge_with_kernel
@@ -150,8 +150,9 @@ def test_criterion_6_temporal_oracle():
                 pc2_options = subsets if any(x == "m2" for _, x in config) else [frozenset()]
                 for pc2 in pc2_options:
                     onto = temporal_model(pre, pc1, pc2, config)
-                    facts = saturate(onto, compute_closure(onto))
-                    diags = check_temporal_participation(onto, facts)
+                    closure = compute_closure(onto)
+                    diags = check_temporal_participation(
+                        CheckContext(onto, closure, saturate(onto, closure)))
                     errors = {(d.code, d.subjects) for d in diags
                               if d.severity is Severity.ERROR}
                     for rel, x in config:

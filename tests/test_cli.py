@@ -4,14 +4,25 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
 import re
 import shutil
+import subprocess
 import sys
 
 import pytest
 
-from helpers import CORPUS, role_fan_in_source, shared_operand_source, wide_disjointness_source
+from helpers import (
+    CORPUS,
+    REPO_ROOT,
+    random_label_model,
+    random_saturation_model,
+    random_shared_model,
+    role_fan_in_source,
+    shared_operand_source,
+    wide_disjointness_source,
+)
 
 from okc import reasoner
 from okc.bundle import BUNDLE_FILES
@@ -188,9 +199,6 @@ def test_diagnostics_to_stderr_data_to_stdout():
 
 
 def test_installed_entry_point_subprocess(tmp_path):
-    import subprocess
-    import sys
-
     def invoke(*argv):
         return subprocess.run([sys.executable, "-m", "okc", *argv],
                               capture_output=True, text=True)
@@ -569,3 +577,51 @@ def test_seeded_corpus_mutations_end_in_coded_diagnostics(tmp_path, name):
             assert code in (0, 1, 2, 3), (op, argv)
             findings = json.loads(err) if err else []
             assert {f["code"] for f in findings} <= set(REGISTRY), (op, findings)
+
+
+def _user_source(onto) -> str:
+    """The model's own statements: its rendering without the kernel's lines."""
+    kernel_lines = set(render(kernel_ontology()).splitlines())
+    return "\n".join(line for line in render(onto).splitlines()
+                     if line and line not in kernel_lines) + "\n"
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """Checks walk sets and dicts in hash order and `validate` sorts their
+    findings, so processes with different string hashing print the same."""
+    models = {"label5": random_label_model(5), "label15": random_label_model(15),
+              "sat1": random_saturation_model(1), "sat17": random_saturation_model(17),
+              "shared7": random_shared_model(7)}
+    for name, onto in models.items():
+        (tmp_path / f"{name}.oks").write_text(_user_source(onto), encoding="utf-8")
+    generated = [str(tmp_path / f"{name}.oks") for name in models]
+    corpus = sorted(str(p) for p in CORPUS.rglob("*.oks"))
+    compiled = generated + [str(CORPUS / "calibration.oks"), str(CORPUS / "car_diagnosis.oks")]
+    explained = [(generated[2], "x0"), (generated[4], "x00"),
+                 (str(CORPUS / "calibration.oks"), "m1")]
+    bundle = tmp_path / "bundle"
+    src = str(REPO_ROOT / "src")
+
+    def outputs(seed: int) -> list:
+        env = {**os.environ, "PYTHONHASHSEED": str(seed),
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+        def invoke(*argv):
+            result = subprocess.run([sys.executable, "-m", "okc", *argv],
+                                    capture_output=True, text=True, env=env)
+            return result.returncode, result.stdout, result.stderr
+
+        out = [invoke("check", *corpus, *generated, "--format", fmt) for fmt in ("text", "json")]
+        for path in compiled:
+            for fmt in ("text", "json"):
+                shutil.rmtree(bundle, ignore_errors=True)
+                result = invoke("compile", path, "--out", str(bundle), "--format", fmt)
+                out.append((result, {p.name: p.read_bytes() for p in bundle.glob("*")}))
+        out += [invoke("explain", path, instance) for path, instance in explained]
+        return out
+
+    first = outputs(0)
+    assert first[0][0] == 1 and len(first[0][2].splitlines()) > 300
+    # the two corpus models compile in both formats; the generated ones are refused
+    assert sum(1 for (code, _, _), files in first[2:16] if code == 0 and files) == 4
+    assert first == outputs(1)

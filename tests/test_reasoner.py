@@ -339,7 +339,7 @@ def test_idempotence_resaturating_saturated_base():
 def test_every_derived_entry_has_grounded_trace():
     onto = random_saturation_model(5)
     facts = saturate(onto, compute_closure(onto))
-    for entry in facts.entries():
+    for entry in facts.trace:
         seen = set()
         stack = [entry]
         while stack:

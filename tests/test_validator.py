@@ -10,6 +10,8 @@ from helpers import (
     all_codes,
     check_source,
     error_codes,
+    random_saturation_model,
+    random_shared_model,
     random_taxonomy,
     reachability_oracle,
     shared_temporal_model,
@@ -22,6 +24,7 @@ from okc.checks import (
     VALIDATOR_CODES,
     CheckContext,
     check_labels,
+    check_s2,
     check_temporal_participation,
     check_w2,
     validate,
@@ -191,13 +194,12 @@ def test_w2_and_l6_concept_findings_match_reachability_oracle(seed):
     reach = reachability_oracle(nodes, {(n, p) for n in nodes
                                         for p in direct_supers(onto.concepts[n])})
     closure = compute_closure(onto)
-    facts = saturate(onto, closure)
-    w2 = {(d.subjects, d.span) for d in check_w2(CheckContext(onto, closure, facts))
-          if d.subjects[0] in onto.concepts}
+    ctx = CheckContext(onto, closure, saturate(onto, closure))
+    w2 = {(d.subjects, d.span) for d in check_w2(ctx) if d.subjects[0] in onto.concepts}
     assert w2 == {((c, a, b), onto.concepts[c].span)
                   for a, b in onto.disjoints for c in nodes
                   if (c, a) in reach and (c, b) in reach}, seed
-    l6 = {(d.subjects, d.span) for d in check_labels(onto, closure, facts)
+    l6 = {(d.subjects, d.span) for d in check_labels(ctx)
           if d.code == "L6"}
     rigidity = {c: onto.annotation_value(c, AXIS_RIGIDITY) for c in onto.annotations}
     assert l6 == {((upper, lower), onto.annotations[upper][AXIS_RIGIDITY].span)
@@ -233,6 +235,30 @@ def test_s2_witness_required_for_derived_affection():
     assert s2.span.line == 4
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_s2_matches_a_scan_of_every_ground(seed):
+    """S2 reads only the facts of particularizing relations; a scan of every
+    ground for the findings, and of every ground for a witness, agrees."""
+    for onto in (random_saturation_model(seed), random_shared_model(seed)):
+        closure = compute_closure(onto)
+        facts = saturate(onto, closure)
+        expected = set()
+        for g in facts.grounds:
+            rel = onto.relations[g.relation]
+            parent = onto.relations.get(rel.particularizes)
+            if rel.temporal or parent is None or not parent.temporal:
+                continue
+            if not any(w.relation == parent.name and w.args == g.args for w in facts.grounds):
+                expected.add((f"fact {g.render()} has no witnessing "
+                              f"{parent.name}({', '.join(g.args)}, t) fact", g.args))
+        found = check_s2(CheckContext(onto, closure, facts))
+        assert len(found) == len(expected)
+        assert {(d.message, d.subjects) for d in found} == expected, seed
+        for d in found:  # grounded at an asserted fact on the same arguments
+            assert d.span in {f.span for f in onto.facts.values() if f.args == d.subjects}
+    assert expected, seed  # the shared model always misses some witness
+
+
 def test_user_annotation_conflicts_are_e6():
     diags = check_source(
         "concept Widget specializes NPOB\n"
@@ -250,8 +276,8 @@ def test_user_annotation_conflicts_are_e6():
 
 
 def temporal_codes(onto):
-    facts = saturate(onto, compute_closure(onto))
-    return check_temporal_participation(onto, facts)
+    closure = compute_closure(onto)
+    return check_temporal_participation(CheckContext(onto, closure, saturate(onto, closure)))
 
 
 @pytest.mark.parametrize("seed", range(20))
