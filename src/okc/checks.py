@@ -24,7 +24,7 @@ Validator codes:
     L6    an anti-rigid concept must not subsume a rigid one
 
 Every validator check but W1 is a `CheckContext -> list[Diagnostic]`
-function; W1 takes the ontology, because it runs before a closure exists.
+function; W1 takes the ontology, as it runs only when the closure fails.
 A check returns its findings in any order: `validate` sorts them, and
 equal sort keys mean equal findings, so the output depends only on the
 set of findings.
@@ -138,22 +138,18 @@ def check_w2(ctx: CheckContext) -> list[Diagnostic]:
 
 def check_s1(ctx: CheckContext) -> list[Diagnostic]:
     diags = []
-    for g in ctx.facts.grounds:
-        rel = ctx.ontology.relations.get(g.relation)
-        if rel is None:
-            continue
-        bad: list[str] = []
-        for arg, union in zip(g.args, rel.signature):
-            if not any(ctx.facts.has_member(arg, c) for c in union):
-                bad.append(f"'{arg}' is not a {' or '.join(union)}")
-        if bad:
-            axiom = SIGNATURE_AXIOM.get(g.relation)
-            suffix = f" (violates {axiom})" if axiom else ""
-            diags.append(_error(
-                "S1",
-                f"fact {g.render()} violates the signature of "
-                f"{g.relation}: {'; '.join(bad)}{suffix}",
-                ctx.facts.span_of(g), *g.args))
+    for g in ctx.facts.off_signature():
+        rel = ctx.ontology.relations[g.relation]
+        bad = [f"'{arg}' is not a {' or '.join(union)}"
+               for arg, union in zip(g.args, rel.signature)
+               if not any(ctx.facts.has_member(arg, c) for c in union)]
+        axiom = SIGNATURE_AXIOM.get(g.relation)
+        suffix = f" (violates {axiom})" if axiom else ""
+        diags.append(_error(
+            "S1",
+            f"fact {g.render()} violates the signature of "
+            f"{g.relation}: {'; '.join(bad)}{suffix}",
+            ctx.facts.span_of(g), *g.args))
     return diags
 
 
@@ -261,8 +257,6 @@ def check_labels(ctx: CheckContext) -> list[Diagnostic]:
         if ontology.annotation_value(c, AXIS_RIGIDITY) == "rigid"
         and ontology.annotation_value(c, AXIS_IDENTITY) == "carries")
     for lb in ontology.labels.values():
-        if lb.concept not in ontology.concepts:
-            continue  # load error already reported
         if lb.primitive == "Task" and not closure.subsumes(kernel.REASONING, lb.concept):
             diags.append(_error(
                 "A7",
@@ -432,11 +426,10 @@ VALIDATOR_CODES: tuple[str, ...] = tuple(info.code for info, _ in _VALIDATOR_CHE
 
 def validate(ontology: Ontology) -> list[Diagnostic]:
     """Run every check; the findings sorted by `Diagnostic.sort_key`."""
-    w1 = check_w1(ontology)
-    if w1:
-        # Closure-dependent checks need an acyclic taxonomy.
-        return sort_diagnostics(w1)
-    closure = compute_closure(ontology)
+    try:
+        closure = compute_closure(ontology)
+    except ValueError:  # a cycle: closure-dependent checks need an acyclic taxonomy
+        return sort_diagnostics(check_w1(ontology))
     facts = saturate(ontology, closure)
     ctx = CheckContext(ontology, closure, facts)
     diags: list[Diagnostic] = []

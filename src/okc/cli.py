@@ -118,12 +118,11 @@ def _cmd_compile(args, stdout: TextIO, stderr: TextIO) -> int:
     try:
         bundle, compile_diags = compile_bundle(onto, snapshot)
     except CompileRefusedError as err:
-        _emit_diagnostics(sort_diagnostics(diags + err.diagnostics), args.format, stderr)
+        _emit_diagnostics(err.diagnostics, args.format, stderr)
         return EXIT_ERRORS
-    diags = sort_diagnostics(diags + compile_diags)
-    _emit_diagnostics(diags, args.format, stderr)
+    _emit_diagnostics(compile_diags, args.format, stderr)
     emit_bundle(bundle, args.out)
-    return _exit_for(diags, args.werror)
+    return _exit_for(compile_diags, args.werror)
 
 
 def _cmd_explain(args, stdout: TextIO, stderr: TextIO) -> int:
@@ -131,15 +130,15 @@ def _cmd_explain(args, stdout: TextIO, stderr: TextIO) -> int:
     if onto is None:
         _emit_diagnostics(diags, "text", stderr)
         return EXIT_ERRORS
-    cycles = check_w1(onto)
-    if cycles:
-        _emit_diagnostics(cycles, "text", stderr)
+    try:
+        closure = compute_closure(onto)
+    except ValueError:  # a cycle, which W1 reports
+        _emit_diagnostics(check_w1(onto), "text", stderr)
         return EXIT_ERRORS
     if args.instance not in onto.instances:
         raise _UsageError(f"instance '{args.instance}' is not declared in {args.file}")
     component = instance_component(onto, args.instance)
-    facts = saturate(component, compute_closure(onto))
-    stdout.write(explain_instance(component, facts, args.instance))
+    stdout.write(explain_instance(component, saturate(component, closure), args.instance))
     return EXIT_CLEAN
 
 

@@ -44,11 +44,11 @@ memberships are in; no later membership adds one:
   and IdaConcept, which they require.
 
 Both evaluators are exact:
-- R-up is the only rule that derives a ground fact, and its premise is
-  a ground fact.  Members never enqueue grounds, so a FIFO queue over
-  the grounds alone records the ground derivations the full queue
-  records, and `saturate` keeps those (S1, S2, A13 and R13 cite their
-  spans).
+- R-up alone derives ground facts, each from one fact below along one
+  particularization edge, so `FactBase` reads them through `_RuleTable`'s
+  edges instead of storing them.  The FIFO engine derives one first from
+  the asserted fact in the nearest relation below, the least `Fact.key()`
+  among equals, and `span_of` follows that rule.
 - Rules join entries only through the arguments of asserted facts, so
   the entries of one component (instances linked by facts, with those
   facts) never meet another component's in a rule body, and the queue
@@ -64,7 +64,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import kernel
-from .model import Ontology, SourceSpan, direct_supers
+from .model import Fact, Ontology, SourceSpan, direct_supers
 
 
 class SubsumptionClosure:
@@ -122,7 +122,7 @@ def compute_closure(ontology: Ontology) -> SubsumptionClosure:
     Concepts are visited in topological order (Kahn), parents before
     children, so depth costs no stack; each concept's ancestor bitset is
     its own bit joined with its parents' bitsets.  No descendant sets are
-    kept.  The taxonomy must be acyclic: `check_w1` runs first.
+    kept.  A cycle stalls the order and raises ValueError; `check_w1` names it.
     """
     names = sorted(ontology.concepts)
     parents = {n: sorted({p for p in direct_supers(ontology.concepts[n])
@@ -262,13 +262,15 @@ class _RuleTable:
            kernel.REL_RESULT: ("D4", kernel.RESULT)}
 
     def __init__(self, ontology: Ontology) -> None:
-        # R-up: relation -> (parent, parent is temporal, trace note)
+        # R-up: relation -> (parent, parent is temporal, trace note); r_down reverses it
         self.r_up: dict[str, tuple[str, bool, str]] = {}
+        self.r_down: dict[str, list[str]] = {}
         for rel in ontology.relations.values():
             parent = ontology.relations.get(rel.particularizes)
             if parent is not None and (rel.temporal or not parent.temporal):
                 self.r_up[rel.name] = (parent.name, parent.temporal,
                                        f"{rel.name} particularizes {parent.name}")
+                self.r_down.setdefault(parent.name, []).append(rel.name)
         # D5: covered concept -> (feeding relation, role), data roles first, by name
         self.d5: dict[str, list[tuple[str, str]]] = {}
         for c in sorted(ontology.role_definitions(), key=lambda d: (d.definition.mode, d.name)):
@@ -316,27 +318,38 @@ def _bit_names(names: tuple[str, ...], bits: int) -> Iterator[str]:
 class FactBase:
     """Memberships and ground facts closed under the rule set.
 
-    An instance's memberships are one integer bitset over the closure's
-    concept bits.  Every ground fact is listed once under each of its
-    argument positions, keyed by (relation, position, value), so the
-    rule bodies and checks join on one bucket instead of scanning a
-    relation.  Ground derivations are kept as the fixpoint is computed;
-    `trace` builds the rest on first read.
+    An instance's memberships are one bitset over the closure's concept
+    bits.  Each asserted fact is stored once, by relation; `facts_of` and
+    each (relation, position) index of `facts_with` map facts up R-up on
+    first read, and `grounds` materialises every fact, for explain only.
     """
 
-    def __init__(self, ontology: Ontology, closure: SubsumptionClosure) -> None:
+    def __init__(self, ontology: Ontology, closure: SubsumptionClosure,
+                 rules: _RuleTable) -> None:
         self._ontology = ontology
         self._closure = closure
+        self._rules = rules
         self._bits: dict[str, int] = {}  # instance -> concept bitset
-        self.grounds: set[Ground] = set()
-        self._r_up: dict[Ground, Derivation] = {}  # derivations of derived grounds
-        self._by_rel: dict[str, set[Ground]] = {}
-        self._by_arg: dict[tuple[str, int, str], list[Ground]] = {}
+        self._asserted: dict[str, list[Ground]] = {}
+        for key in ontology.facts:  # a fact's key is (relation, args, time)
+            self._asserted.setdefault(key[0], []).append(Ground(*key))
+        self._of: dict[str, set[Ground]] = {}
+        self._index: dict[tuple[str, int], dict[str, list[Ground]]] = {}
+        self._masks = {r.name: tuple(closure.mask(union) for union in r.signature)
+                       for r in ontology.relations.values()}
+        # relation -> the distinct signature masks of it and the relations above
+        self._masks_above: dict[Optional[str], frozenset] = {None: frozenset()}
 
     @cached_property
     def members(self) -> set[Member]:
         decode = self._closure._decode
         return {Member(i, c) for i, bits in self._bits.items() for c in decode(bits)}
+
+    @cached_property
+    def grounds(self) -> set[Ground]:
+        """Every ground fact, asserted or derived."""
+        return {up for asserted in self._asserted.values() for g in asserted
+                for up in self._r_up_chain(g)}
 
     @cached_property
     def disjoint_instances(self) -> dict[str, set[str]]:
@@ -370,46 +383,83 @@ class FactBase:
         return self._closure._decode(self._bits.get(instance, 0))
 
     def facts_of(self, relation: str) -> set[Ground]:
-        return self._by_rel.get(relation, set())
+        """The facts of `relation` and, mapped up, of every relation below it."""
+        out = self._of.get(relation)
+        if out is None:
+            out = self._of[relation] = set(self._asserted.get(relation, ()))
+            keep = getattr(self._ontology.relations.get(relation), "temporal", False)
+            below = list(self._rules.r_down.get(relation, ()))
+            for lower in below:  # grows while it is walked; E7 refuses cycles
+                below.extend(self._rules.r_down.get(lower, ()))
+                out.update(Ground(relation, g.args, g.time if keep else None)
+                           for g in self._asserted.get(lower, ()))
+        return out
 
     def facts_with(self, relation: str, position: int, value: str) -> Sequence[Ground]:
         """Facts of `relation` whose argument at `position` is `value`."""
-        return self._by_arg.get((relation, position, value), ())
+        index = self._index.get((relation, position))
+        if index is None:
+            index = self._index[relation, position] = {}
+            for g in self.facts_of(relation):
+                index.setdefault(g.args[position], []).append(g)
+        return index.get(value, ())
 
     def span_of(self, g: Ground) -> SourceSpan:
-        """Span of the asserted fact that `g` is or derives from by R-up."""
-        facts = self._ontology.facts
-        while g not in facts:  # a Ground equals its fact's key
-            g = self._r_up[g].premises[0]
-        return facts[g].span
+        """Span of the asserted fact `g` is, or else of the one in the nearest
+        relation below that R-up maps to `g`, the least key among equals."""
+        fact = self._ontology.facts.get(g)  # a Ground equals its fact's key
+        if fact is None:
+            _, _, fact = min((steps, f.key(), f) for f in self._derivers[g.args]
+                             for steps, up in enumerate(self._r_up_chain(Ground(*f.key())))
+                             if up == g)
+        return fact.span
 
-    # -- the least fixpoint
+    def off_signature(self) -> Iterator[Ground]:
+        """Each ground with an argument outside its relation's signature, once; an
+        asserted fact is tested per distinct signature on its chain, one `&` per argument."""
+        bits, seen = self._bits, set()
+        for relation, asserted in self._asserted.items():
+            for masks in self._signatures_above(relation):
+                for g in asserted:
+                    if not all(bits.get(arg, 0) & mask for arg, mask in zip(g.args, masks)):
+                        for up in self._r_up_chain(g):
+                            if up not in seen and self._masks[up.relation] == masks:
+                                seen.add(up)
+                                yield up
 
-    def _add_ground(self, g: Ground) -> None:
-        self.grounds.add(g)
-        self._by_rel.setdefault(g.relation, set()).add(g)
-        for position, value in enumerate(g.args):
-            self._by_arg.setdefault((g.relation, position, value), []).append(g)
+    def _r_up_chain(self, g: Ground) -> Iterator[Ground]:
+        """`g`, then each fact R-up derives from it, nearest first."""
+        yield g
+        while g.relation in self._rules.r_up:
+            parent, temporal, _ = self._rules.r_up[g.relation]
+            g = Ground(parent, g.args, g.time if temporal else None)
+            yield g
 
-    def _close_grounds(self, rules: _RuleTable) -> None:
-        """R-up as a FIFO queue over the ground facts alone."""
-        queue = [Ground(f.relation, f.args, f.time)
-                 for f in sorted(self._ontology.facts.values(), key=lambda f: f.key())]
-        for g in queue:
-            self._add_ground(g)
-        for g in queue:  # grows while it is walked
-            edge = rules.r_up.get(g.relation)
-            if edge is not None:
-                parent, temporal, note = edge
-                derived = Ground(parent, g.args, g.time if temporal else None)
-                if derived not in self.grounds:
-                    self._add_ground(derived)
-                    self._r_up[derived] = Derivation("R-up", (g,), note)
-                    queue.append(derived)
+    @cached_property
+    def _derivers(self) -> dict[tuple[str, ...], list[Fact]]:
+        """Arguments -> the asserted facts on them."""
+        out: dict[tuple[str, ...], list[Fact]] = {}
+        for f in self._ontology.facts.values():
+            out.setdefault(f.args, []).append(f)
+        return out
 
-    def _close_members(self, rules: _RuleTable) -> None:
+    def _signatures_above(self, relation: str) -> frozenset[tuple[int, ...]]:
+        """Memoized per relation from its parent's, so a chain costs its length once."""
+        memo, path = self._masks_above, []
+        while relation not in memo:
+            path.append(relation)
+            relation = self._rules.r_up.get(relation, (None,))[0]
+        above = memo[relation]
+        for rel in reversed(path):
+            own = self._masks[rel]
+            memo[rel] = above = above if own in above else above | {own}
+        return above
+
+    # -- the least fixpoint of the memberships
+
+    def _close_members(self) -> None:
         """M-up is a union with an ancestor bitset; D5 and D6 fire from a worklist."""
-        onto, closure = self._ontology, self._closure
+        onto, closure, rules = self._ontology, self._closure, self._rules
         bit, up, names, bits = closure._bit, closure._up, closure._names, self._bits
         work: list[str] = []
 
@@ -452,10 +502,8 @@ class FactBase:
 
 def saturate(ontology: Ontology, closure: SubsumptionClosure) -> FactBase:
     """Least fixpoint of the rule set over the asserted instance level."""
-    facts = FactBase(ontology, closure)
-    rules = _RuleTable(ontology)
-    facts._close_grounds(rules)
-    facts._close_members(rules)
+    facts = FactBase(ontology, closure, _RuleTable(ontology))
+    facts._close_members()
     return facts
 
 

@@ -683,3 +683,59 @@ def random_role_model(seed: int):
     onto, diags = merge_with_kernel(decls)
     assert onto is not None, [d.render() for d in diags]
     return onto
+
+
+def particularization_source(seed: int) -> str:
+    """Random forest of binary relations particularizing one another.
+
+    Roots are kernel relations or user relations; each step is
+    temporal->temporal, temporal->atemporal or atemporal->temporal (which
+    R-up does not cross) at random, chains branch, and signatures vary so
+    that some facts fall outside their own or an ancestor's.  Facts on a
+    few shared argument pairs, at several times, make several facts map
+    to one ancestor fact.
+    """
+    rng = random.Random(f"particularization-{seed}")
+    lines = ["concept Ponder specializes Reasoning"]
+    temporal = {"PC": True, "isAffectedBy": False, "isDataOf": False, "isAgentOf": False}
+    relations = list(temporal)
+    for i in range(rng.randint(0, 2)):
+        name = f"U{i}"
+        temporal[name] = rng.random() < 0.5
+        relations.append(name)
+        lines.append(f"relation {name} signature (ED | PD, PD)"
+                     + (" temporal" if temporal[name] else ""))
+    unions = ["ED", "PD", "Content", "Model | Ponder", "ED | PD", "AC", "APO | Content"]
+    for i in range(rng.randint(2, 10)):
+        name, parent = f"P{i}", rng.choice(relations)
+        temporal[name] = rng.random() < 0.5
+        signature = ", ".join(rng.choice(unions) for _ in range(2))
+        lines.append(f"relation {name} particularizes {parent} signature ({signature})"
+                     + (" temporal" if temporal[name] else ""))
+        relations.append(name)
+    instances = [f"x{i}" for i in range(rng.randint(2, 7))]
+    kinds = ["Model", "Ponder", "APO", "Document", "EV"]
+    lines += [f"instance {x} : {rng.choice(kinds)}" for x in instances]
+    pairs = [tuple(rng.sample(instances, 2)) for _ in range(rng.randint(1, 3))]
+    facts = set()
+    for _ in range(rng.randint(1, 14)):
+        rel = rng.choice(relations[4:] or relations)
+        x, y = rng.choice(pairs) if rng.random() < 0.7 else rng.sample(instances, 2)
+        facts.add(f"fact {rel}({x}, {y}" + (f", {rng.randint(0, 2)})" if temporal[rel] else ")"))
+    return "\n".join(lines + sorted(facts)) + "\n"
+
+
+def particularization_model(seed: int):
+    onto, diags = load_source(particularization_source(seed))
+    assert onto is not None, [d.render() for d in diags]
+    return onto
+
+
+def r_up_chain_source(n: int) -> str:
+    """n relations, each particularizing the last, and one fact on the
+    lowest for each of n instances: R-up derives n * n facts."""
+    lines = [f"instance x{i:05d} : Model" for i in range(n)]
+    lines += [f"relation R{i:05d} "
+              f"{f'particularizes R{i - 1:05d} ' if i else ''}signature (ED)" for i in range(n)]
+    lines += [f"fact R{n - 1:05d}(x{i:05d})" for i in range(n)]
+    return "\n".join(lines) + "\n"

@@ -19,6 +19,7 @@ from helpers import (
     random_label_model,
     random_saturation_model,
     random_shared_model,
+    r_up_chain_source,
     role_fan_in_source,
     shared_operand_source,
     wide_disjointness_source,
@@ -315,6 +316,17 @@ def assert_coded_outcomes(tmp_path, model: str, instance: str) -> dict:
         assert codes <= set(REGISTRY), (argv, codes)
         outcomes[argv[0]] = (code, out, err)
     return outcomes
+
+
+def test_five_thousand_relation_r_up_chain_ends_in_exit_codes(tmp_path):
+    # R-up derives 25 million facts from the 5,000 asserted on the lowest relation.
+    model = tmp_path / "r_up_chain.oks"
+    model.write_text(r_up_chain_source(5_000), encoding="utf-8")
+    outcomes = assert_coded_outcomes(tmp_path, str(model), "x00000")
+    code, _, err = outcomes["check"]
+    assert code == 0 and {f["code"] for f in json.loads(err)} == {"Ad35"}
+    code, out, _ = outcomes["explain"]
+    assert code == 0 and out.count("  [R-up] from ") == 4_999
 
 
 def test_ten_thousand_participants_of_one_action(tmp_path):

@@ -11,6 +11,7 @@ from helpers import (
     load_corpus_file,
     load_source,
     naive_saturate,
+    particularization_model,
     random_loadable_model,
     random_saturation_model,
     random_shared_model,
@@ -372,6 +373,7 @@ FIXPOINT_MODELS = {
     "role_web_model": (role_web_model, range(60)),
     "shared_temporal_model": (lambda seed: shared_temporal_model(seed)[0], range(60)),
     "corpus": (load_corpus_file, ("car_diagnosis.oks", "calibration.oks", "a4_a5_a6.oks")),
+    "particularization_model": (particularization_model, range(200)),
 }
 
 
@@ -380,9 +382,12 @@ def assert_fixpoint_matches_engine(onto, what) -> None:
     trace = _Engine(onto).run()
     assert facts.members == {e for e in trace if isinstance(e, Member)}, what
     assert facts.grounds == {e for e in trace if isinstance(e, Ground)}, what
-    derived_grounds = {e: d for e, d in trace.items()
-                       if isinstance(e, Ground) and d.rule != RULE_ASSERTED}
-    assert facts._r_up == derived_grounds, what
+    for g in facts.grounds:  # span_of follows the trace's R-up premises
+        source = g
+        while trace[source].rule != RULE_ASSERTED:
+            assert trace[source].rule == "R-up", what
+            source = trace[source].premises[0]
+        assert facts.span_of(g) == onto.facts[source].span, (what, g)
 
 
 @pytest.mark.parametrize("family", sorted(FIXPOINT_MODELS))
@@ -390,6 +395,24 @@ def test_fixpoint_matches_traced_engine(family):
     build, seeds = FIXPOINT_MODELS[family]
     for seed in seeds:
         assert_fixpoint_matches_engine(build(seed), (family, seed))
+
+
+@pytest.mark.parametrize("family", sorted(FIXPOINT_MODELS))
+def test_fact_reads_match_naive_saturation(family):
+    build, seeds = FIXPOINT_MODELS[family]
+    for seed in seeds:
+        onto = build(seed)
+        facts = saturate(onto, compute_closure(onto))
+        _, grounds = naive_saturate(onto, random.Random(seed))
+        for rel in sorted(onto.relations.values(), key=lambda r: r.name):
+            expected = {Ground(*g) for g in grounds if g[0] == rel.name}
+            assert facts.facts_of(rel.name) == expected, (family, seed, rel.name)
+            for position in range(rel.arity):
+                for value in sorted({g.args[position] for g in expected} | {"nobody"}):
+                    found = facts.facts_with(rel.name, position, value)
+                    assert sorted(found) == sorted(
+                        g for g in expected if g.args[position] == value), (family, seed)
+        assert "grounds" not in facts.__dict__, (family, seed)
 
 
 def test_trace_is_built_on_first_read_only(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,8 @@ from helpers import (
     all_codes,
     check_source,
     error_codes,
+    load_corpus_file,
+    particularization_model,
     random_saturation_model,
     random_shared_model,
     random_taxonomy,
@@ -20,10 +23,13 @@ from helpers import (
 )
 
 from okc.checks import (
+    _VALIDATOR_CHECKS,
     REGISTRY,
     VALIDATOR_CODES,
+    SIGNATURE_AXIOM,
     CheckContext,
     check_labels,
+    check_s1,
     check_s2,
     check_temporal_participation,
     check_w2,
@@ -40,7 +46,7 @@ from okc.model import (
     SourceSpan,
     direct_supers,
 )
-from okc.reasoner import compute_closure, saturate
+from okc.reasoner import RULE_ASSERTED, compute_closure, saturate
 
 
 def test_kernel_has_no_findings():
@@ -257,6 +263,55 @@ def test_s2_matches_a_scan_of_every_ground(seed):
         for d in found:  # grounded at an asserted fact on the same arguments
             assert d.span in {f.span for f in onto.facts.values() if f.args == d.subjects}
     assert expected, seed  # the shared model always misses some witness
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_s1_matches_a_signature_scan_of_every_ground(seed):
+    """S1 tests masks per distinct signature of a chain; a test of every
+    materialised ground, grounded through its trace, gives the same findings."""
+    total = 0
+    for onto in (particularization_model(seed), random_saturation_model(seed),
+                 random_shared_model(seed)):
+        closure = compute_closure(onto)
+        facts = saturate(onto, closure)
+        found = Counter((d.message, d.span, d.subjects)
+                        for d in check_s1(CheckContext(onto, closure, facts)))
+        expected = Counter()
+        for g in facts.grounds:
+            rel = onto.relations[g.relation]
+            bad = [f"'{arg}' is not a {' or '.join(union)}"
+                   for arg, union in zip(g.args, rel.signature)
+                   if not set(union) & facts.concepts_of(arg)]
+            if bad:
+                source = g
+                while facts.trace[source].rule != RULE_ASSERTED:
+                    source = facts.trace[source].premises[0]
+                axiom = SIGNATURE_AXIOM.get(g.relation)
+                expected[(f"fact {g.render()} violates the signature of {g.relation}: "
+                          f"{'; '.join(bad)}" + (f" (violates {axiom})" if axiom else ""),
+                          onto.facts[source].span, g.args)] += 1
+        assert found == expected, seed
+        total += sum(found.values())
+    assert total, seed
+
+
+@pytest.mark.parametrize("family", ["corpus", "particularization", "saturation"])
+def test_checks_never_materialise_every_ground(family):
+    models = {
+        "corpus": lambda: [load_corpus_file(name) for name in
+                           ("car_diagnosis.oks", "calibration.oks", "a4_a5_a6.oks")],
+        "particularization": lambda: [particularization_model(seed) for seed in range(40)],
+        "saturation": lambda: [random_saturation_model(seed) for seed in range(40)],
+    }[family]()
+    for onto in models:
+        closure = compute_closure(onto)
+        ctx = CheckContext(onto, closure, saturate(onto, closure))
+        for _, fn in _VALIDATOR_CHECKS:
+            if fn is not None:
+                fn(ctx)
+        check_temporal_participation(ctx)
+        check_labels(ctx)
+        assert "grounds" not in ctx.facts.__dict__
 
 
 def test_user_annotation_conflicts_are_e6():
