@@ -11,14 +11,13 @@ domain model additionally carries the plays-links derived from
 conjunction definitions (type -> material role) and the user relations
 whose signature concepts all live in the domain model.
 
-Emission writes `domain.json`, `inference.json` and `task.json` with
-sorted keys, two-space indentation and LF endings; files are written to
-a temporary name and renamed into place.  The bytes equal those of
-`json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)`, but
-`canonical_json` renders them itself: every reasoning concept lists the
-role records it inherits, so one record recurs under many concepts, and
-`documents` shares one dict per record, which is rendered once per
-indentation depth and reused.
+Emission streams `domain.json`, `inference.json` and `task.json` to a
+temporary name, one item of a top-level list at a time, and renames each
+into place.  The bytes equal those of `json.dumps(doc, indent=2,
+sort_keys=True, ensure_ascii=False)`.  Every reasoning concept lists the
+role records it inherits, so one record recurs under many concepts;
+`documents` shares one dict per record, and only these shared dicts are
+memoized, rendered once per indentation depth.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import os
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .model import (
     Conjunction,
@@ -140,10 +139,10 @@ class ModelBundle(NamedTuple):
         """Everything except the snapshot time, for equality over content."""
         return self[1:]
 
-    def documents(self) -> dict[str, dict]:
-        """The three documents; equal role records share one dict."""
+    def documents(self, role_docs: Optional[dict[RoleRecord, dict]] = None) -> dict[str, dict]:
+        """The three documents; equal role records share one dict, kept in `role_docs`."""
         common = {"schema_version": SCHEMA_VERSION, "snapshot_time": self.snapshot_time}
-        role_docs: dict[RoleRecord, dict] = {}
+        role_docs = {} if role_docs is None else role_docs
         return {
             "domain.json": {
                 **common,
@@ -302,14 +301,40 @@ def canonical_json(value: object, memo: Optional[dict[tuple[int, int], str]] = N
     """`json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)`
     for the types a bundle holds: dict, list, str, int and bool.
 
-    Each dict is rendered once per depth: `memo` maps (id, depth) to its
-    text, so a dict that occurs twice at one depth is reused.  Pass one
-    memo only while the values it was filled from are alive.
+    A dict that occurs more than once in `value` is rendered once per
+    depth: `memo` maps its (id, depth) to its text and holds no other
+    dict.  Pass one memo only while the values it was filled from are alive.
     """
-    return _render(value, 0, {} if memo is None else memo)
+    seen: set[int] = set()
+    shared: set[int] = set()
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            (shared if id(item) in seen else seen).add(id(item))
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            stack.extend(item)
+    return "".join(_pieces(value, {} if memo is None else memo, shared))
 
 
-def _render(value: object, depth: int, memo: dict[tuple[int, int], str]) -> str:
+def _pieces(value: object, memo: dict[tuple[int, int], str], shared: set[int]) -> Iterator[str]:
+    """The text of `value`, one item of a list in a top-level dict at a time."""
+    if not isinstance(value, dict) or not value:
+        yield _render(value, 0, memo, shared)
+        return
+    for n, key in enumerate(sorted(value)):
+        head, item = ("{" if n == 0 else ",") + "\n  " + encode_basestring(key) + ": ", value[key]
+        if isinstance(item, list) and item:
+            for i, element in enumerate(item):
+                yield (head + "[" if i == 0 else ",") + "\n    " + _render(element, 2, memo, shared)
+            yield "\n  ]"
+        else:
+            yield head + _render(item, 1, memo, shared)
+    yield "\n}"
+
+
+def _render(value: object, depth: int, memo: dict[tuple[int, int], str], shared: set[int]) -> str:
     if isinstance(value, str):
         return encode_basestring(value)
     if isinstance(value, dict):
@@ -319,16 +344,18 @@ def _render(value: object, depth: int, memo: dict[tuple[int, int], str]) -> str:
         text = memo.get(key)
         if text is None:
             inner = "\n" + "  " * (depth + 1)
-            text = memo[key] = "{" + inner + ("," + inner).join([
-                encode_basestring(k) + ": " + _render(value[k], depth + 1, memo)
+            text = "{" + inner + ("," + inner).join([
+                encode_basestring(k) + ": " + _render(value[k], depth + 1, memo, shared)
                 for k in sorted(value)]) + "\n" + "  " * depth + "}"
+            if id(value) in shared:
+                memo[key] = text
         return text
     if isinstance(value, list):
         if not value:
             return "[]"
         inner = "\n" + "  " * (depth + 1)
         return "[" + inner + ("," + inner).join([
-            _render(item, depth + 1, memo) for item in value]) + "\n" + "  " * depth + "]"
+            _render(item, depth + 1, memo, shared) for item in value]) + "\n" + "  " * depth + "]"
     if value is True:
         return "true"
     if value is False:
@@ -339,23 +366,24 @@ def _render(value: object, depth: int, memo: dict[tuple[int, int], str]) -> str:
 
 
 def emit_bundle(bundle: ModelBundle, directory: Path | str) -> list[Path]:
-    """Write the three bundle documents; byte-identical for equal bundles."""
+    """Stream the three bundle documents to files; byte-identical for equal bundles."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    documents = bundle.documents()
+    role_docs: dict[RoleRecord, dict] = {}
+    documents = bundle.documents(role_docs)
+    shared = {id(doc) for doc in role_docs.values()}
     memo: dict[tuple[int, int], str] = {}
     for filename, doc in documents.items():
-        payload = canonical_json(doc, memo) + "\n"
         target = directory / filename
         tmp = directory / f".{filename}.tmp-{os.getpid()}"
         try:
-            tmp.write_text(payload, encoding="utf-8", newline="\n")
+            with open(tmp, "w", encoding="utf-8", newline="\n") as out:
+                out.writelines(_pieces(doc, memo, shared))
+                out.write("\n")
             os.replace(tmp, target)
         except OSError as err:
             raise OSError(f"cannot write bundle file {target}: {err}") from err
         finally:
             if tmp.exists():  # pragma: no cover - only on failed replace
                 tmp.unlink()
-        written.append(target)
-    return written
+    return [directory / filename for filename in documents]

@@ -246,6 +246,18 @@ class InstanceDecl(NamedTuple):
         return ("instance", frozenset(self.concepts))
 
 
+class Ground(NamedTuple):
+    """A fact without origin or span; unlike the records, it equals a plain tuple."""
+
+    relation: str
+    args: tuple[str, ...]
+    time: Optional[int]
+
+    def render(self) -> str:
+        parts = list(self.args) + ([] if self.time is None else [str(self.time)])
+        return f"{self.relation}({', '.join(parts)})"
+
+
 @_record
 class Fact(NamedTuple):
     """Ground relational fact; `time` present iff the relation is temporal."""
@@ -256,9 +268,9 @@ class Fact(NamedTuple):
     origin: Origin = Origin.USER
     span: SourceSpan = KERNEL_SPAN
 
-    def key(self) -> tuple:
-        # A plain tuple: it equals the reasoner's Ground of the same fact.
-        return (self.relation, self.args, self.time)
+    def key(self) -> Ground:
+        # Filed by the loader, kept by the fact base; tuple.__new__ skips Ground's Python __new__.
+        return tuple.__new__(Ground, (self.relation, self.args, self.time))
 
 
 @_record
@@ -290,7 +302,7 @@ class Ontology:
         instances: dict[str, InstanceDecl],
         annotations: dict[str, dict[str, AnnotationDecl]],
         labels: dict[tuple[str, str, int], MetaLabel],
-        facts: dict[tuple, Fact],
+        facts: dict[Ground, Fact],
         disjoints: dict[tuple[str, str], DisjointDecl],
     ):
         self.concepts = concepts

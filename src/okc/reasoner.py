@@ -64,7 +64,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import kernel
-from .model import Fact, Ontology, SourceSpan, direct_supers
+from .model import Fact, Ground, Ontology, SourceSpan, direct_supers
 
 
 class SubsumptionClosure:
@@ -219,16 +219,6 @@ class Member(NamedTuple):
         return f"{self.instance} : {self.concept}"
 
 
-class Ground(NamedTuple):
-    relation: str
-    args: tuple[str, ...]
-    time: Optional[int]
-
-    def render(self) -> str:
-        parts = list(self.args) + ([] if self.time is None else [str(self.time)])
-        return f"{self.relation}({', '.join(parts)})"
-
-
 Entry = Union[Member, Ground]
 
 RULE_ASSERTED = "asserted"
@@ -331,8 +321,8 @@ class FactBase:
         self._rules = rules
         self._bits: dict[str, int] = {}  # instance -> concept bitset
         self._asserted: dict[str, list[Ground]] = {}
-        for key in ontology.facts:  # a fact's key is (relation, args, time)
-            self._asserted.setdefault(key[0], []).append(Ground(*key))
+        for key in ontology.facts:  # a fact's key is its Ground
+            self._asserted.setdefault(key.relation, []).append(key)
         self._of: dict[str, set[Ground]] = {}
         self._index: dict[tuple[str, int], dict[str, list[Ground]]] = {}
         self._masks = {r.name: tuple(closure.mask(union) for union in r.signature)
@@ -407,10 +397,10 @@ class FactBase:
     def span_of(self, g: Ground) -> SourceSpan:
         """Span of the asserted fact `g` is, or else of the one in the nearest
         relation below that R-up maps to `g`, the least key among equals."""
-        fact = self._ontology.facts.get(g)  # a Ground equals its fact's key
+        fact = self._ontology.facts.get(g)
         if fact is None:
             _, _, fact = min((steps, f.key(), f) for f in self._derivers[g.args]
-                             for steps, up in enumerate(self._r_up_chain(Ground(*f.key())))
+                             for steps, up in enumerate(self._r_up_chain(f.key()))
                              if up == g)
         return fact.span
 
@@ -634,7 +624,7 @@ class _Engine:
 def instance_component(ontology: Ontology, instance: str) -> Ontology:
     """`ontology` cut down to the instances linked to `instance` through
     asserted facts, directly or not, and to those facts."""
-    facts_by_arg: dict[str, list[tuple]] = {}
+    facts_by_arg: dict[str, list[Ground]] = {}
     for key, fact in ontology.facts.items():
         for arg in fact.args:
             facts_by_arg.setdefault(arg, []).append(key)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
 from helpers import (
+    REPO_ROOT,
     effective_labels_oracle,
     load_corpus_file,
     load_source,
@@ -321,6 +323,30 @@ def test_emitted_bundles_equal_json_dumps(tmp_path):
             expected = _dumps(doc) + "\n"
             assert canonical_json(doc) + "\n" == expected
             assert (tmp_path / str(i) / name).read_text(encoding="utf-8") == expected
+
+
+def test_emission_stays_small_and_exact(tmp_path, monkeypatch):
+    """Emission writes each document as it renders it, so its memory stays
+    below the bundle's size although every role record recurs under many
+    concepts; a whole-document string alone would be as large."""
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    import families
+
+    onto, _ = load_source(families.taxonomy_file(1, n=800).text)
+    bundle = compile_bundle(onto, onto.max_label_time())[0]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        written = emit_bundle(bundle, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(path.stat().st_size for path in written)
+    documents = bundle.documents()
+    assert [path.name for path in written] == list(documents)
+    for path in written:
+        assert path.read_text(encoding="utf-8") == _dumps(documents[path.name]) + "\n"
 
 
 def test_negative_snapshot_rejected(car_ontology):
