@@ -14,7 +14,7 @@ from .model import (
     Ontology,
     Severity,
     SourceSpan,
-    add_declaration,
+    load,
 )
 from .reasoner import (
     FactBase,
@@ -36,7 +36,6 @@ __all__ = [
     "Severity",
     "SourceSpan",
     "SubsumptionClosure",
-    "add_declaration",
     "check_labels",
     "check_temporal_participation",
     "compile_bundle",
@@ -44,6 +43,7 @@ __all__ = [
     "emit_bundle",
     "explain_instance",
     "kernel_ontology",
+    "load",
     "merge_with_kernel",
     "parse",
     "render",

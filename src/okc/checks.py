@@ -244,6 +244,14 @@ def check_ad35(ctx: CheckContext) -> list[Diagnostic]:
 # --- labeling checks ----------------------------------------------------------
 
 
+# primitive -> (code, required ancestor, plural noun) of its placement rule
+_PLACEMENT: dict[str, tuple[str, str, str]] = {
+    "Task": ("A7", kernel.REASONING, "tasks"),
+    "TransferFunction": ("A8", kernel.COMMUNICATION, "transfer functions"),
+    "Inference": ("L2b", kernel.REASONING, "inferences"),
+}
+
+
 def check_labels(ctx: CheckContext) -> list[Diagnostic]:
     """All per-label constraints (A7, A8, L2b, L3, L4) plus L5 and L6."""
     ontology, closure = ctx.ontology, ctx.closure
@@ -257,26 +265,15 @@ def check_labels(ctx: CheckContext) -> list[Diagnostic]:
         if ontology.annotation_value(c, AXIS_RIGIDITY) == "rigid"
         and ontology.annotation_value(c, AXIS_IDENTITY) == "carries")
     for lb in ontology.labels.values():
-        if lb.primitive == "Task" and not closure.subsumes(kernel.REASONING, lb.concept):
-            diags.append(_error(
-                "A7",
-                f"Task label on '{lb.concept}': only concepts under Reasoning "
-                f"can be tasks",
-                lb.span, lb.concept))
-        elif lb.primitive == "TransferFunction" and \
-                not closure.subsumes(kernel.COMMUNICATION, lb.concept):
-            diags.append(_error(
-                "A8",
-                f"TransferFunction label on '{lb.concept}': only concepts under "
-                f"Communication can be transfer functions",
-                lb.span, lb.concept))
-        elif lb.primitive == "Inference" and \
-                not closure.subsumes(kernel.REASONING, lb.concept):
-            diags.append(_error(
-                "L2b",
-                f"Inference label on '{lb.concept}': only concepts under "
-                f"Reasoning can be inferences",
-                lb.span, lb.concept))
+        placement = _PLACEMENT.get(lb.primitive)
+        if placement is not None:
+            code, ancestor, noun = placement
+            if not closure.subsumes(ancestor, lb.concept):
+                diags.append(_error(
+                    code,
+                    f"{lb.primitive} label on '{lb.concept}': only concepts under "
+                    f"{ancestor} can be {noun}",
+                    lb.span, lb.concept))
         elif lb.primitive in KNOWLEDGE_ROLE_PRIMITIVES:
             failures = _role_preconditions(ontology, closure, lb)
             if failures:

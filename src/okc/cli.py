@@ -138,7 +138,7 @@ def _cmd_explain(args, stdout: TextIO, stderr: TextIO) -> int:
     if args.instance not in onto.instances:
         raise _UsageError(f"instance '{args.instance}' is not declared in {args.file}")
     component = instance_component(onto, args.instance)
-    stdout.write(explain_instance(component, saturate(component, closure), args.instance))
+    stdout.write(explain_instance(saturate(component, closure), args.instance))
     return EXIT_CLEAN
 
 

@@ -21,6 +21,8 @@ and ASO, expressed as the union signature position of `isAgentOf`.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import chain
 from typing import Iterable, Optional
 
 from .model import (
@@ -29,12 +31,12 @@ from .model import (
     Declaration,
     Diagnostic,
     DisjointDecl,
-    Loader,
     Ontology,
     Origin,
     RelationDecl,
     AXIS_DEPENDENCE,
     AXIS_RIGIDITY,
+    load,
 )
 
 # Relation names used by rules and checks.
@@ -115,39 +117,30 @@ _RIGID = ("PT", "ED", "PD", "POB", "NPOB", "MOB", "APO", "ASO", "EV", "STV", "AC
 _PARTICIPATION_ROLES = ("Patient", "Data", "Result")
 
 
-def kernel_declarations() -> list[Declaration]:
-    decls: list[Declaration] = []
-    for name, parents in _CONCEPTS:
-        decls.append(ConceptDecl(name, parents, origin=Origin.KERNEL))
-    for name, parent, signature, temporal in _RELATIONS:
-        decls.append(RelationDecl(
-            name, signature, temporal=temporal, particularizes=parent, origin=Origin.KERNEL))
-    for a, b in _DISJOINT:
-        decls.append(DisjointDecl(a, b, origin=Origin.KERNEL))
-    for name in _RIGID:
-        decls.append(AnnotationDecl(name, AXIS_RIGIDITY, "rigid", origin=Origin.KERNEL))
-    for name in _PARTICIPATION_ROLES:
-        decls.append(AnnotationDecl(name, AXIS_RIGIDITY, "anti-rigid", origin=Origin.KERNEL))
-        decls.append(AnnotationDecl(name, AXIS_DEPENDENCE, "dependent", origin=Origin.KERNEL))
-    return decls
+KERNEL_DECLARATIONS: tuple[Declaration, ...] = (
+    *(ConceptDecl(name, parents, origin=Origin.KERNEL) for name, parents in _CONCEPTS),
+    *(RelationDecl(name, signature, temporal=temporal, particularizes=parent,
+                   origin=Origin.KERNEL)
+      for name, parent, signature, temporal in _RELATIONS),
+    *(DisjointDecl(a, b, origin=Origin.KERNEL) for a, b in _DISJOINT),
+    *(AnnotationDecl(name, AXIS_RIGIDITY, "rigid", origin=Origin.KERNEL) for name in _RIGID),
+    *(decl for name in _PARTICIPATION_ROLES for decl in (
+        AnnotationDecl(name, AXIS_RIGIDITY, "anti-rigid", origin=Origin.KERNEL),
+        AnnotationDecl(name, AXIS_DEPENDENCE, "dependent", origin=Origin.KERNEL))),
+)
 
 
-_KERNEL: Optional[Ontology] = None
-
-
+@cache
 def kernel_ontology() -> Ontology:
     """The kernel as a loaded Ontology (shared immutable instance)."""
-    global _KERNEL
-    if _KERNEL is None:
-        onto, diags = Loader().add_all(kernel_declarations()).finalize()
-        if onto is None:  # pragma: no cover - would be a packaging bug
-            raise RuntimeError(f"kernel failed to load: {[d.render() for d in diags]}")
-        _KERNEL = onto
-    return _KERNEL
+    onto, diags = load(KERNEL_DECLARATIONS)
+    if onto is None:  # pragma: no cover - would be a packaging bug
+        raise RuntimeError(f"kernel failed to load: {[d.render() for d in diags]}")
+    return onto
 
 
 def merge_with_kernel(
     decls: Iterable[Declaration],
 ) -> tuple[Optional[Ontology], list[Diagnostic]]:
     """Graft user declarations onto the kernel; kernel names stay fixed."""
-    return Loader(kernel_ontology()).add_all(decls).finalize()
+    return load(chain(KERNEL_DECLARATIONS, decls))

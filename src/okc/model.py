@@ -1,11 +1,10 @@
 """In-memory ontology model: declarations, labels, facts, diagnostics.
 
-An Ontology is assembled through a Loader (typically by grafting parsed
-declarations onto the built-in kernel) and is immutable afterwards, so a
-loaded Ontology is safe for concurrent read-only use.  Equality is
-structural over the declared content and ignores source spans; any
-permutation of a declaration set that loads successfully therefore
-produces an equal Ontology.
+`load` resolves a set of declarations into an Ontology (the kernel module
+grafts parsed declarations onto the built-in kernel this way).  A loaded
+Ontology is immutable, so it is safe for concurrent read-only use, and
+any order of the same declarations loads to the same content and the
+same diagnostics.
 
 Identical re-declarations are collapsed silently (set semantics).  The
 one exception is meta-labels: a duplicate (primitive, concept, time)
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, Optional, Union, get_args
+from typing import Iterable, NamedTuple, Optional, Union, get_args
 
 
 class Severity(str, Enum):
@@ -43,13 +42,13 @@ def _record(cls):
     definition would equal a conjunction of the same two names.
     """
 
-    def __eq__(self, other):
+    def equal(self, other):
         return self.__class__ is other.__class__ and tuple.__eq__(self, other)
 
-    def __ne__(self, other):
-        return not __eq__(self, other)
+    def unequal(self, other):
+        return not equal(self, other)
 
-    cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, tuple.__hash__
+    cls.__eq__, cls.__ne__, cls.__hash__ = equal, unequal, tuple.__hash__
     return cls
 
 
@@ -319,10 +318,6 @@ class Ontology:
         decl = self.annotations.get(concept, {}).get(axis)
         return decl.value if decl else None
 
-    def is_kernel(self, name: str) -> bool:
-        decl = self.concepts.get(name) or self.relations.get(name)
-        return decl is not None and decl.origin is Origin.KERNEL
-
     def max_label_time(self) -> int:
         return max((lb.time for lb in self.labels.values()), default=0)
 
@@ -331,37 +326,6 @@ class Ontology:
 
     def conjunctions(self) -> list[ConceptDecl]:
         return [c for c in self.concepts.values() if isinstance(c.definition, Conjunction)]
-
-    def iter_declarations(self) -> Iterator[Declaration]:
-        yield from self.concepts.values()
-        yield from self.relations.values()
-        yield from self.disjoints.values()
-        for per_concept in self.annotations.values():
-            yield from per_concept.values()
-        yield from self.instances.values()
-        yield from self.facts.values()
-        yield from self.labels.values()
-
-    # -- equality (structural, span-insensitive)
-
-    def _snapshot(self) -> tuple:
-        return (
-            {n: (c.content(), c.origin) for n, c in self.concepts.items()},
-            {n: (r.content(), r.origin) for n, r in self.relations.items()},
-            {n: (i.content(), i.origin) for n, i in self.instances.items()},
-            {(c, a): (d.value, d.origin)
-             for c, per in self.annotations.items() for a, d in per.items()},
-            frozenset(self.labels),
-            frozenset(self.facts),
-            frozenset(self.disjoints),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Ontology):
-            return NotImplemented
-        return self._snapshot() == other._snapshot()
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 # --- loading ---------------------------------------------------------------
@@ -406,232 +370,208 @@ def _warning(code: str, message: str, span: SourceSpan, *subjects: str) -> Diagn
     return Diagnostic(Severity.WARNING, code, message, span, subjects)
 
 
-class Loader:
-    """Accumulates declarations, then resolves them into an Ontology.
+def load(decls: Iterable[Declaration]) -> tuple[Optional[Ontology], list[Diagnostic]]:
+    """Resolve declarations into an Ontology, or the errors that refuse them.
 
-    Resolution is two-phase: every declaration is staged first, then
-    names are resolved over the complete set, which makes the result
+    Resolution is two-phase: every declaration is grouped by kind first,
+    then names are resolved over the complete set, which makes the result
     independent of declaration order.  Every finding of a load is an error.
     """
+    diags: list[Diagnostic] = []
+    staged: dict[type, list] = {kind: [] for kind in get_args(Declaration)}
+    for d in decls:
+        staged[type(d)].append(d)
 
-    def __init__(self, base: Optional[Ontology] = None):
-        self._staged: list[Declaration] = []
-        if base is not None:
-            self._staged.extend(base.iter_declarations())
+    concepts = _collapse_named(staged[ConceptDecl], diags)
+    relations = _collapse_named(staged[RelationDecl], diags)
+    instances = _collapse_named(staged[InstanceDecl], diags)
+    _check_cross_kind(concepts, relations, instances, diags)
 
-    def add(self, decl: Declaration) -> "Loader":
-        self._staged.append(decl)
-        return self
+    annotations = _collapse_annotations(staged[AnnotationDecl], diags)
+    labels, duplicates = _earliest(staged[MetaLabel], MetaLabel.triple)
+    diags.extend(_error("E5", f"duplicate label ({d.primitive}, {d.concept}, {d.time})",
+                        d.span, d.concept)
+                 for group in duplicates.values() for d in group[1:])
+    facts, _ = _earliest(staged[Fact], Fact.key)
+    disjoints, _ = _earliest(staged[DisjointDecl], DisjointDecl.pair)
 
-    def add_all(self, decls: Iterable[Declaration]) -> "Loader":
-        self._staged.extend(decls)
-        return self
+    onto = Ontology(concepts, relations, instances, annotations, labels, facts, disjoints)
+    _check_references(onto, diags)
 
-    # -- finalization
+    diags = sort_diagnostics(diags)
+    if has_errors(diags):
+        return None, diags
+    return onto, diags
 
-    def finalize(self) -> tuple[Optional[Ontology], list[Diagnostic]]:
-        diags: list[Diagnostic] = []
-        staged: dict[type, list] = {kind: [] for kind in get_args(Declaration)}
-        for d in self._staged:
-            staged[type(d)].append(d)
 
-        concepts = self._collapse_named(staged[ConceptDecl], diags)
-        relations = self._collapse_named(staged[RelationDecl], diags)
-        instances = self._collapse_named(staged[InstanceDecl], diags)
-        self._check_cross_kind(concepts, relations, instances, diags)
-
-        annotations = self._collapse_annotations(staged[AnnotationDecl], diags)
-        labels, duplicates = _earliest(staged[MetaLabel], MetaLabel.triple)
-        diags.extend(_error("E5", f"duplicate label ({d.primitive}, {d.concept}, {d.time})",
-                            d.span, d.concept)
-                     for group in duplicates.values() for d in group[1:])
-        facts, _ = _earliest(staged[Fact], Fact.key)
-        disjoints, _ = _earliest(staged[DisjointDecl], DisjointDecl.pair)
-
-        onto = Ontology(concepts, relations, instances, annotations, labels, facts, disjoints)
-        self._check_references(onto, diags)
-
-        diags = sort_diagnostics(diags)
-        if has_errors(diags):
-            return None, diags
-        return onto, diags
-
-    # -- duplicate handling
-
-    def _collapse_named(self, decls, diags: list[Diagnostic]) -> dict:
-        out, duplicates = _earliest(decls, attrgetter("name"))
-        for name, group in duplicates.items():
-            canonical = group[0]
-            for other in group[1:]:
-                if other.content() == canonical.content():
-                    continue  # identical re-declaration: set semantics
-                if canonical.origin is Origin.KERNEL:
-                    diags.append(_error(
-                        "E2", f"'{name}' redefines a kernel declaration", other.span, name))
-                else:
-                    diags.append(_error(
-                        "E1", f"duplicate declaration of '{name}' with different content",
-                        other.span, name))
-        return out
-
-    def _check_cross_kind(self, concepts, relations, instances, diags) -> None:
-        # Concepts, relations and instances share one namespace.
-        kinds = [("concept", concepts), ("relation", relations), ("instance", instances)]
-        for i, (kind_a, map_a) in enumerate(kinds):
-            for kind_b, map_b in kinds[i + 1:]:
-                for name in map_a.keys() & map_b.keys():
-                    a, b = map_a[name], map_b[name]
-                    first, second = sorted((a, b), key=_span_order)
-                    code = "E2" if first.origin is Origin.KERNEL else "E1"
-                    what = ("redefines a kernel declaration" if code == "E2"
-                            else f"already declared as a {kind_a if second is b else kind_b}")
-                    diags.append(_error(code, f"'{name}' {what}", second.span, name))
-
-    def _collapse_annotations(self, decls, diags) -> dict[str, dict[str, AnnotationDecl]]:
-        first, duplicates = _earliest(decls, attrgetter("concept", "axis"))
-        out: dict[str, dict[str, AnnotationDecl]] = {}
-        for (concept, axis), canonical in first.items():
-            if canonical.value not in ANNOTATION_VALUES.get(axis, ()):
+def _collapse_named(decls, diags: list[Diagnostic]) -> dict:
+    out, duplicates = _earliest(decls, attrgetter("name"))
+    for name, group in duplicates.items():
+        canonical = group[0]
+        for other in group[1:]:
+            if other.content() == canonical.content():
+                continue  # identical re-declaration: set semantics
+            if canonical.origin is Origin.KERNEL:
                 diags.append(_error(
-                    "E4", f"invalid {axis} value '{canonical.value}' for '{concept}'",
-                    canonical.span, concept))
-                continue
-            out.setdefault(concept, {})[axis] = canonical
-            for other in duplicates.get((concept, axis), ())[1:]:
-                if other.value != canonical.value:
-                    diags.append(_error(
-                        "E6", f"conflicting {axis} annotation for '{concept}': "
-                        f"'{canonical.value}' vs '{other.value}'", other.span, concept))
-        return out
-
-    # -- reference and shape checking
-
-    def _check_references(self, onto: Ontology, diags: list[Diagnostic]) -> None:
-        # Each dict is walked in declaration order; finalize sorts the findings.
-        def need_concept(name: str, span: SourceSpan, context: str) -> None:
-            if name not in onto.concepts:
-                kind = "relation" if name in onto.relations else (
-                    "instance" if name in onto.instances else None)
-                detail = f"names a {kind}, not a concept" if kind else "is not declared"
-                diags.append(_error("E3", f"{context}: '{name}' {detail}", span, name))
-
-        for c in onto.concepts.values():
-            if c.definition is not None and c.parents:
-                # The statement grammar offers either form, never both.
-                diags.append(_error(
-                    "E4", f"concept '{c.name}' has both asserted parents and a definition",
-                    c.span, c.name))
-            for p in c.parents:
-                need_concept(p, c.span, f"parent of '{c.name}'")
-            if isinstance(c.definition, RoleDefinition):
-                need_concept(c.definition.reasoning_concept, c.span,
-                             f"reasoning concept of role '{c.name}'")
-            elif isinstance(c.definition, Conjunction):
-                need_concept(c.definition.type_concept, c.span,
-                             f"conjunct of '{c.name}'")
-                need_concept(c.definition.formal_role, c.span,
-                             f"conjunct of '{c.name}'")
-
-        for r in onto.relations.values():
-            for position in r.signature:
-                for member in position:
-                    need_concept(member, r.span, f"signature of relation '{r.name}'")
-            if not r.signature:
-                diags.append(_error(
-                    "E4", f"relation '{r.name}' has an empty signature", r.span, r.name))
-            if r.particularizes is not None:
-                parent = onto.relations.get(r.particularizes)
-                if parent is None:
-                    diags.append(_error(
-                        "E3", f"relation '{r.name}' particularizes undeclared "
-                        f"relation '{r.particularizes}'", r.span, r.name, r.particularizes))
-                elif parent.arity != r.arity:
-                    diags.append(_error(
-                        "E7", f"relation '{r.name}' (arity {r.arity}) particularizes "
-                        f"'{parent.name}' (arity {parent.arity})", r.span, r.name, parent.name))
-        self._check_particularization_cycles(onto, diags)
-
-        for inst in onto.instances.values():
-            for cname in inst.concepts:
-                need_concept(cname, inst.span, f"concept of instance '{inst.name}'")
-
-        for lb in onto.labels.values():
-            if lb.primitive not in PRIMITIVES:
-                diags.append(_error(
-                    "E4", f"unknown modeling primitive '{lb.primitive}'", lb.span, lb.concept))
-            need_concept(lb.concept, lb.span, f"label {lb.primitive}")
-            if lb.time < 0:
-                diags.append(_error("E4", f"negative label time {lb.time}", lb.span, lb.concept))
-
-        for per_concept in onto.annotations.values():
-            for ann in per_concept.values():
-                need_concept(ann.concept, ann.span, f"annotate {ann.axis}")
-
-        for dis in onto.disjoints.values():
-            need_concept(dis.first, dis.span, "disjointness")
-            need_concept(dis.second, dis.span, "disjointness")
-            if dis.first == dis.second:
-                diags.append(_error(
-                    "E4", f"'{dis.first}' declared disjoint with itself", dis.span, dis.first))
-
-        for f in onto.facts.values():
-            rel = onto.relations.get(f.relation)
-            if rel is None:
-                kind = "concept" if f.relation in onto.concepts else None
-                detail = "names a concept, not a relation" if kind else "is not declared"
-                diags.append(_error(
-                    "E3", f"fact relation '{f.relation}' {detail}", f.span, f.relation))
-                continue
-            if len(f.args) != rel.arity:
-                diags.append(_error(
-                    "E4", f"fact {f.relation} expects {rel.arity} argument(s), "
-                    f"got {len(f.args)}", f.span, f.relation))
-            if rel.temporal and f.time is None:
-                diags.append(_error(
-                    "E4", f"fact {f.relation} requires a trailing time point", f.span, f.relation))
-            if not rel.temporal and f.time is not None:
-                diags.append(_error(
-                    "E4", f"fact {f.relation} takes no time point", f.span, f.relation))
-            if f.time is not None and f.time < 0:
-                diags.append(_error("E4", f"negative time point {f.time}", f.span, f.relation))
-            for arg in f.args:
-                if arg not in onto.instances:
-                    kind = "concept" if arg in onto.concepts else (
-                        "relation" if arg in onto.relations else None)
-                    detail = f"names a {kind}, not an instance" if kind else "is not declared"
-                    diags.append(_error("E3", f"fact argument '{arg}' {detail}", f.span, arg))
-
-    @staticmethod
-    def _check_particularization_cycles(onto: Ontology, diags: list[Diagnostic]) -> None:
-        # Every chain ends at a root, at an undeclared name or in a cycle.
-        # One E7 names each cycle, and one more each relation leading into it.
-        reaches: dict[str, Optional[str]] = {}  # walked relation -> its cycle's least name
-        for name in onto.relations:
-            walk: dict[str, int] = {}  # relation -> its position on this walk
-            current = name
-            while current in onto.relations and current not in reaches and current not in walk:
-                walk[current] = len(walk)
-                current = onto.relations[current].particularizes
-            path = list(walk)
-            if current in walk:
-                tail, cycle = path[:walk[current]], path[walk[current]:]
-                least = min(cycle)
-                start = cycle.index(least)
-                diags.append(_error("E7", f"particularization cycle through '{least}'",
-                                    onto.relations[least].span, *cycle[start:], *cycle[:start]))
-                reaches.update(dict.fromkeys(cycle, least))
+                    "E2", f"'{name}' redefines a kernel declaration", other.span, name))
             else:
-                tail, least = path, reaches.get(current)
-            for r in tail:
-                reaches[r] = least
-                if least is not None:
-                    diags.append(_error(
-                        "E7", f"relation '{r}' particularizes into the cycle through '{least}'",
-                        onto.relations[r].span, r, least))
+                diags.append(_error(
+                    "E1", f"duplicate declaration of '{name}' with different content",
+                    other.span, name))
+    return out
 
 
-def add_declaration(
-    ontology: Ontology, decl: Declaration
-) -> tuple[Optional[Ontology], list[Diagnostic]]:
-    """Return an updated ontology, or the conflict report that rejects it."""
-    return Loader(ontology).add(decl).finalize()
+def _check_cross_kind(concepts, relations, instances, diags) -> None:
+    # Concepts, relations and instances share one namespace.
+    kinds = [("concept", concepts), ("relation", relations), ("instance", instances)]
+    for i, (kind_a, map_a) in enumerate(kinds):
+        for kind_b, map_b in kinds[i + 1:]:
+            for name in map_a.keys() & map_b.keys():
+                a, b = map_a[name], map_b[name]
+                first, second = sorted((a, b), key=_span_order)
+                code = "E2" if first.origin is Origin.KERNEL else "E1"
+                what = ("redefines a kernel declaration" if code == "E2"
+                        else f"already declared as a {kind_a if second is b else kind_b}")
+                diags.append(_error(code, f"'{name}' {what}", second.span, name))
+
+
+def _collapse_annotations(decls, diags) -> dict[str, dict[str, AnnotationDecl]]:
+    first, duplicates = _earliest(decls, attrgetter("concept", "axis"))
+    out: dict[str, dict[str, AnnotationDecl]] = {}
+    for (concept, axis), canonical in first.items():
+        if canonical.value not in ANNOTATION_VALUES.get(axis, ()):
+            diags.append(_error(
+                "E4", f"invalid {axis} value '{canonical.value}' for '{concept}'",
+                canonical.span, concept))
+            continue
+        out.setdefault(concept, {})[axis] = canonical
+        for other in duplicates.get((concept, axis), ())[1:]:
+            if other.value != canonical.value:
+                diags.append(_error(
+                    "E6", f"conflicting {axis} annotation for '{concept}': "
+                    f"'{canonical.value}' vs '{other.value}'", other.span, concept))
+    return out
+
+
+def _check_references(onto: Ontology, diags: list[Diagnostic]) -> None:
+    # Each dict is walked in declaration order; load sorts the findings.
+    def need_concept(name: str, span: SourceSpan, context: str) -> None:
+        if name not in onto.concepts:
+            kind = "relation" if name in onto.relations else (
+                "instance" if name in onto.instances else None)
+            detail = f"names a {kind}, not a concept" if kind else "is not declared"
+            diags.append(_error("E3", f"{context}: '{name}' {detail}", span, name))
+
+    for c in onto.concepts.values():
+        if c.definition is not None and c.parents:
+            # The statement grammar offers either form, never both.
+            diags.append(_error(
+                "E4", f"concept '{c.name}' has both asserted parents and a definition",
+                c.span, c.name))
+        for p in c.parents:
+            need_concept(p, c.span, f"parent of '{c.name}'")
+        if isinstance(c.definition, RoleDefinition):
+            need_concept(c.definition.reasoning_concept, c.span,
+                         f"reasoning concept of role '{c.name}'")
+        elif isinstance(c.definition, Conjunction):
+            need_concept(c.definition.type_concept, c.span,
+                         f"conjunct of '{c.name}'")
+            need_concept(c.definition.formal_role, c.span,
+                         f"conjunct of '{c.name}'")
+
+    for r in onto.relations.values():
+        for position in r.signature:
+            for member in position:
+                need_concept(member, r.span, f"signature of relation '{r.name}'")
+        if not r.signature:
+            diags.append(_error(
+                "E4", f"relation '{r.name}' has an empty signature", r.span, r.name))
+        if r.particularizes is not None:
+            parent = onto.relations.get(r.particularizes)
+            if parent is None:
+                diags.append(_error(
+                    "E3", f"relation '{r.name}' particularizes undeclared "
+                    f"relation '{r.particularizes}'", r.span, r.name, r.particularizes))
+            elif parent.arity != r.arity:
+                diags.append(_error(
+                    "E7", f"relation '{r.name}' (arity {r.arity}) particularizes "
+                    f"'{parent.name}' (arity {parent.arity})", r.span, r.name, parent.name))
+    _check_particularization_cycles(onto, diags)
+
+    for inst in onto.instances.values():
+        for cname in inst.concepts:
+            need_concept(cname, inst.span, f"concept of instance '{inst.name}'")
+
+    for lb in onto.labels.values():
+        if lb.primitive not in PRIMITIVES:
+            diags.append(_error(
+                "E4", f"unknown modeling primitive '{lb.primitive}'", lb.span, lb.concept))
+        need_concept(lb.concept, lb.span, f"label {lb.primitive}")
+        if lb.time < 0:
+            diags.append(_error("E4", f"negative label time {lb.time}", lb.span, lb.concept))
+
+    for per_concept in onto.annotations.values():
+        for ann in per_concept.values():
+            need_concept(ann.concept, ann.span, f"annotate {ann.axis}")
+
+    for dis in onto.disjoints.values():
+        need_concept(dis.first, dis.span, "disjointness")
+        need_concept(dis.second, dis.span, "disjointness")
+        if dis.first == dis.second:
+            diags.append(_error(
+                "E4", f"'{dis.first}' declared disjoint with itself", dis.span, dis.first))
+
+    for f in onto.facts.values():
+        rel = onto.relations.get(f.relation)
+        if rel is None:
+            kind = "concept" if f.relation in onto.concepts else None
+            detail = "names a concept, not a relation" if kind else "is not declared"
+            diags.append(_error(
+                "E3", f"fact relation '{f.relation}' {detail}", f.span, f.relation))
+            continue
+        if len(f.args) != rel.arity:
+            diags.append(_error(
+                "E4", f"fact {f.relation} expects {rel.arity} argument(s), "
+                f"got {len(f.args)}", f.span, f.relation))
+        if rel.temporal and f.time is None:
+            diags.append(_error(
+                "E4", f"fact {f.relation} requires a trailing time point", f.span, f.relation))
+        if not rel.temporal and f.time is not None:
+            diags.append(_error(
+                "E4", f"fact {f.relation} takes no time point", f.span, f.relation))
+        if f.time is not None and f.time < 0:
+            diags.append(_error("E4", f"negative time point {f.time}", f.span, f.relation))
+        for arg in f.args:
+            if arg not in onto.instances:
+                kind = "concept" if arg in onto.concepts else (
+                    "relation" if arg in onto.relations else None)
+                detail = f"names a {kind}, not an instance" if kind else "is not declared"
+                diags.append(_error("E3", f"fact argument '{arg}' {detail}", f.span, arg))
+
+
+def _check_particularization_cycles(onto: Ontology, diags: list[Diagnostic]) -> None:
+    # Every chain ends at a root, at an undeclared name or in a cycle.
+    # One E7 names each cycle, and one more each relation leading into it.
+    reaches: dict[str, Optional[str]] = {}  # walked relation -> its cycle's least name
+    for name in onto.relations:
+        walk: dict[str, int] = {}  # relation -> its position on this walk
+        current = name
+        while current in onto.relations and current not in reaches and current not in walk:
+            walk[current] = len(walk)
+            current = onto.relations[current].particularizes
+        path = list(walk)
+        if current in walk:
+            tail, cycle = path[:walk[current]], path[walk[current]:]
+            least = min(cycle)
+            start = cycle.index(least)
+            diags.append(_error("E7", f"particularization cycle through '{least}'",
+                                onto.relations[least].span, *cycle[start:], *cycle[:start]))
+            reaches.update(dict.fromkeys(cycle, least))
+        else:
+            tail, least = path, reaches.get(current)
+        for r in tail:
+            reaches[r] = least
+            if least is not None:
+                diags.append(_error(
+                    "E7", f"relation '{r}' particularizes into the cycle through '{least}'",
+                    onto.relations[r].span, r, least))

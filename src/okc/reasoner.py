@@ -363,7 +363,7 @@ class FactBase:
     @cached_property
     def trace(self) -> dict[Entry, Derivation]:
         """Derivation of every entry: the FIFO engine, run on first read."""
-        return _Engine(self._ontology).run()
+        return _Engine(self._ontology, self._rules).run()
 
     def has_member(self, instance: str, concept: str) -> bool:
         bit = self._closure._bit.get(concept)
@@ -504,9 +504,9 @@ class _Engine:
     """The rule set as a FIFO queue of entries; each entry keeps the first
     derivation that reaches it."""
 
-    def __init__(self, ontology: Ontology):
+    def __init__(self, ontology: Ontology, rules: _RuleTable):
         self.onto = ontology
-        self.rules = _RuleTable(ontology)
+        self.rules = rules
         self.trace: dict[Entry, Derivation] = {}
         self.by_arg: dict[tuple[str, int, str], list[Ground]] = {}
         # instance -> the concepts it has that key D5 or D6 in the table
@@ -645,7 +645,7 @@ def instance_component(ontology: Ontology, instance: str) -> Ontology:
         ontology.disjoints)
 
 
-def explain_instance(ontology: Ontology, factbase: FactBase, instance: str) -> str:
+def explain_instance(factbase: FactBase, instance: str) -> str:
     """Human-readable derivation trace for one instance's memberships."""
     lines = [f"memberships of {instance}:"]
     for concept in sorted(factbase.concepts_of(instance)):

@@ -57,6 +57,20 @@ def all_codes(diags) -> set[str]:
     return {d.code for d in diags}
 
 
+def ontology_content(onto) -> tuple:
+    """What an Ontology declares, without source spans: loads of the same
+    declarations, in any order and from any file names, have equal contents."""
+    return (
+        {n: (c.content(), c.origin) for n, c in onto.concepts.items()},
+        {n: (r.content(), r.origin) for n, r in onto.relations.items()},
+        {n: (i.content(), i.origin) for n, i in onto.instances.items()},
+        {(c, a): (d.value, d.origin) for c, per in onto.annotations.items() for a, d in per.items()},
+        frozenset(onto.labels),
+        frozenset(onto.facts),
+        frozenset(onto.disjoints),
+    )
+
+
 def load_corpus_file(name: str):
     path = CORPUS / name
     onto, diags = load_source(path.read_text(encoding="utf-8"), str(path))

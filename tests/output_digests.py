@@ -1,0 +1,80 @@
+"""Print one sha256 per (input file, command) of the okc command line.
+
+    PYTHONPATH=src python tests/output_digests.py > digests.txt
+
+The inputs are the corpus files (`corpus/*.oks`, `corpus/negative/*.oks`)
+and the seed-3 files of the three benchmark workloads, generated by
+`perfbench/families.py`.  Each file runs through `okc check` (text and
+`--format json`) and `okc compile` (text and json); each workload file
+with a probe instance also runs through `okc explain` on that probe, and
+`okc kernel` runs once.  A digest covers the exit code, stdout, stderr
+and, for compile, the name and bytes of every bundle file.
+
+Two checkouts print the same lines exactly when their outputs are
+byte-identical, so compare the output of two runs with `diff`, under
+several `PYTHONHASHSEED` values.  The name does not start with `test_`,
+so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import families  # noqa: E402
+from okc.cli import main  # noqa: E402
+
+SEED = 3
+
+
+def _inputs() -> list[tuple[str, str, str | None]]:
+    """(relative path, text, probe instance or None) for every input file."""
+    out = [(str(p.relative_to(ROOT)), p.read_text(encoding="utf-8"), None)
+           for p in sorted(ROOT.glob("corpus/*.oks")) + sorted(ROOT.glob("corpus/negative/*.oks"))]
+    for name, family in sorted(families.FAMILIES.items()):
+        workload = family(SEED)
+        for f in workload.files + workload.half:
+            out.append((f"{name}/{f.name}", f.text, f.probe))
+    return out
+
+
+def _digest(argv: list[str], out_dir: str | None = None) -> str:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    code = main(argv, stdout=stdout, stderr=stderr)
+    h = hashlib.sha256(f"{code}\0{stdout.getvalue()}\0{stderr.getvalue()}".encode())
+    if out_dir is not None:
+        for path in sorted(Path(out_dir).iterdir()):
+            h.update(f"\0{path.name}\0".encode())
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def print_digests() -> None:
+    inputs = _inputs()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)  # file names in the diagnostics stay relative
+        for rel, text, probe in inputs:
+            Path(rel).parent.mkdir(parents=True, exist_ok=True)
+            Path(rel).write_text(text, encoding="utf-8")
+            runs = [("check", ["check", rel], None),
+                    ("check --format json", ["check", "--format", "json", rel], None)]
+            for fmt in ("text", "json"):
+                out = tempfile.mkdtemp(dir=work)
+                runs.append((f"compile --format {fmt}",
+                             ["compile", rel, "--out", out, "--format", fmt], out))
+            if probe is not None:
+                runs.append((f"explain {probe}", ["explain", rel, probe], None))
+            for label, argv, out in runs:
+                print(f"{_digest(argv, out)}  {rel}  {label}")
+        print(f"{_digest(['kernel'])}  -  kernel")
+
+
+if __name__ == "__main__":
+    print_digests()

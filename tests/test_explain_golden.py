@@ -45,7 +45,7 @@ def corpus_explain(name: str) -> str:
 def random_explain(seed: int) -> str:
     onto = random_saturation_model(seed)
     facts = saturate(onto, compute_closure(onto))
-    return "".join(explain_instance(onto, facts, instance)
+    return "".join(explain_instance(facts, instance)
                    for instance in sorted(onto.instances))
 
 
@@ -54,7 +54,7 @@ def shared_explain(seed: int) -> str:
     facts = saturate(onto, compute_closure(onto))
     picked = {entry.instance for entry, deriv in facts.trace.items()
               if deriv.rule in ORDER_DEPENDENT}
-    return "".join(explain_instance(onto, facts, instance) for instance in sorted(picked))
+    return "".join(explain_instance(facts, instance) for instance in sorted(picked))
 
 
 def cases() -> dict[str, callable]:

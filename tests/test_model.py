@@ -9,14 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from helpers import CORPUS, error_codes, load_source
+from helpers import CORPUS, error_codes, load_source, ontology_content
 
 import okc
 from okc.bundle import BundleConcept, DomainRelation, ModelBundle, PlaysLink, RoleRecord
 from okc.checks import CheckContext, CheckInfo
 from okc.corpus import CorpusEntry
 from okc.frontend import Token, parse
-from okc.kernel import kernel_ontology, merge_with_kernel
+from okc.kernel import KERNEL_DECLARATIONS, merge_with_kernel
 from okc.model import (
     AnnotationDecl,
     ConceptDecl,
@@ -25,108 +25,103 @@ from okc.model import (
     DisjointDecl,
     Fact,
     InstanceDecl,
-    Loader,
     MetaLabel,
     Origin,
     RelationDecl,
     RoleDefinition,
     Severity,
     SourceSpan,
-    add_declaration,
+    load,
 )
 from okc.traceability import Fixture, TraceRow
 
 
 def test_add_concept_to_kernel():
-    onto, diags = add_declaration(
-        kernel_ontology(), ConceptDecl("Diagnosis", ("Reasoning",)))
+    onto, diags = merge_with_kernel([ConceptDecl("Diagnosis", ("Reasoning",))])
     assert diags == []
     assert onto.concepts["Diagnosis"].parents == ("Reasoning",)
 
 
 def test_add_concept_with_undeclared_parent_is_a_conflict():
-    onto, diags = add_declaration(
-        kernel_ontology(), ConceptDecl("Diagnosis", ("Reasonin",)))
+    onto, diags = merge_with_kernel([ConceptDecl("Diagnosis", ("Reasonin",))])
     assert onto is None
     assert error_codes(diags) == ["E3"]
 
 
 def test_reading_same_name_with_different_parents_is_a_conflict():
-    base, _ = add_declaration(kernel_ontology(), ConceptDecl("Diagnosis", ("Reasoning",)))
-    onto, diags = add_declaration(base, ConceptDecl("Diagnosis", ("Communication",)))
+    onto, diags = merge_with_kernel([ConceptDecl("Diagnosis", ("Reasoning",)),
+                                     ConceptDecl("Diagnosis", ("Communication",))])
     assert onto is None
     assert error_codes(diags) == ["E1"]
 
 
 def test_identical_redeclaration_is_a_no_op():
-    base, _ = add_declaration(kernel_ontology(), ConceptDecl("Diagnosis", ("Reasoning",)))
-    onto, diags = add_declaration(base, ConceptDecl("Diagnosis", ("Reasoning",)))
+    decl = ConceptDecl("Diagnosis", ("Reasoning",))
+    base, _ = merge_with_kernel([decl])
+    onto, diags = merge_with_kernel([decl, decl])
     assert diags == []
-    assert onto == base
+    assert ontology_content(onto) == ontology_content(base)
 
 
 def test_kernel_concept_redefinition_rejected():
-    onto, diags = add_declaration(
-        kernel_ontology(), ConceptDecl("Reasoning", ("STV",)))
+    onto, diags = merge_with_kernel([ConceptDecl("Reasoning", ("STV",))])
     assert onto is None
     assert error_codes(diags) == ["E2"]
 
 
 def test_cross_kind_name_collision():
-    base, _ = add_declaration(kernel_ontology(), ConceptDecl("Widget", ("PT",)))
-    onto, diags = add_declaration(base, InstanceDecl("Widget", ("Model",)))
+    onto, diags = merge_with_kernel([ConceptDecl("Widget", ("PT",)),
+                                     InstanceDecl("Widget", ("Model",))])
     assert onto is None
     assert error_codes(diags) == ["E1"]
 
 
 def test_instance_name_colliding_with_kernel_relation():
-    onto, diags = add_declaration(kernel_ontology(), InstanceDecl("PC", ("Model",)))
+    onto, diags = merge_with_kernel([InstanceDecl("PC", ("Model",))])
     assert onto is None
     assert error_codes(diags) == ["E2"]
 
 
 def test_duplicate_label_triple_rejected_even_when_identical():
-    loader = Loader(kernel_ontology())
-    loader.add(ConceptDecl("Diagnosis", ("Reasoning",)))
-    loader.add(MetaLabel("Task", "Diagnosis", 1))
-    loader.add(MetaLabel("Task", "Diagnosis", 1))
-    onto, diags = loader.finalize()
+    onto, diags = merge_with_kernel([
+        ConceptDecl("Diagnosis", ("Reasoning",)),
+        MetaLabel("Task", "Diagnosis", 1),
+        MetaLabel("Task", "Diagnosis", 1),
+    ])
     assert onto is None
     assert error_codes(diags) == ["E5"]
 
 
 def test_fact_shape_errors():
-    loader = Loader(kernel_ontology())
-    loader.add(InstanceDecl("m", ("Model",)))
-    loader.add(InstanceDecl("d", ("Reasoning",)))
-    loader.add(Fact("PC", ("m", "d"), None))        # temporal relation, no time
-    loader.add(Fact("isDataOf", ("m", "d"), 3))     # atemporal relation with time
-    loader.add(Fact("isDataOf", ("m",), None))      # arity mismatch
-    onto, diags = loader.finalize()
+    onto, diags = merge_with_kernel([
+        InstanceDecl("m", ("Model",)),
+        InstanceDecl("d", ("Reasoning",)),
+        Fact("PC", ("m", "d"), None),        # temporal relation, no time
+        Fact("isDataOf", ("m", "d"), 3),     # atemporal relation with time
+        Fact("isDataOf", ("m",), None),      # arity mismatch
+    ])
     assert onto is None
     assert error_codes(diags) == ["E4", "E4", "E4"]
 
 
 def test_fact_argument_must_be_instance():
-    loader = Loader(kernel_ontology())
-    loader.add(InstanceDecl("d", ("Reasoning",)))
-    loader.add(Fact("isDataOf", ("Model", "d"), None))
-    onto, diags = loader.finalize()
+    onto, diags = merge_with_kernel([
+        InstanceDecl("d", ("Reasoning",)),
+        Fact("isDataOf", ("Model", "d"), None),
+    ])
     assert onto is None
     assert error_codes(diags) == ["E3"]
 
 
 def test_particularization_arity_and_cycles():
-    loader = Loader(kernel_ontology())
-    loader.add(RelationDecl("narrow", (("ED",),), particularizes="PC"))
-    onto, diags = loader.finalize()
+    onto, diags = merge_with_kernel([RelationDecl("narrow", (("ED",),), particularizes="PC")])
     assert onto is None
     assert error_codes(diags) == ["E7"]
 
-    loader = Loader(kernel_ontology())
-    loader.add(RelationDecl("a", (("ED",), ("PD",)), particularizes="b"))
-    loader.add(RelationDecl("b", (("ED",), ("PD",)), particularizes="a"))
-    onto, diags = loader.finalize()
+    onto, diags = merge_with_kernel([
+        RelationDecl("a", (("ED",), ("PD",)), particularizes="b"),
+        RelationDecl("b", (("ED",), ("PD",)), particularizes="a"),
+    ])
     assert onto is None
     assert set(error_codes(diags)) == {"E7"}
 
@@ -142,7 +137,7 @@ def test_load_order_independence():
         random.Random(seed).shuffle(shuffled)
         onto, diags = merge_with_kernel(shuffled)
         assert diags == []
-        assert onto == reference
+        assert ontology_content(onto) == ontology_content(reference)
 
 
 def _faulty_model(seed: int) -> str:
@@ -185,20 +180,37 @@ def _faulty_model(seed: int) -> str:
 
 
 def test_load_diagnostics_do_not_depend_on_declaration_order():
+    # The user's declarations shuffled, with the kernel's before, after or
+    # shuffled among them, give the same ontology and the same diagnostics.
     sources = [(path.name, path.read_text(encoding="utf-8"))
                for path in sorted((CORPUS / "negative").glob("*.oks"))]
     sources += [(f"random_{seed}.oks", _faulty_model(seed)) for seed in range(60)]
+    kernel = list(KERNEL_DECLARATIONS)
     codes = set()
     for name, text in sources:
         decls, _ = parse(text, name)
-        _, reference = merge_with_kernel(decls)
+        onto, reference = merge_with_kernel(decls)
         codes.update(d.code for d in reference)
+        orders = []
         for seed in range(3):
-            shuffled = decls[:]
-            random.Random(seed).shuffle(shuffled)
-            _, diags = merge_with_kernel(shuffled)
+            rng = random.Random(seed)
+            shuffled, mixed = decls[:], kernel + decls
+            rng.shuffle(shuffled)
+            rng.shuffle(mixed)
+            orders += [kernel + shuffled, shuffled + kernel, mixed]
+        for order in orders:
+            other, diags = load(order)
             assert [d.to_json() for d in diags] == [d.to_json() for d in reference], name
+            assert (other is None) == (onto is None), name
+            if onto is not None:
+                assert ontology_content(other) == ontology_content(onto), name
     assert {"E1", "E2", "E3", "E4", "E5", "E6", "E7"} <= codes
+
+
+def test_every_public_name_resolves():
+    assert len(set(okc.__all__)) == len(okc.__all__)
+    for name in okc.__all__:
+        assert hasattr(okc, name), name
 
 
 def test_every_identifier_resolves(car_ontology):
@@ -224,10 +236,8 @@ def test_every_identifier_resolves(car_ontology):
 
 
 def test_definition_and_parents_are_mutually_exclusive():
-    from okc.model import RoleDefinition
-    onto, diags = add_declaration(
-        kernel_ontology(),
-        ConceptDecl("Odd", ("PT",), RoleDefinition("data", "Reasoning")))
+    onto, diags = merge_with_kernel(
+        [ConceptDecl("Odd", ("PT",), RoleDefinition("data", "Reasoning"))])
     assert onto is None
     assert error_codes(diags) == ["E4"]
 
@@ -236,7 +246,7 @@ def test_equality_ignores_spans():
     text = "concept Thing specializes PT\n"
     first, _ = load_source(text, "a.oks")
     second, _ = load_source("# leading comment\n" + text, "b.oks")
-    assert first == second
+    assert ontology_content(first) == ontology_content(second)
 
 
 # --- record semantics --------------------------------------------------------
@@ -257,7 +267,7 @@ RECORDS = [
     (DisjointDecl, "second", ("A", "B", Origin.USER, _SPAN)),
     (Diagnostic, "code", (Severity.ERROR, "W2", "m", _SPAN, ("A", "B"))),
     (CheckInfo, "axioms", ("S1", Severity.ERROR, "d", ("A9",))),
-    # Placeholders: an Ontology is unhashable, so a real context is too.
+    # Placeholders stand in for a loaded model's ontology, closure and facts.
     (CheckContext, "closure", ("ontology", "closure", "facts")),
     (RoleRecord, "players", ("R", "data", "C", ("T",))),
     (BundleConcept, "methods", ("C", ("P",), (("rigidity", "rigid"),), (), (), ())),

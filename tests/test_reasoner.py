@@ -25,7 +25,7 @@ from helpers import (
 
 from okc import kernel, reasoner
 from okc.kernel import kernel_ontology, merge_with_kernel
-from okc.model import ConceptDecl, Fact, InstanceDecl, Loader
+from okc.model import ConceptDecl, Fact, InstanceDecl
 from okc.reasoner import (
     RULE_ASSERTED,
     RULE_CODES,
@@ -93,20 +93,16 @@ def test_closure_against_brute_force(seed):
 
 
 def test_cycle_detection():
-    loader = Loader(kernel_ontology())
-    loader.add(ConceptDecl("Alpha", ("Beta",)))
-    loader.add(ConceptDecl("Beta", ("Alpha",)))
-    onto, diags = loader.finalize()
+    onto, diags = merge_with_kernel([ConceptDecl("Alpha", ("Beta",)),
+                                     ConceptDecl("Beta", ("Alpha",))])
     assert diags == []
     assert find_subsumption_cycles(onto) == [("Alpha", "Beta")]
     assert find_subsumption_cycles(kernel_ontology()) == []
 
 
 def test_closure_refuses_a_cyclic_taxonomy():
-    loader = Loader(kernel_ontology())
-    loader.add(ConceptDecl("Alpha", ("Beta",)))
-    loader.add(ConceptDecl("Beta", ("Alpha",)))
-    onto, _ = loader.finalize()
+    onto, _ = merge_with_kernel([ConceptDecl("Alpha", ("Beta",)),
+                                 ConceptDecl("Beta", ("Alpha",))])
     with pytest.raises(ValueError, match="check_w1"):
         compute_closure(onto)
 
@@ -173,7 +169,7 @@ def test_d2_premise_follows_the_engine_visit_order():
         "fact hasForSubject(p2, c)\n")
     facts = saturate(onto, compute_closure(onto))
     assert "c : Subject  [D2] from hasForSubject(p2, c), p2 : Proposition, " \
-        "c : IdaConcept\n" in explain_instance(onto, facts, "c")
+        "c : IdaConcept\n" in explain_instance(facts, "c")
 
 
 # The engine visits the asserted memberships, then the asserted facts, then
@@ -237,7 +233,7 @@ def test_traces_follow_the_engine_visit_order(case):
     assert_fixpoint_matches_engine(onto, case)
     instance = derived.split(" ", 1)[0]
     facts = saturate(onto, compute_closure(onto))
-    assert f"\n  {derived}\n" in explain_instance(onto, facts, instance), case
+    assert f"\n  {derived}\n" in explain_instance(facts, instance), case
 
 
 def test_t_theorems_hold_in_saturated_bases():
@@ -320,18 +316,17 @@ def test_idempotence_resaturating_saturated_base():
     onto = random_saturation_model(11)
     facts = saturate(onto, compute_closure(onto))
     members, grounds = engine_sets(facts)
-    loader = Loader(kernel_ontology())
-    for decl in onto.iter_declarations():
-        if decl.origin.value != "kernel" and not isinstance(decl, (InstanceDecl, Fact)):
-            loader.add(decl)
+    schema = (*onto.concepts.values(), *onto.relations.values(), *onto.disjoints.values(),
+              *(a for per in onto.annotations.values() for a in per.values()),
+              *onto.labels.values())
+    decls = [d for d in schema if d.origin.value != "kernel"]
     by_instance: dict[str, set[str]] = {}
     for instance, concept in members:
         by_instance.setdefault(instance, set()).add(concept)
-    for instance, concepts in by_instance.items():
-        loader.add(InstanceDecl(instance, tuple(sorted(concepts))))
-    for relation, args, time in grounds:
-        loader.add(Fact(relation, args, time))
-    closed, diags = loader.finalize()
+    decls += [InstanceDecl(instance, tuple(sorted(concepts)))
+              for instance, concepts in by_instance.items()]
+    decls += [Fact(relation, args, time) for relation, args, time in grounds]
+    closed, diags = merge_with_kernel(decls)
     assert closed is not None, diags
     again = engine_sets(saturate(closed, compute_closure(closed)))
     assert again == (members, grounds)
@@ -358,7 +353,7 @@ def test_every_derived_entry_has_grounded_trace():
 
 def test_explain_output(calibration_ontology):
     facts = saturate(calibration_ontology, compute_closure(calibration_ontology))
-    text = explain_instance(calibration_ontology, facts, "m1")
+    text = explain_instance(facts, "m1")
     assert "m1 : Model  [asserted]" in text
     assert "m1 : CalibrationData  [D5]" in text
     assert "m1 : ModelToCalibrate  [D6]" in text
@@ -379,7 +374,7 @@ FIXPOINT_MODELS = {
 
 def assert_fixpoint_matches_engine(onto, what) -> None:
     facts = saturate(onto, compute_closure(onto))
-    trace = _Engine(onto).run()
+    trace = _Engine(onto, reasoner._RuleTable(onto)).run()
     assert facts.members == {e for e in trace if isinstance(e, Member)}, what
     assert facts.grounds == {e for e in trace if isinstance(e, Ground)}, what
     for g in facts.grounds:  # span_of follows the trace's R-up premises
@@ -419,10 +414,10 @@ def test_trace_is_built_on_first_read_only(monkeypatch):
     onto = random_shared_model(0)
     facts = saturate(onto, compute_closure(onto))
     runs = []
-    monkeypatch.setattr(_Engine, "run", lambda self: runs.append(1) or {})
+    monkeypatch.setattr(_Engine, "run", lambda self: runs.append(self.rules) or {})
     assert facts.has_member("x00", "PT") and facts.grounds and not runs
     assert facts.trace is facts.trace
-    assert runs == [1]
+    assert len(runs) == 1 and runs[0] is facts._rules  # the fact base's own rule table
 
 
 def test_instance_component_keeps_linked_instances_and_their_facts():
@@ -451,8 +446,8 @@ def test_component_explain_equals_full_model_explain(model):
     full = saturate(onto, closure)
     for instance in sorted(onto.instances):
         component = instance_component(onto, instance)
-        assert explain_instance(component, saturate(component, closure), instance) == \
-            explain_instance(onto, full, instance), (model, instance)
+        assert explain_instance(saturate(component, closure), instance) == \
+            explain_instance(full, instance), (model, instance)
 
 
 # --- the rule table ---------------------------------------------------------------
@@ -514,7 +509,7 @@ def count_d5_d6_evaluations(monkeypatch, evaluate, source: str) -> int:
 @pytest.mark.parametrize("source", [shared_operand_source, role_fan_in_source])
 @pytest.mark.parametrize("evaluate", [
     lambda onto: saturate(onto, compute_closure(onto)),
-    lambda onto: _Engine(onto).run(),
+    lambda onto: _Engine(onto, reasoner._RuleTable(onto)).run(),
 ], ids=["fixpoint", "engine"])
 def test_d5_d6_work_is_linear_in_the_model(monkeypatch, source, evaluate):
     small, large = (count_d5_d6_evaluations(monkeypatch, evaluate, source(n))

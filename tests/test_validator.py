@@ -12,6 +12,7 @@ from helpers import (
     check_source,
     error_codes,
     load_corpus_file,
+    ontology_content,
     particularization_model,
     random_saturation_model,
     random_shared_model,
@@ -421,6 +422,6 @@ def test_registry_is_closed_and_unique():
 
 
 def test_validation_does_not_mutate_the_ontology(car_ontology):
-    snapshot = car_ontology._snapshot()
+    before = ontology_content(car_ontology)
     validate(car_ontology)
-    assert car_ontology._snapshot() == snapshot
+    assert ontology_content(car_ontology) == before
