@@ -12,6 +12,8 @@ Exit codes: 0 clean, 1 error diagnostics, 2 warnings with --werror,
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import json
 import sys
 from pathlib import Path
@@ -39,6 +41,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # argparse's parser is a web of cycles: built once, it is never garbage
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="okc", description=__doc__,
                              formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -144,9 +147,10 @@ def _cmd_explain(args, stdout: TextIO, stderr: TextIO) -> int:
 
 def main(argv: Optional[Sequence[str]] = None,
          stdout: TextIO = sys.stdout, stderr: TextIO = sys.stderr) -> int:
-    parser = _build_parser()
+    collecting = gc.isenabled()
+    gc.disable()  # okc's records form no reference cycles, so there is nothing to collect
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.command == "check":
             return _cmd_check(args, stdout, stderr)
         if args.command == "compile":
@@ -161,6 +165,9 @@ def main(argv: Optional[Sequence[str]] = None,
     except (OSError, UnicodeDecodeError) as err:
         stderr.write(f"okc: {err}\n")
         return EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":  # pragma: no cover

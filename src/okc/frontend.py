@@ -35,6 +35,9 @@ and any well-formed line it does not recognise) goes to the token
 parser, which alone reports syntax errors.  The accept path must be
 sound: whenever it returns a declaration, the token parser returns an
 equal one for the same line, span included.  It need not be complete.
+It builds each record positionally with one `tuple.__new__` call, so it
+relies on the records' field order; the soundness tests pin that order
+by comparing its records with the token parser's, class and field.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .model import (
     InstanceDecl,
     MetaLabel,
     Ontology,
+    Origin,
     PRIMITIVES,
     RelationDecl,
     RoleDefinition,
@@ -224,8 +228,8 @@ def _accept(line: str, line_no: int, filename: str) -> Optional[Declaration]:
     m = pattern.fullmatch(line)
     if m is None:
         return None
-    start = m.start(1)
-    return build(m, SourceSpan(filename, line_no, start + 1, m.end(1) - start))
+    start, end = m.span(1)
+    return build(m, _new(SourceSpan, (filename, line_no, start + 1, end - start)))
 
 
 def parse(text: str, filename: str) -> tuple[list[Declaration], list[Diagnostic]]:
@@ -235,7 +239,7 @@ def parse(text: str, filename: str) -> tuple[list[Declaration], list[Diagnostic]
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for line_no, line in enumerate(lines, start=1):
         result = _accept(line, line_no, filename) or _parse_tokens(line, line_no, filename)
-        if isinstance(result, Diagnostic):
+        if type(result) is Diagnostic:
             diags.append(result)
         elif result is not None:
             decls.append(result)
@@ -390,40 +394,35 @@ _STATEMENTS: dict[str, Callable[[_LineParser, SourceSpan], Declaration]] = {
 _WORD = r"[A-Za-z][A-Za-z0-9_-]*"
 _TIME = rf"[0-9]{{1,{MAX_TIME_DIGITS}}}"
 _NAMES = rf"{_IDENT}(?:[ \t]*,[ \t]*{_IDENT})*"
-_NAME_RE = re.compile(_IDENT)
+_findall_names = re.compile(_IDENT).findall
+_new = tuple.__new__  # one C call per record: no NamedTuple __new__ frame
+_USER = Origin.USER  # read once: EnumType's attribute hook runs on every Origin.USER
 
 
 def _form(keyword: str, body: str) -> re.Pattern:
     return re.compile(rf"[ \t]*({keyword}[ \t]+{body})[ \t]*(?:#.*)?")
 
 
-def _names(text: str) -> tuple[str, ...]:
-    return tuple(_NAME_RE.findall(text))
-
-
 def _accept_concept(m: re.Match, span: SourceSpan) -> ConceptDecl:
     name, parents, type_concept, formal_role = m.group(2, 3, 4, 5)
-    if parents is not None:
-        return ConceptDecl(name, _names(parents), span=span)
-    if type_concept is not None:
-        return ConceptDecl(name, (), Conjunction(type_concept, formal_role), span=span)
-    return ConceptDecl(name, (), span=span)
+    parents = () if parents is None else tuple(_findall_names(parents))
+    definition = None if type_concept is None else _new(Conjunction, (type_concept, formal_role))
+    return _new(ConceptDecl, (name, parents, definition, _USER, span))
 
 
 def _accept_role(m: re.Match, span: SourceSpan) -> ConceptDecl:
     name, mode, reasoning = m.group(2, 3, 4)
-    return ConceptDecl(name, (), RoleDefinition(mode, reasoning), span=span)
+    return _new(ConceptDecl, (name, (), _new(RoleDefinition, (mode, reasoning)), _USER, span))
 
 
 def _accept_relation(m: re.Match, span: SourceSpan) -> RelationDecl:
     name, particularizes, signature, temporal = m.group(2, 3, 4, 5)
-    positions = tuple(tuple(sorted(_NAME_RE.findall(p))) for p in signature.split(","))
-    return RelationDecl(name, positions, temporal=temporal is not None,
-                        particularizes=particularizes, span=span)
+    positions = tuple(tuple(sorted(_findall_names(p))) for p in signature.split(","))
+    return _new(RelationDecl, (name, positions, temporal is not None, particularizes, _USER, span))
 
 
 def _accept_disjoint(m: re.Match, span: SourceSpan) -> DisjointDecl:
-    return DisjointDecl(m.group(2), m.group(3), span=span)
+    return _new(DisjointDecl, (*m.group(2, 3), _USER, span))
 
 
 def _accept_label(m: re.Match, span: SourceSpan) -> Optional[MetaLabel]:
@@ -431,18 +430,19 @@ def _accept_label(m: re.Match, span: SourceSpan) -> Optional[MetaLabel]:
     value = _time_value(time)
     if primitive not in PRIMITIVES or value is None:
         return None
-    return MetaLabel(primitive, concept, value, span=span)
+    return _new(MetaLabel, (primitive, concept, value, _USER, span))
 
 
 def _accept_annotate(m: re.Match, span: SourceSpan) -> Optional[AnnotationDecl]:
     concept, axis, value = m.group(2, 3, 4)
     if value not in ANNOTATION_VALUES.get(axis, ()):
         return None
-    return AnnotationDecl(concept, axis, value, span=span)
+    return _new(AnnotationDecl, (concept, axis, value, _USER, span))
 
 
 def _accept_instance(m: re.Match, span: SourceSpan) -> InstanceDecl:
-    return InstanceDecl(m.group(2), _names(m.group(3)), span=span)
+    name, concepts = m.group(2, 3)
+    return _new(InstanceDecl, (name, tuple(_findall_names(concepts)), _USER, span))
 
 
 def _accept_fact(m: re.Match, span: SourceSpan) -> Optional[Fact]:
@@ -450,7 +450,7 @@ def _accept_fact(m: re.Match, span: SourceSpan) -> Optional[Fact]:
     value = None if time is None else _time_value(time)
     if time is not None and value is None:
         return None
-    return Fact(relation, _names(args), value, span=span)
+    return _new(Fact, (relation, tuple(_findall_names(args)), value, _USER, span))
 
 
 _Builder = Callable[[re.Match, SourceSpan], Optional[Declaration]]

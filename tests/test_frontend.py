@@ -266,3 +266,30 @@ def test_accept_path_returns_what_the_token_parser_returns():
             assert fast == slow and fast.span == slow.span, repr(line)
             accepted += 1
     assert accepted > len(lines) // 10
+
+
+def test_accept_path_returns_what_the_token_parser_returns_on_the_workload_files(monkeypatch):
+    """Every line of the 64 seed-3 benchmark files that the accept path takes,
+    which covers fact time points, labels and definitions at scale.  Records
+    equal only records of their own class, so the accept path's positional
+    records must list the same fields in the same order.  The workloads
+    declare no relations; signature unions are covered by the lines above."""
+    monkeypatch.syspath_prepend(str(CORPUS.parent / "perfbench"))
+    import families
+
+    files = [f for _, family in sorted(families.FAMILIES.items())
+             for workload in [family(3)] for f in workload.files + workload.half]
+    assert len(files) == 64
+    accepted = []
+    for f in files:
+        for line_no, line in enumerate(f.text.split("\n"), start=1):
+            fast = _accept(line, line_no, f.name)
+            if fast is not None:
+                assert fast == _parse_tokens(line, line_no, f.name), (f.name, line_no, line)
+                accepted.append(fast)
+    assert len(accepted) > 60_000
+    kinds = {type(d) for d in accepted} | {type(d.definition) for d in accepted
+                                           if isinstance(d, ConceptDecl)}
+    assert kinds >= {ConceptDecl, DisjointDecl, MetaLabel, AnnotationDecl, InstanceDecl, Fact,
+                     RoleDefinition, Conjunction}
+    assert any(d.time is not None for d in accepted if isinstance(d, Fact))
