@@ -11,22 +11,22 @@ domain model additionally carries the plays-links derived from
 conjunction definitions (type -> material role) and the user relations
 whose signature concepts all live in the domain model.
 
-Emission streams `domain.json`, `inference.json` and `task.json` to a
-temporary name, one item of a top-level list at a time, and renames each
-into place.  The bytes equal those of `json.dumps(doc, indent=2,
-sort_keys=True, ensure_ascii=False)`.  Every reasoning concept lists the
-role records it inherits, so one record recurs under many concepts;
-`documents` shares one dict per record, and only these shared dicts are
-memoized, rendered once per indentation depth.
+Emission writes each document straight from the bundle's records, one
+text template per record kind at its fixed depth and key order, and each
+concept's text as soon as it is rendered.  The bytes equal those of
+`json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)` over
+`ModelBundle.documents()`.  One role record recurs under every concept
+that inherits it; its text is rendered once per emission.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .model import (
     Conjunction,
@@ -83,22 +83,16 @@ class BundleConcept(NamedTuple):
     outputs: Optional[tuple[RoleRecord, ...]] = None
     methods: Optional[tuple[str, ...]] = None
 
-    def to_json(self, role_docs: dict[RoleRecord, dict]) -> dict:
-        """The concept's document; `role_docs` shares one dict per role record."""
+    def to_json(self) -> dict:
         doc: dict = {
             "name": self.name,
             "parents": list(self.parents),
             "annotations": dict(self.annotations),
         }
         if self.inputs is not None or self.outputs is not None:
-            def role_doc(r: RoleRecord) -> dict:
-                shared = role_docs.get(r)
-                if shared is None:
-                    shared = role_docs[r] = r.to_json()
-                return shared
             doc["io"] = {
-                "inputs": [role_doc(r) for r in self.inputs or ()],
-                "outputs": [role_doc(r) for r in self.outputs or ()],
+                "inputs": [r.to_json() for r in self.inputs or ()],
+                "outputs": [r.to_json() for r in self.outputs or ()],
             }
         if self.methods is not None:
             doc["methods"] = list(self.methods)
@@ -139,24 +133,23 @@ class ModelBundle(NamedTuple):
         """Everything except the snapshot time, for equality over content."""
         return self[1:]
 
-    def documents(self, role_docs: Optional[dict[RoleRecord, dict]] = None) -> dict[str, dict]:
-        """The three documents; equal role records share one dict, kept in `role_docs`."""
+    def documents(self) -> dict[str, dict]:
+        """The three documents as dicts: the reference view of what `emit_bundle` writes."""
         common = {"schema_version": SCHEMA_VERSION, "snapshot_time": self.snapshot_time}
-        role_docs = {} if role_docs is None else role_docs
         return {
             "domain.json": {
                 **common,
-                "concepts": [c.to_json(role_docs) for c in self.domain_concepts],
+                "concepts": [c.to_json() for c in self.domain_concepts],
                 "relations": [r.to_json() for r in self.domain_relations],
                 "plays": [p.to_json() for p in self.plays],
             },
             "inference.json": {
                 **common,
-                "concepts": [c.to_json(role_docs) for c in self.inference_concepts],
+                "concepts": [c.to_json() for c in self.inference_concepts],
             },
             "task.json": {
                 **common,
-                "concepts": [c.to_json(role_docs) for c in self.task_concepts],
+                "concepts": [c.to_json() for c in self.task_concepts],
             },
         }
 
@@ -297,93 +290,112 @@ def compile_bundle(
 BUNDLE_FILES = ("domain.json", "inference.json", "task.json")
 
 
-def canonical_json(value: object, memo: Optional[dict[tuple[int, int], str]] = None) -> str:
-    """`json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)`
-    for the types a bundle holds: dict, list, str, int and bool.
-
-    A dict that occurs more than once in `value` is rendered once per
-    depth: `memo` maps its (id, depth) to its text and holds no other
-    dict.  Pass one memo only while the values it was filled from are alive.
-    """
-    seen: set[int] = set()
-    shared: set[int] = set()
-    stack = [value]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, dict):
-            (shared if id(item) in seen else seen).add(id(item))
-            stack.extend(item.values())
-        elif isinstance(item, list):
-            stack.extend(item)
-    return "".join(_pieces(value, {} if memo is None else memo, shared))
+# The text of each record kind at its fixed depth, keys in sorted order: role
+# records are items of a concept's "inputs" or "outputs", the rest of a top-level list.
+_CONCEPT_HEAD = '{\n      "annotations": %s'
+_CONCEPT_IO = ',\n      "io": {\n        "inputs": %s,\n        "outputs": %s\n      }'
+_CONCEPT_METHODS = ',\n      "methods": %s'
+_CONCEPT_TAIL = ',\n      "name": %s,\n      "parents": %s\n    }'
+_ROLE = ('{\n            "mode": %s,\n            "name": %s,\n            "players": %s,'
+         '\n            "reasoning_concept": %s\n          }')
+_RELATION = '{\n      "domain": %s,\n      "name": %s,\n      "range": %s,\n      "temporal": %s\n    }'
+_PLAYS = '{\n      "role": %s,\n      "type": %s\n    }'
+_NEWLINE = tuple("\n" + "  " * depth for depth in range(8))
 
 
-def _pieces(value: object, memo: dict[tuple[int, int], str], shared: set[int]) -> Iterator[str]:
-    """The text of `value`, one item of a list in a top-level dict at a time."""
-    if not isinstance(value, dict) or not value:
-        yield _render(value, 0, memo, shared)
-        return
-    for n, key in enumerate(sorted(value)):
-        head, item = ("{" if n == 0 else ",") + "\n  " + encode_basestring(key) + ": ", value[key]
-        if isinstance(item, list) and item:
-            for i, element in enumerate(item):
-                yield (head + "[" if i == 0 else ",") + "\n    " + _render(element, 2, memo, shared)
-            yield "\n  ]"
-        else:
-            yield head + _render(item, 1, memo, shared)
-    yield "\n}"
+def _list(texts: Sequence[str], depth: int) -> str:
+    """The list of the item texts `texts`, opened at indentation `depth`."""
+    if not texts:
+        return "[]"
+    inner = _NEWLINE[depth + 1]
+    return "[" + inner + ("," + inner).join(texts) + _NEWLINE[depth] + "]"
 
 
-def _render(value: object, depth: int, memo: dict[tuple[int, int], str], shared: set[int]) -> str:
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        key = (id(value), depth)
-        text = memo.get(key)
+def _roles_text(records: Sequence[RoleRecord], texts: dict[RoleRecord, str]) -> str:
+    """The list of `records`, each rendered once and kept in `texts`."""
+    out = []
+    for r in records:
+        text = texts.get(r)
         if text is None:
-            inner = "\n" + "  " * (depth + 1)
-            text = "{" + inner + ("," + inner).join([
-                encode_basestring(k) + ": " + _render(value[k], depth + 1, memo, shared)
-                for k in sorted(value)]) + "\n" + "  " * depth + "}"
-            if id(value) in shared:
-                memo[key] = text
-        return text
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        inner = "\n" + "  " * (depth + 1)
-        return "[" + inner + ("," + inner).join([
-            _render(item, depth + 1, memo, shared) for item in value]) + "\n" + "  " * depth + "]"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"a bundle holds no {type(value).__name__}")
+            text = texts[r] = _ROLE % (
+                encode_basestring(r.mode), encode_basestring(r.name),
+                _list([*map(encode_basestring, r.players)], 6),
+                encode_basestring(r.reasoning_concept))
+        out.append(text)
+    return _list(out, 4)
+
+
+def _concept_text(c: BundleConcept, role_texts: dict[RoleRecord, str]) -> str:
+    annotations = "{}" if not c.annotations else "{\n        " + ",\n        ".join([
+        encode_basestring(axis) + ": " + encode_basestring(value)
+        for axis, value in sorted(dict(c.annotations).items())]) + "\n      }"
+    text = _CONCEPT_HEAD % annotations
+    if c.inputs is not None or c.outputs is not None:
+        text += _CONCEPT_IO % (_roles_text(c.inputs or (), role_texts),
+                               _roles_text(c.outputs or (), role_texts))
+    if c.methods is not None:
+        text += _CONCEPT_METHODS % _list([*map(encode_basestring, c.methods)], 3)
+    return text + _CONCEPT_TAIL % (encode_basestring(c.name),
+                                   _list([*map(encode_basestring, c.parents)], 3))
+
+
+def _document(lists: Sequence[tuple[str, Iterable[str]]], snapshot_time: int) -> Iterator[str]:
+    """A top-level document, one item at a time: its lists of item texts,
+    keyed in sorted order, then the schema version and the snapshot time."""
+    separator = "{\n  "
+    for key, texts in lists:
+        yield separator + encode_basestring(key) + ": "
+        empty = True
+        for text in texts:
+            yield ("[\n    " if empty else ",\n    ") + text
+            empty = False
+        yield "[]" if empty else "\n  ]"
+        separator = ",\n  "
+    yield (separator + '"schema_version": ' + encode_basestring(SCHEMA_VERSION)
+           + ',\n  "snapshot_time": ' + int.__repr__(snapshot_time) + "\n}\n")
 
 
 def emit_bundle(bundle: ModelBundle, directory: Path | str) -> list[Path]:
-    """Stream the three bundle documents to files; byte-identical for equal bundles."""
+    """Write the three bundle documents; byte-identical for equal bundles.
+
+    A target that is not a regular file is refused before anything is
+    written, and all three documents are written to temporary files before
+    the first rename.  No temporary file outlives the call.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    role_docs: dict[RoleRecord, dict] = {}
-    documents = bundle.documents(role_docs)
-    shared = {id(doc) for doc in role_docs.values()}
-    memo: dict[tuple[int, int], str] = {}
-    for filename, doc in documents.items():
-        target = directory / filename
-        tmp = directory / f".{filename}.tmp-{os.getpid()}"
-        try:
+    enc, roles = encode_basestring, {}
+
+    def concepts(members: Sequence[BundleConcept]) -> tuple[str, Iterator[str]]:
+        return "concepts", (_concept_text(c, roles) for c in members)
+
+    documents = {
+        "domain.json": (concepts(bundle.domain_concepts),
+                        ("plays", (_PLAYS % (enc(p.role), enc(p.type_concept)) for p in bundle.plays)),
+                        ("relations", (_RELATION % (enc(r.domain), enc(r.name), enc(r.range),
+                                                    "true" if r.temporal else "false")
+                                       for r in bundle.domain_relations))),
+        "inference.json": (concepts(bundle.inference_concepts),),
+        "task.json": (concepts(bundle.task_concepts),),
+    }
+    targets = [directory / filename for filename in documents]
+    made: list[Path] = []
+    target = targets[0]
+    try:
+        for target in targets:
+            if target.exists() and not target.is_file():
+                raise (IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                       if target.is_dir() else OSError("not a regular file"))
+        for target, lists in zip(targets, documents.values()):
+            tmp = directory / f".{target.name}.tmp-{os.getpid()}"
             with open(tmp, "w", encoding="utf-8", newline="\n") as out:
-                out.writelines(_pieces(doc, memo, shared))
-                out.write("\n")
+                made.append(tmp)
+                out.writelines(_document(lists, bundle.snapshot_time))
+        for target, tmp in zip(targets, made):
             os.replace(tmp, target)
-        except OSError as err:
-            raise OSError(f"cannot write bundle file {target}: {err}") from err
-        finally:
-            if tmp.exists():  # pragma: no cover - only on failed replace
-                tmp.unlink()
-    return [directory / filename for filename in documents]
+    except OSError as err:
+        raise OSError(f"cannot write bundle file {target}: {err}") from err
+    finally:
+        for tmp in made:
+            tmp.unlink(missing_ok=True)
+    return targets

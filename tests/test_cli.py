@@ -134,6 +134,49 @@ def test_compile_refusal_prints_errors_and_warnings(tmp_path):
     assert not out_dir.exists()
 
 
+def _old_bundle(out_dir):
+    """`out_dir` with an earlier compile's domain.json and inference.json."""
+    out_dir.mkdir()
+    for name in ("domain.json", "inference.json"):
+        (out_dir / name).write_text(f"old {name}\n", encoding="utf-8")
+    return {name: (out_dir / name).read_bytes() for name in ("domain.json", "inference.json")}
+
+
+def test_compile_refuses_a_target_that_is_not_a_file_before_writing(tmp_path):
+    out_dir = tmp_path / "build"
+    old = _old_bundle(out_dir)
+    (out_dir / "task.json").mkdir()
+    code, out, err = run("compile", str(CORPUS / "car_diagnosis.oks"), "--out", str(out_dir))
+    assert (code, out) == (3, "")
+    assert err == f"okc: cannot write bundle file {out_dir / 'task.json'}: [Errno 21] Is a directory\n"
+    assert {name: (out_dir / name).read_bytes() for name in old} == old
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(BUNDLE_FILES)
+
+
+def test_compile_that_fails_writing_the_last_document_keeps_the_old_bundle(tmp_path, monkeypatch):
+    from okc import bundle
+
+    def open_then_fill_the_disk(path, *args, **kwargs):
+        out = open(path, *args, **kwargs)
+        if path.name.startswith(".task.json.tmp-"):
+            out.write("{")
+
+            def disk_full(lines):
+                raise OSError(28, "No space left on device")
+            out.writelines = disk_full
+        return out
+
+    monkeypatch.setattr(bundle, "open", open_then_fill_the_disk, raising=False)
+    out_dir = tmp_path / "build"
+    old = _old_bundle(out_dir)
+    code, out, err = run("compile", str(CORPUS / "car_diagnosis.oks"), "--out", str(out_dir))
+    assert (code, out) == (3, "")
+    assert err == (f"okc: cannot write bundle file {out_dir / 'task.json'}: "
+                   f"[Errno 28] No space left on device\n")
+    assert {name: (out_dir / name).read_bytes() for name in old} == old
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(old)
+
+
 def test_compile_empty_snapshot_warns(tmp_path):
     code, _, err = run("compile", str(CORPUS / "calibration.oks"),
                        "--out", str(tmp_path), "--at", "0")

@@ -17,10 +17,15 @@ from helpers import (
     role_io_oracle,
 )
 
+from okc import bundle as bundle_module
 from okc.bundle import (
     BUNDLE_FILES,
+    BundleConcept,
     CompileRefusedError,
-    canonical_json,
+    DomainRelation,
+    ModelBundle,
+    PlaysLink,
+    RoleRecord,
     compile_bundle,
     effective_labels,
     emit_bundle,
@@ -287,6 +292,45 @@ def _dumps(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
 
 
+def _bundle_of(text: str, snapshot_time: int) -> ModelBundle:
+    """A bundle that carries `text` in every string field of every record
+    kind, next to records whose lists and annotations are empty."""
+    role = RoleRecord(text, "data", text, (text, "B" + text))
+    bare_role = RoleRecord("R" + text, "result", "C", ())
+    annotations = tuple((axis, text) for axis in ("é", "e", "Z", "\n", '"', text + "x"))
+    return ModelBundle(
+        snapshot_time=snapshot_time,
+        domain_concepts=(BundleConcept(text, (text, "P"), annotations),
+                         BundleConcept("D" + text, (), ())),
+        domain_relations=(DomainRelation(text, text + "|A", "A|" + text, True),
+                          DomainRelation("r" + text, "A", "B", False)),
+        plays=(PlaysLink(text, "x" + text),),
+        inference_concepts=(BundleConcept(text, (), annotations, inputs=(role, bare_role),
+                                          outputs=(bare_role,)),
+                            BundleConcept("I" + text, (), (), inputs=(), outputs=())),
+        task_concepts=(BundleConcept(text, (text,), (), inputs=(), outputs=(role,),
+                                     methods=(text, "m")),
+                       BundleConcept("T" + text, (), (), inputs=(), outputs=(), methods=())),
+    )
+
+
+def _assert_written_equal_json_dumps(bundle, written):
+    """The files `emit_bundle` wrote hold `bundle.documents()` as `json.dumps` renders them."""
+    documents = bundle.documents()
+    assert [path.name for path in written] == list(documents) == list(BUNDLE_FILES)
+    for path in written:
+        assert path.read_text(encoding="utf-8") == _dumps(documents[path.name]) + "\n"
+
+
+def _scalars(value) -> list:
+    """The dict keys and the leaves of a JSON value."""
+    if isinstance(value, dict):
+        return [x for key, item in value.items() for x in [key, *_scalars(item)]]
+    if isinstance(value, list):
+        return [x for item in value for x in _scalars(item)]
+    return [value]
+
+
 @pytest.mark.parametrize("value", [
     {}, [], {"a": {}, "b": [], "c": [[], {}, [[]]]}, [{}], [[]],
     True, False, [True, False, 0], {"t": True, "f": False},
@@ -297,17 +341,48 @@ def _dumps(value) -> str:
     {"z": 1, "a": [1, "x", {"k": True}], "M": {"nested": {"deeper": []}}},
     {"é": 1, "e": 2, "Z": 3, "\n": 4, '"': 5},
 ])
-def test_canonical_json_equals_json_dumps(value):
-    assert canonical_json(value) == _dumps(value)
+def test_canonical_json_equals_json_dumps(value, tmp_path):
+    """Each string and each int of `value` goes into every record field of
+    its type; every bundle also holds both booleans and empty lists."""
+    scalars = _scalars(value)
+    texts = [x for x in scalars if isinstance(x, str)] or [""]
+    times = [x for x in scalars if type(x) is int] or [0]
+    for i, text in enumerate(texts):
+        for j, time in enumerate(times):
+            bundle = _bundle_of(text, time)
+            _assert_written_equal_json_dumps(bundle, emit_bundle(bundle, tmp_path / f"{i}-{j}"))
 
 
-def test_canonical_json_renders_a_shared_dict_per_depth():
-    shared = {"name": "R", "players": ["A", "B"], "io": {"inputs": []}}
-    value = {"top": shared, "deep": {"inner": [shared, {"again": shared}]},
-             "list": [shared, shared]}
-    memo: dict = {}
-    assert canonical_json(value, memo) == _dumps(value)
-    assert len({depth for (ident, depth) in memo if ident == id(shared)}) == 4
+def test_emit_renders_each_role_record_once(tmp_path, monkeypatch):
+    class CountingTemplate(str):
+        def __mod__(self, values):
+            rendered.append(values)
+            return str.__mod__(self, values)
+
+    monkeypatch.setattr(bundle_module, "_ROLE", CountingTemplate(bundle_module._ROLE))
+    bundle = compile_bundle(random_role_model(3), 3)[0]
+    records = [r for c in bundle.inference_concepts + bundle.task_concepts
+               for r in c.inputs + c.outputs]
+    assert len(records) > len(set(records)) > 1  # records recur under several concepts
+    for _ in range(2):  # once per call
+        rendered: list = []
+        _assert_written_equal_json_dumps(bundle, emit_bundle(bundle, tmp_path))
+        assert len(rendered) == len(set(rendered)) == len(set(records))
+
+
+_RELATIONS_SOURCE = (
+    "concept Engine specializes POB\n"
+    "concept FuelTank specializes POB\n"
+    "concept Pump specializes POB\n"
+    "relation feeds signature (FuelTank | Pump, Engine)\n"
+    "relation drains signature (Engine, FuelTank) temporal\n"
+    "concept Diagnosis specializes Reasoning\n"
+    "role Finding = result of Diagnosis\n"
+    "concept CarFinding = Model and Finding\n"
+    "label DomainConcept Engine at 1\n"
+    "label DomainConcept FuelTank at 1\n"
+    "label DomainConcept Pump at 2\n"
+    "label Task Diagnosis at 1\n")
 
 
 def test_emitted_bundles_equal_json_dumps(tmp_path):
@@ -317,18 +392,22 @@ def test_emitted_bundles_equal_json_dumps(tmp_path):
             onto = load_corpus_file(entry.relative_path)
             bundles.append(compile_bundle(onto, onto.max_label_time())[0])
     bundles += [compile_bundle(random_role_model(seed), 3)[0] for seed in range(30)]
+    onto, _ = load_source(_RELATIONS_SOURCE)
+    with_relations = [compile_bundle(onto, time)[0] for time in (0, 2, 10 ** 20)]
+    assert [len(b.domain_relations) for b in with_relations] == [0, 2, 2]
+    assert {r.temporal for r in with_relations[1].domain_relations} == {True, False}
+    assert "FuelTank|Pump" in {r.domain for r in with_relations[1].domain_relations}
+    assert with_relations[1].plays
+    bundles += with_relations
+    bundles += [_bundle_of(text, time) for text in ("", "ü \u2028\\\"") for time in (0, 2 ** 70)]
     for i, bundle in enumerate(bundles):
-        emit_bundle(bundle, tmp_path / str(i))
-        for name, doc in bundle.documents().items():
-            expected = _dumps(doc) + "\n"
-            assert canonical_json(doc) + "\n" == expected
-            assert (tmp_path / str(i) / name).read_text(encoding="utf-8") == expected
+        _assert_written_equal_json_dumps(bundle, emit_bundle(bundle, tmp_path / str(i)))
 
 
 def test_emission_stays_small_and_exact(tmp_path, monkeypatch):
-    """Emission writes each document as it renders it, so its memory stays
-    below the bundle's size although every role record recurs under many
-    concepts; a whole-document string alone would be as large."""
+    """Emission writes each concept's text as it renders it and keeps only
+    one text per role record, so its memory stays a small share of the
+    bundle's size although every role record recurs under many concepts."""
     monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
     import families
 
@@ -342,11 +421,8 @@ def test_emission_stays_small_and_exact(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < sum(path.stat().st_size for path in written)
-    documents = bundle.documents()
-    assert [path.name for path in written] == list(documents)
-    for path in written:
-        assert path.read_text(encoding="utf-8") == _dumps(documents[path.name]) + "\n"
+    assert peak < 0.2 * sum(path.stat().st_size for path in written)
+    _assert_written_equal_json_dumps(bundle, written)
 
 
 def test_negative_snapshot_rejected(car_ontology):
