@@ -380,7 +380,6 @@ def emit_bundle(bundle: ModelBundle, directory: Path | str) -> list[Path]:
     }
     targets = [directory / filename for filename in documents]
     made: list[Path] = []
-    target = targets[0]
     try:
         for target in targets:
             if target.exists() and not target.is_file():
