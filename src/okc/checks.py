@@ -44,6 +44,7 @@ from .model import (
     AXIS_IDENTITY,
     AXIS_RIGIDITY,
     Diagnostic,
+    Ground,
     KNOWLEDGE_ROLE_PRIMITIVES,
     LABEL_FAMILY,
     MetaLabel,
@@ -137,6 +138,7 @@ def check_w2(ctx: CheckContext) -> list[Diagnostic]:
 
 
 def check_s1(ctx: CheckContext) -> list[Diagnostic]:
+    """A diagnostic per ground that `FactBase.off_signature` finds by set difference."""
     diags = []
     for g in ctx.facts.off_signature():
         rel = ctx.ontology.relations[g.relation]
@@ -154,20 +156,23 @@ def check_s1(ctx: CheckContext) -> list[Diagnostic]:
 
 
 def check_s2(ctx: CheckContext) -> list[Diagnostic]:
-    """Reads only the facts of atemporal particularizations of temporal relations."""
+    """The arguments of the facts of each atemporal particularization of a
+    temporal relation, minus those of its parent's facts."""
     diags = []
+    witnessed: dict[str, set[tuple[str, ...]]] = {}  # parent -> the arguments of its facts
     for rel in ctx.ontology.relations.values():
         parent = ctx.ontology.relations.get(rel.particularizes)
         if rel.temporal or parent is None or not parent.temporal:
             continue
-        for g in ctx.facts.facts_of(rel.name):
-            if not any(w.args == g.args
-                       for w in ctx.facts.facts_with(parent.name, 0, g.args[0])):
-                diags.append(_error(
-                    "S2",
-                    f"fact {g.render()} has no witnessing "
-                    f"{parent.name}({', '.join(g.args)}, t) fact",
-                    ctx.facts.span_of(g), *g.args))
+        if parent.name not in witnessed:
+            witnessed[parent.name] = {w.args for w in ctx.facts.under(parent.name)}
+        for args in {g.args for g in ctx.facts.under(rel.name)} - witnessed[parent.name]:
+            g = Ground(rel.name, args, None)
+            diags.append(_error(
+                "S2",
+                f"fact {g.render()} has no witnessing "
+                f"{parent.name}({', '.join(args)}, t) fact",
+                ctx.facts.span_of(g), *args))
     return diags
 
 
@@ -192,53 +197,48 @@ def check_temporal_participation(ctx: CheckContext) -> list[Diagnostic]:
 
     Witness times range over the perdurant's declared presence record,
     so each check reduces to participation at the first (resp. last)
-    presence time.  A perdurant that has data or result participants but
-    no presence record passes vacuously with a warning.
+    presence time: the findings are the required `PC(x, y, t)` facts
+    minus the `PC` facts.  A perdurant that has data or result
+    participants but no presence record passes vacuously with a warning,
+    at its least data fact, or else its least result fact.
     """
     facts = ctx.facts
+    presence: dict[str, list[int]] = {}
+    for p in facts.under(kernel.REL_PRESENCE):  # temporal: every time is set
+        presence.setdefault(p.args[0], []).append(p.time)
+    edges = {y: (min(times), max(times)) for y, times in presence.items()}
+    participations = facts.facts_of(kernel.REL_PARTICIPATION)
     diags = []
     warned: set[str] = set()
-    for rel_name, code, pick in (
-        (kernel.REL_DATA, "A13", min),
-        (kernel.REL_RESULT, "R13", max),
-    ):
-        for g in sorted(facts.facts_of(rel_name)):
-            x, y = g.args
-            presence = [p.time for p in facts.facts_with(kernel.REL_PRESENCE, 0, y)
-                        if p.time is not None]
-            if not presence:
-                if y not in warned:
-                    warned.add(y)
-                    diags.append(_warning(
-                        code,
-                        f"perdurant '{y}' has participants but no declared "
-                        f"presence record; {code} holds vacuously",
-                        facts.span_of(g), y))
-                continue
-            edge = pick(presence)
-            pcs = min(facts.facts_with(kernel.REL_PARTICIPATION, 0, x),
-                      facts.facts_with(kernel.REL_PARTICIPATION, 1, y), key=len)
-            participated = {p.time for p in pcs if p.args == (x, y)}
-            side = "first" if pick is min else "last"
-            if edge not in participated:
-                diags.append(_error(
+    for rel_name, code, side, end in ((kernel.REL_DATA, "A13", "first", 0),
+                                      (kernel.REL_RESULT, "R13", "last", 1)):
+        pairs = {g.args for g in facts.under(rel_name)}
+        required = {(kernel.REL_PARTICIPATION, (x, y), edges[y][end])
+                    for x, y in pairs if y in edges}
+        for _, (x, y), edge in required - participations:
+            g = Ground(rel_name, (x, y), None)
+            diags.append(_error(
+                code,
+                f"{g.render()}: '{x}' does not participate in '{y}' at its "
+                f"{side} presence time {edge}",
+                facts.span_of(g), x, y))
+        for y, x in sorted((y, x) for x, y in pairs if y not in edges):
+            if y not in warned:  # the least participant of y comes first
+                warned.add(y)
+                diags.append(_warning(
                     code,
-                    f"{g.render()}: '{x}' does not participate in '{y}' at its "
-                    f"{side} presence time {edge}",
-                    facts.span_of(g), x, y))
+                    f"perdurant '{y}' has participants but no declared "
+                    f"presence record; {code} holds vacuously",
+                    facts.span_of(Ground(rel_name, (x, y), None)), y))
     return diags
 
 
 def check_ad35(ctx: CheckContext) -> list[Diagnostic]:
-    diags = []
-    participants = {g.args[0] for g in ctx.facts.facts_of(kernel.REL_PARTICIPATION)}
-    for name, inst in ctx.ontology.instances.items():
-        if ctx.facts.has_member(name, kernel.ENDURANT) and name not in participants:
-            diags.append(_warning(
-                "Ad35",
-                f"endurant instance '{name}' participates in no perdurant",
-                inst.span, name))
-    return diags
+    """The endurant instances minus the first arguments of `PC` facts."""
+    participants = {g.args[0] for g in ctx.facts.under(kernel.REL_PARTICIPATION)}
+    return [_warning("Ad35", f"endurant instance '{name}' participates in no perdurant",
+                     ctx.ontology.instances[name].span, name)
+            for name in ctx.facts.instances_of(kernel.ENDURANT) - participants]
 
 
 # --- labeling checks ----------------------------------------------------------

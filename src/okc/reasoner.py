@@ -26,11 +26,12 @@ R-up and D3-D6, and `_d1` and `_d2` are the D1 and D2 bodies over a
 `has(instance, concept)` test.  Two evaluators read them, as in
 semi-naive Datalog evaluation.  `saturate` computes the fixpoint alone,
 each instance's memberships one bitset over the closure's concept bits,
-closed under M-up by a union with an ancestor bitset: it adds the
+closed under M-up by a union with an ancestor bitset: it ORs in the
 asserted, D3 and D4 memberships, fires D1 and D2 once, then serves D5
-and D6 from a worklist.  `FactBase.trace` runs `_Engine` on first read, a
-FIFO queue of entries in which each entry keeps the first derivation
-that reaches it; `okc explain` prints these traces.
+and D6 from a worklist that holds each instance with a D5 or D6 key
+once, and again only when it gains one.  `FactBase.trace` runs `_Engine`
+on first read, a FIFO queue of entries in which each entry keeps the
+first derivation that reaches it; `okc explain` prints these traces.
 
 One pass of D1 and D2 suffices because the bits they read (AC, APO, ASO,
 Proposition, IdaConcept) are final once the asserted, D3 and D4
@@ -46,9 +47,11 @@ memberships are in; no later membership adds one:
 Both evaluators are exact:
 - R-up alone derives ground facts, each from one fact below along one
   particularization edge, so `FactBase` reads them through `_RuleTable`'s
-  edges instead of storing them.  The FIFO engine derives one first from
-  the asserted fact in the nearest relation below, the least `Fact.key()`
-  among equals, and `span_of` follows that rule.
+  edges instead of storing them.  R-up keeps the arguments, so what
+  reads only arguments reads the asserted facts as they are.  The FIFO
+  engine derives one first from the asserted fact in the nearest
+  relation below, the least `Fact.key()` among equals, and `span_of`
+  follows that rule.
 - Rules join entries only through the arguments of asserted facts, so
   the entries of one component (instances linked by facts, with those
   facts) never meet another component's in a rule body, and the queue
@@ -309,9 +312,10 @@ class FactBase:
     """Memberships and ground facts closed under the rule set.
 
     An instance's memberships are one bitset over the closure's concept
-    bits.  Each asserted fact is stored once, by relation; `facts_of` and
-    each (relation, position) index of `facts_with` map facts up R-up on
-    first read, and `grounds` materialises every fact, for explain only.
+    bits.  Each asserted fact is stored once, by relation, and most readers
+    take its arguments as asserted (`under`).  `facts_of` and each
+    (relation, position) index of `facts_with` map facts up R-up on first
+    read, for D1 and A13/R13; `grounds` materialises every fact, for explain.
     """
 
     def __init__(self, ontology: Ontology, closure: SubsumptionClosure,
@@ -369,6 +373,10 @@ class FactBase:
         bit = self._closure._bit.get(concept)
         return bit is not None and (self._bits.get(instance, 0) >> bit) & 1 == 1
 
+    def instances_of(self, concept: str) -> set[str]:
+        bit = self._closure._bit.get(concept)
+        return set() if bit is None else {x for x, now in self._bits.items() if now >> bit & 1}
+
     def concepts_of(self, instance: str) -> frozenset[str]:
         return self._closure._decode(self._bits.get(instance, 0))
 
@@ -376,14 +384,20 @@ class FactBase:
         """The facts of `relation` and, mapped up, of every relation below it."""
         out = self._of.get(relation)
         if out is None:
-            out = self._of[relation] = set(self._asserted.get(relation, ()))
             keep = getattr(self._ontology.relations.get(relation), "temporal", False)
-            below = list(self._rules.r_down.get(relation, ()))
-            for lower in below:  # grows while it is walked; E7 refuses cycles
-                below.extend(self._rules.r_down.get(lower, ()))
-                out.update(Ground(relation, g.args, g.time if keep else None)
-                           for g in self._asserted.get(lower, ()))
+            out = self._of[relation] = {
+                g if g.relation == relation else Ground(relation, g.args, g.time if keep else None)
+                for g in self.under(relation)}
         return out
+
+    def under(self, relation: str) -> Iterator[Ground]:
+        """The asserted facts of `relation` and of every relation below it, as
+        asserted: R-up changes no argument, so a rule or check that reads only
+        arguments reads these instead of `facts_of`."""
+        below = [relation]
+        for lower in below:  # grows while it is walked; E7 refuses cycles
+            below.extend(self._rules.r_down.get(lower, ()))
+            yield from self._asserted.get(lower, ())
 
     def facts_with(self, relation: str, position: int, value: str) -> Sequence[Ground]:
         """Facts of `relation` whose argument at `position` is `value`."""
@@ -405,13 +419,18 @@ class FactBase:
         return fact.span
 
     def off_signature(self) -> Iterator[Ground]:
-        """Each ground with an argument outside its relation's signature, once; an
-        asserted fact is tested per distinct signature on its chain, one `&` per argument."""
+        """Each ground with an argument outside its relation's signature, once.
+        Per relation and distinct signature on its chain, the argument values
+        at each position minus those whose bitset meets the mask are the bad
+        ones; only the asserted facts on a bad value are mapped up."""
         bits, seen = self._bits, set()
         for relation, asserted in self._asserted.items():
+            columns = [set(column) for column in zip(*(g.args for g in asserted))]
             for masks in self._signatures_above(relation):
-                for g in asserted:
-                    if not all(bits.get(arg, 0) & mask for arg, mask in zip(g.args, masks)):
+                bad = [{v for v in column if not bits[v] & mask}
+                       for column, mask in zip(columns, masks)]
+                for g in asserted if any(bad) else ():
+                    if any(arg in values for arg, values in zip(g.args, bad)):
                         for up in self._r_up_chain(g):
                             if up not in seen and self._masks[up.relation] == masks:
                                 seen.add(up)
@@ -448,34 +467,43 @@ class FactBase:
     # -- the least fixpoint of the memberships
 
     def _close_members(self) -> None:
-        """M-up is a union with an ancestor bitset; D5 and D6 fire from a worklist."""
+        """M-up is a union with an ancestor bitset.  The asserted, D3, D4, D1
+        and D2 memberships are ORed in directly; then each instance holding a
+        D5 or D6 key is queued once, and again only when it gains a key."""
         onto, closure, rules = self._ontology, self._closure, self._rules
         bit, up, names, bits = closure._bit, closure._up, closure._names, self._bits
-        work: list[str] = []
-
-        def add(instance: str, concept: str) -> None:
-            old = bits.get(instance, 0)
-            new = old | up[bit[concept]]
-            if new != old:
-                bits[instance] = new
-                work.append(instance)
-
         for inst in onto.instances.values():
+            now = 0
             for concept in inst.concepts:
-                add(inst.name, concept)
+                now |= up[bit[concept]]
+            bits[inst.name] = now
         for relation, (_, concept) in rules.d34.items():
-            for g in self.facts_of(relation):
-                add(g.args[0], concept)
-        for action in {g.args[1] for g in self.facts_of(kernel.REL_AGENT)}:
+            joined = up[bit[concept]]
+            for x in {g.args[0] for g in self.under(relation)}:
+                bits[x] |= joined
+        for action in {g.args[1] for g in self.under(kernel.REL_AGENT)}:
             if _d1(action, self.has_member, self.facts_with) is not None:
-                add(action, kernel.INTERACTION)
-        for g in self.facts_of(kernel.REL_SUBJECT):
+                bits[action] |= up[bit[kernel.INTERACTION]]
+        for g in self.under(kernel.REL_SUBJECT):  # D2 reads only the arguments
             if _d2(g, self.has_member) is not None:
-                add(g.args[1], kernel.SUBJECT)
+                bits[g.args[1]] |= up[bit[kernel.SUBJECT]]
 
         trigger = closure.mask(rules.d5) | closure.mask(rules.d6)
         others = {operand: closure.mask(by_other) for operand, by_other in rules.d6.items()}
+        players: dict[str, dict[str, list[str]]] = {}  # D5 relation -> reasoning -> players
+        for relation in {relation for keyed in rules.d5.values() for relation, _ in keyed}:
+            by_reasoning = players[relation] = {}
+            for g in self.under(relation):
+                by_reasoning.setdefault(g.args[1], []).append(g.args[0])
+        work = [x for x, now in bits.items() if now & trigger]
         done: dict[str, int] = {}
+
+        def add(instance: str, concept: str) -> None:
+            old = bits[instance]
+            new = bits[instance] = old | up[bit[concept]]
+            if (new ^ old) & trigger:
+                work.append(instance)
+
         while work:
             x = work.pop()
             now = bits[x]
@@ -483,8 +511,8 @@ class FactBase:
             done[x] = now
             for concept in _bit_names(names, new):
                 for relation, role in rules.d5.get(concept, ()):
-                    for g in self.facts_with(relation, 1, x):
-                        add(g.args[0], role)
+                    for player in players[relation].get(x, ()):
+                        add(player, role)
                 for other in _bit_names(names, now & others.get(concept, 0)):
                     for conjunction, _, _ in rules.d6[concept][other]:
                         add(x, conjunction)

@@ -745,6 +745,18 @@ def particularization_model(seed: int):
     return onto
 
 
+# Model families the fact base is checked against an oracle on: family ->
+# (build, the seeds or corpus files it is built from).
+FIXPOINT_MODELS = {
+    "random_saturation_model": (random_saturation_model, range(200)),
+    "random_shared_model": (random_shared_model, range(60)),
+    "role_web_model": (role_web_model, range(60)),
+    "shared_temporal_model": (lambda seed: shared_temporal_model(seed)[0], range(60)),
+    "corpus": (load_corpus_file, ("car_diagnosis.oks", "calibration.oks", "a4_a5_a6.oks")),
+    "particularization_model": (particularization_model, range(200)),
+}
+
+
 def r_up_chain_source(n: int) -> str:
     """n relations, each particularizing the last, and one fact on the
     lowest for each of n instances: R-up derives n * n facts."""

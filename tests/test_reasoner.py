@@ -7,11 +7,11 @@ import random
 import pytest
 
 from helpers import (
+    FIXPOINT_MODELS,
     engine_sets,
     load_corpus_file,
     load_source,
     naive_saturate,
-    particularization_model,
     random_loadable_model,
     random_saturation_model,
     random_shared_model,
@@ -20,7 +20,6 @@ from helpers import (
     role_fan_in_source,
     role_web_model,
     shared_operand_source,
-    shared_temporal_model,
 )
 
 from okc import kernel, reasoner
@@ -361,16 +360,6 @@ def test_explain_output(calibration_ontology):
 
 
 # --- fixpoint against the traced engine ------------------------------------------
-
-FIXPOINT_MODELS = {
-    "random_saturation_model": (random_saturation_model, range(200)),
-    "random_shared_model": (random_shared_model, range(60)),
-    "role_web_model": (role_web_model, range(60)),
-    "shared_temporal_model": (lambda seed: shared_temporal_model(seed)[0], range(60)),
-    "corpus": (load_corpus_file, ("car_diagnosis.oks", "calibration.oks", "a4_a5_a6.oks")),
-    "particularization_model": (particularization_model, range(200)),
-}
-
 
 def assert_fixpoint_matches_engine(onto, what) -> None:
     facts = saturate(onto, compute_closure(onto))

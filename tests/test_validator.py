@@ -8,12 +8,15 @@ from collections import Counter
 import pytest
 
 from helpers import (
+    FIXPOINT_MODELS,
     all_codes,
     check_source,
     error_codes,
     load_corpus_file,
+    load_source,
     ontology_content,
     particularization_model,
+    particularization_source,
     random_saturation_model,
     random_shared_model,
     random_taxonomy,
@@ -23,12 +26,15 @@ from helpers import (
     temporal_oracle,
 )
 
+from okc import kernel
+
 from okc.checks import (
     _VALIDATOR_CHECKS,
     REGISTRY,
     VALIDATOR_CODES,
     SIGNATURE_AXIOM,
     CheckContext,
+    check_ad35,
     check_labels,
     check_s1,
     check_s2,
@@ -393,6 +399,96 @@ def test_temporal_checker_matches_enumeration_oracle(seed):
     diags = temporal_codes(onto)
     failed = any(d.severity is Severity.ERROR for d in diags)
     assert failed == (not temporal_oracle(pre, pc1, mode)), (seed, pre, pc1, mode)
+
+
+def asserted_span(onto, facts, g):
+    """Span of the asserted fact that `g`'s trace reaches through R-up."""
+    while facts.trace[g].rule != RULE_ASSERTED:
+        g = facts.trace[g].premises[0]
+    return onto.facts[g].span
+
+
+def temporal_particularization_model(seed: int):
+    """particularization_source(seed), whose user relations reach isDataOf
+    and PC at random, plus a relation under isResultOf and random PRE, PC
+    and result facts on its instances."""
+    rng = random.Random(f"temporal-particularization-{seed}")
+    text = particularization_source(seed)
+    instances = [line.split()[1] for line in text.splitlines() if line.startswith("instance ")]
+    lines = ["relation Yields particularizes isResultOf signature (Content, AC)",
+             "relation Attends particularizes PC signature (ED, PD) temporal"]
+    for y in instances:
+        lines += [f"fact PRE({y}, {t})" for t in rng.sample(range(3), k=rng.randint(0, 2))]
+    for _ in range(rng.randint(0, 4)):
+        x, y = rng.sample(instances, 2)
+        lines.append(f"fact {rng.choice(['isResultOf', 'Yields'])}({x}, {y})")
+    for _ in range(rng.randint(0, 8)):
+        x, y = rng.sample(instances, 2)
+        lines.append(f"fact {rng.choice(['PC', 'Attends'])}({x}, {y}, {rng.randint(0, 2)})")
+    onto, diags = load_source(text + "\n".join(lines) + "\n")
+    assert onto is not None, [d.render() for d in diags]
+    return onto
+
+
+def test_temporal_check_matches_a_scan_of_every_ground():
+    """A13/R13 read the data and result facts at or below each relation;
+    a scan of every materialised ground, grounded through its trace,
+    gives the same errors, the same vacuous warnings and the same spans.
+    Across the seeds, data facts map up from user relations and each code
+    gives both an error and a warning."""
+    cases, mapped = Counter(), 0
+    for seed in range(100):
+        onto = temporal_particularization_model(seed)
+        closure = compute_closure(onto)
+        facts = saturate(onto, closure)
+        grounds = facts.grounds
+        mapped += sum(1 for g in grounds if g.relation == "isDataOf" and g not in onto.facts)
+        expected, warned = Counter(), set()
+        for rel, code, pick, side in (("isDataOf", "A13", min, "first"),
+                                      ("isResultOf", "R13", max, "last")):
+            for g in sorted(g for g in grounds if g.relation == rel):
+                x, y = g.args
+                presence = {p.time for p in grounds if p.relation == "PRE" and p.args == (y,)}
+                if not presence:
+                    if y not in warned:
+                        warned.add(y)
+                        expected[(code, Severity.WARNING,
+                                  f"perdurant '{y}' has participants but no declared "
+                                  f"presence record; {code} holds vacuously",
+                                  asserted_span(onto, facts, g), (y,))] += 1
+                elif not any(p.relation == "PC" and p.args == (x, y)
+                             and p.time == pick(presence) for p in grounds):
+                    expected[(code, Severity.ERROR,
+                              f"{g.render()}: '{x}' does not participate in '{y}' at its "
+                              f"{side} presence time {pick(presence)}",
+                              asserted_span(onto, facts, g), (x, y))] += 1
+        found = Counter((d.code, d.severity, d.message, d.span, d.subjects) for d in
+                        check_temporal_participation(CheckContext(onto, closure, facts)))
+        assert found == expected, seed
+        cases.update((code, severity) for code, severity, *_ in found)
+    assert mapped
+    assert set(cases) == {(code, severity) for code in ("A13", "R13")
+                          for severity in (Severity.ERROR, Severity.WARNING)}, cases
+
+
+@pytest.mark.parametrize("family", sorted(FIXPOINT_MODELS))
+def test_ad35_matches_a_scan_of_every_ground(family):
+    """Ad35 is a set difference; a scan of every instance's memberships
+    against every materialised PC ground gives the same findings."""
+    build, seeds = FIXPOINT_MODELS[family]
+    for seed in seeds:
+        onto = build(seed)
+        closure = compute_closure(onto)
+        facts = saturate(onto, closure)
+        expected = Counter(
+            (f"endurant instance '{name}' participates in no perdurant", inst.span, (name,))
+            for name, inst in onto.instances.items()
+            if kernel.ENDURANT in facts.concepts_of(name)
+            and not any(g.relation == kernel.REL_PARTICIPATION and g.args[0] == name
+                        for g in facts.grounds))
+        found = check_ad35(CheckContext(onto, closure, facts))
+        assert Counter((d.message, d.span, d.subjects) for d in found) == expected, (family, seed)
+        assert all(d.severity is Severity.WARNING for d in found)
 
 
 # --- whole-validator properties -------------------------------------------------
