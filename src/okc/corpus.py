@@ -80,7 +80,12 @@ _ENTRIES: tuple[CorpusEntry, ...] = (
     CorpusEntry("e2_kernel_redefinition",
                 "negative/e2_kernel_redefinition.oks", ("E2",)),
     CorpusEntry("e3_dangling_parent", "negative/e3_dangling_parent.oks", ("E3",)),
+    CorpusEntry("e4_fact_shape", "negative/e4_fact_shape.oks", ("E4",)),
     CorpusEntry("e5_duplicate_label", "negative/e5_duplicate_label.oks", ("E5",)),
+    CorpusEntry("e6_conflicting_annotation",
+                "negative/e6_conflicting_annotation.oks", ("E6",)),
+    CorpusEntry("e7_particularization_arity",
+                "negative/e7_particularization_arity.oks", ("E7",)),
     CorpusEntry("p1_bad_time_literal", "negative/p1_bad_time_literal.oks", ("P1",)),
 )
 

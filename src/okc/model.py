@@ -21,7 +21,8 @@ record class, and hashes as the tuple of its fields.
 from __future__ import annotations
 
 from enum import Enum
-from operator import attrgetter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Optional, Union, get_args
 
 
@@ -230,9 +231,6 @@ class MetaLabel(NamedTuple):
     origin: Origin = Origin.USER
     span: SourceSpan = KERNEL_SPAN
 
-    def triple(self) -> tuple[str, str, int]:
-        return (self.primitive, self.concept, self.time)
-
 
 @_record
 class InstanceDecl(NamedTuple):
@@ -268,7 +266,7 @@ class Fact(NamedTuple):
     span: SourceSpan = KERNEL_SPAN
 
     def key(self) -> Ground:
-        # Filed by the loader, kept by the fact base; tuple.__new__ skips Ground's Python __new__.
+        # As the loader keys facts; tuple.__new__ skips Ground's Python __new__.
         return tuple.__new__(Ground, (self.relation, self.args, self.time))
 
 
@@ -345,21 +343,27 @@ def _span_order(decl) -> tuple:
     return (decl.origin is not Origin.KERNEL, *decl.span[:3])
 
 
-def _earliest(decls, key) -> tuple[dict, dict[object, list]]:
+def _earliest(decls: list, keys: Iterable) -> tuple[dict, dict[object, list]]:
     """The earliest declaration per key (kernel first, then by source
-    position), and each repeated key's declarations in that order."""
-    first: dict = {}
+    position), and each repeated key's declarations in that order.  `keys`
+    runs beside `decls`; they are walked one by one only on a repeat."""
+    keys = list(keys)
+    first = dict(zip(keys, decls))
     duplicates: dict[object, list] = {}
-    for d in decls:
-        k = key(d)
-        if k in first:
-            duplicates.setdefault(k, [first[k]]).append(d)
-        else:
-            first[k] = d
+    if len(first) < len(decls):
+        first = {}
+        for k, d in zip(keys, decls):
+            if k in first:
+                duplicates.setdefault(k, [first[k]]).append(d)
+            else:
+                first[k] = d
     for k, group in duplicates.items():
         group.sort(key=_span_order)
         first[k] = group[0]
     return first, duplicates
+
+
+_LABEL_KEY = attrgetter("primitive", "concept", "time")
 
 
 def _error(code: str, message: str, span: SourceSpan, *subjects: str) -> Diagnostic:
@@ -375,7 +379,9 @@ def load(decls: Iterable[Declaration]) -> tuple[Optional[Ontology], list[Diagnos
 
     Resolution is two-phase: every declaration is grouped by kind first,
     then names are resolved over the complete set, which makes the result
-    independent of declaration order.  Every finding of a load is an error.
+    independent of declaration order.  References resolve by set
+    difference, and only the declarations that touch what is left are
+    walked for diagnostics.  Every finding of a load is an error.
     """
     diags: list[Diagnostic] = []
     staged: dict[type, list] = {kind: [] for kind in get_args(Declaration)}
@@ -388,12 +394,14 @@ def load(decls: Iterable[Declaration]) -> tuple[Optional[Ontology], list[Diagnos
     _check_cross_kind(concepts, relations, instances, diags)
 
     annotations = _collapse_annotations(staged[AnnotationDecl], diags)
-    labels, duplicates = _earliest(staged[MetaLabel], MetaLabel.triple)
+    labels, duplicates = _earliest(staged[MetaLabel], map(_LABEL_KEY, staged[MetaLabel]))
     diags.extend(_error("E5", f"duplicate label ({d.primitive}, {d.concept}, {d.time})",
                         d.span, d.concept)
                  for group in duplicates.values() for d in group[1:])
-    facts, _ = _earliest(staged[Fact], Fact.key)
-    disjoints, _ = _earliest(staged[DisjointDecl], DisjointDecl.pair)
+    # Each key a Ground, as Fact.key builds it, with no Python call per fact.
+    facts, _ = _earliest(staged[Fact], map(tuple.__new__, repeat(Ground),
+                                           map(itemgetter(0, 1, 2), staged[Fact])))
+    disjoints, _ = _earliest(staged[DisjointDecl], map(DisjointDecl.pair, staged[DisjointDecl]))
 
     onto = Ontology(concepts, relations, instances, annotations, labels, facts, disjoints)
     _check_references(onto, diags)
@@ -405,7 +413,7 @@ def load(decls: Iterable[Declaration]) -> tuple[Optional[Ontology], list[Diagnos
 
 
 def _collapse_named(decls, diags: list[Diagnostic]) -> dict:
-    out, duplicates = _earliest(decls, attrgetter("name"))
+    out, duplicates = _earliest(decls, map(attrgetter("name"), decls))
     for name, group in duplicates.items():
         canonical = group[0]
         for other in group[1:]:
@@ -436,7 +444,7 @@ def _check_cross_kind(concepts, relations, instances, diags) -> None:
 
 
 def _collapse_annotations(decls, diags) -> dict[str, dict[str, AnnotationDecl]]:
-    first, duplicates = _earliest(decls, attrgetter("concept", "axis"))
+    first, duplicates = _earliest(decls, map(attrgetter("concept", "axis"), decls))
     out: dict[str, dict[str, AnnotationDecl]] = {}
     for (concept, axis), canonical in first.items():
         if canonical.value not in ANNOTATION_VALUES.get(axis, ()):
@@ -454,15 +462,30 @@ def _collapse_annotations(decls, diags) -> dict[str, dict[str, AnnotationDecl]]:
 
 
 def _check_references(onto: Ontology, diags: list[Diagnostic]) -> None:
-    # Each dict is walked in declaration order; load sorts the findings.
+    # What does not resolve is the referenced concept names minus the
+    # concepts, and the fact arguments minus the instances; fact shapes
+    # are checked once per (relation, arity, time).  Only declarations that
+    # can give a finding are walked, each kind in order; load sorts them.
+    concepts, relations, instances = onto.concepts, onto.relations, onto.instances
+    primitives, labelled, times = zip(*onto.labels) if onto.labels else ((), (), ())
+    defined = [c for c in concepts.values() if c.definition is not None]
+    unresolved = set(chain.from_iterable(map(attrgetter("parents"), concepts.values())))
+    unresolved.update(chain.from_iterable(map(direct_supers, defined)),
+                      chain.from_iterable(map(attrgetter("concepts"), instances.values())),
+                      labelled, onto.annotations, chain.from_iterable(onto.disjoints))
+    unresolved -= concepts.keys()
+    bad_primitives = set(primitives).difference(PRIMITIVES)
+
     def need_concept(name: str, span: SourceSpan, context: str) -> None:
-        if name not in onto.concepts:
-            kind = "relation" if name in onto.relations else (
-                "instance" if name in onto.instances else None)
+        if name not in concepts:
+            kind = "relation" if name in relations else (
+                "instance" if name in instances else None)
             detail = f"names a {kind}, not a concept" if kind else "is not declared"
             diags.append(_error("E3", f"{context}: '{name}' {detail}", span, name))
 
-    for c in onto.concepts.values():
+    for c in concepts.values() if unresolved else defined:
+        if c.definition is None and unresolved.isdisjoint(c.parents):
+            continue
         if c.definition is not None and c.parents:
             # The statement grammar offers either form, never both.
             diags.append(_error(
@@ -479,7 +502,7 @@ def _check_references(onto: Ontology, diags: list[Diagnostic]) -> None:
             need_concept(c.definition.formal_role, c.span,
                          f"conjunct of '{c.name}'")
 
-    for r in onto.relations.values():
+    for r in relations.values():
         for position in r.signature:
             for member in position:
                 need_concept(member, r.span, f"signature of relation '{r.name}'")
@@ -487,7 +510,7 @@ def _check_references(onto: Ontology, diags: list[Diagnostic]) -> None:
             diags.append(_error(
                 "E4", f"relation '{r.name}' has an empty signature", r.span, r.name))
         if r.particularizes is not None:
-            parent = onto.relations.get(r.particularizes)
+            parent = relations.get(r.particularizes)
             if parent is None:
                 diags.append(_error(
                     "E3", f"relation '{r.name}' particularizes undeclared "
@@ -498,55 +521,61 @@ def _check_references(onto: Ontology, diags: list[Diagnostic]) -> None:
                     f"'{parent.name}' (arity {parent.arity})", r.span, r.name, parent.name))
     _check_particularization_cycles(onto, diags)
 
-    for inst in onto.instances.values():
-        for cname in inst.concepts:
+    for inst in instances.values() if unresolved else ():
+        for cname in () if unresolved.isdisjoint(inst.concepts) else inst.concepts:
             need_concept(cname, inst.span, f"concept of instance '{inst.name}'")
 
-    for lb in onto.labels.values():
-        if lb.primitive not in PRIMITIVES:
+    broken = unresolved or bad_primitives or min(times, default=0) < 0
+    for lb in onto.labels.values() if broken else ():
+        if lb.primitive in bad_primitives:
             diags.append(_error(
                 "E4", f"unknown modeling primitive '{lb.primitive}'", lb.span, lb.concept))
         need_concept(lb.concept, lb.span, f"label {lb.primitive}")
         if lb.time < 0:
             diags.append(_error("E4", f"negative label time {lb.time}", lb.span, lb.concept))
 
-    for per_concept in onto.annotations.values():
-        for ann in per_concept.values():
+    for concept, per_concept in onto.annotations.items() if unresolved else ():
+        for ann in per_concept.values() if concept in unresolved else ():
             need_concept(ann.concept, ann.span, f"annotate {ann.axis}")
 
     for dis in onto.disjoints.values():
-        need_concept(dis.first, dis.span, "disjointness")
-        need_concept(dis.second, dis.span, "disjointness")
+        if unresolved:
+            need_concept(dis.first, dis.span, "disjointness")
+            need_concept(dis.second, dis.span, "disjointness")
         if dis.first == dis.second:
             diags.append(_error(
                 "E4", f"'{dis.first}' declared disjoint with itself", dis.span, dis.first))
 
-    for f in onto.facts.values():
-        rel = onto.relations.get(f.relation)
-        if rel is None:
-            kind = "concept" if f.relation in onto.concepts else None
-            detail = "names a concept, not a relation" if kind else "is not declared"
-            diags.append(_error(
-                "E3", f"fact relation '{f.relation}' {detail}", f.span, f.relation))
+    relation_of, args_of, time_of = zip(*onto.facts) if onto.facts else ((), (), ())
+    shapes = {shape: found for shape in set(zip(relation_of, map(len, args_of), time_of))
+              if (found := _fact_shape_findings(onto, *shape))}
+    strangers = set(chain.from_iterable(args_of)).difference(instances)
+    for f in onto.facts.values() if shapes or strangers else ():
+        for code, message in shapes.get((f.relation, len(f.args), f.time), ()):
+            diags.append(_error(code, message, f.span, f.relation))
+        if f.relation not in relations or strangers.isdisjoint(f.args):
             continue
-        if len(f.args) != rel.arity:
-            diags.append(_error(
-                "E4", f"fact {f.relation} expects {rel.arity} argument(s), "
-                f"got {len(f.args)}", f.span, f.relation))
-        if rel.temporal and f.time is None:
-            diags.append(_error(
-                "E4", f"fact {f.relation} requires a trailing time point", f.span, f.relation))
-        if not rel.temporal and f.time is not None:
-            diags.append(_error(
-                "E4", f"fact {f.relation} takes no time point", f.span, f.relation))
-        if f.time is not None and f.time < 0:
-            diags.append(_error("E4", f"negative time point {f.time}", f.span, f.relation))
         for arg in f.args:
-            if arg not in onto.instances:
-                kind = "concept" if arg in onto.concepts else (
-                    "relation" if arg in onto.relations else None)
+            if arg not in instances:
+                kind = "concept" if arg in concepts else (
+                    "relation" if arg in relations else None)
                 detail = f"names a {kind}, not an instance" if kind else "is not declared"
                 diags.append(_error("E3", f"fact argument '{arg}' {detail}", f.span, arg))
+
+
+def _fact_shape_findings(onto: Ontology, relation: str, arity: int,
+                         time: Optional[int]) -> list[tuple[str, str]]:
+    """(code, message) of each finding on every fact of this shape."""
+    rel = onto.relations.get(relation)
+    if rel is None:
+        detail = ("names a concept, not a relation" if relation in onto.concepts
+                  else "is not declared")
+        return [("E3", f"fact relation '{relation}' {detail}")]
+    return [("E4", message) for wrong, message in (
+        (arity != rel.arity, f"fact {relation} expects {rel.arity} argument(s), got {arity}"),
+        (rel.temporal and time is None, f"fact {relation} requires a trailing time point"),
+        (not rel.temporal and time is not None, f"fact {relation} takes no time point"),
+        (time is not None and time < 0, f"negative time point {time}")) if wrong]
 
 
 def _check_particularization_cycles(onto: Ontology, diags: list[Diagnostic]) -> None:

@@ -27,11 +27,12 @@ R-up and D3-D6, and `_d1` and `_d2` are the D1 and D2 bodies over a
 semi-naive Datalog evaluation.  `saturate` computes the fixpoint alone,
 each instance's memberships one bitset over the closure's concept bits,
 closed under M-up by a union with an ancestor bitset: it ORs in the
-asserted, D3 and D4 memberships, fires D1 and D2 once, then serves D5
-and D6 from a worklist that holds each instance with a D5 or D6 key
-once, and again only when it gains one.  `FactBase.trace` runs `_Engine`
-on first read, a FIFO queue of entries in which each entry keeps the
-first derivation that reaches it; `okc explain` prints these traces.
+asserted, D3 and D4 memberships, fires D1 once on its candidate actions
+and D2 once, then serves D5 and D6 from a worklist that holds each
+instance with a D5 or D6 key once, and again only when it gains one.
+`FactBase.trace` runs `_Engine` on first read, a FIFO queue of entries
+in which each entry keeps the first derivation that reaches it; `okc
+explain` prints these traces.
 
 One pass of D1 and D2 suffices because the bits they read (AC, APO, ASO,
 Proposition, IdaConcept) are final once the asserted, D3 and D4
@@ -315,7 +316,8 @@ class FactBase:
     bits.  Each asserted fact is stored once, by relation, and most readers
     take its arguments as asserted (`under`).  `facts_of` and each
     (relation, position) index of `facts_with` map facts up R-up on first
-    read, for D1 and A13/R13; `grounds` materialises every fact, for explain.
+    read, for A13/R13 and D1's candidates; `grounds` materialises every
+    fact, for explain.
     """
 
     def __init__(self, ontology: Ontology, closure: SubsumptionClosure,
@@ -350,18 +352,16 @@ class FactBase:
         """Concept named in a disjoint pair -> its instances; no other concept.
 
         W2 and A3 read only these (Reasoning/Communication is a kernel
-        disjoint pair), so each bitset is decoded under their mask alone.
+        disjoint pair), so each distinct bitset under their mask is decoded once.
         """
         mask = self._closure.mask(c for pair in self._ontology.disjoints for c in pair)
+        groups: dict[int, list[str]] = {}
+        for instance, bits in zip(self._bits, map(mask.__and__, self._bits.values())):
+            groups.setdefault(bits, []).append(instance)
         out: dict[str, set[str]] = {}
-        decoded: dict[int, frozenset[str]] = {}  # instances often share a bitset
-        for instance, bits in self._bits.items():
-            bits &= mask
-            concepts = decoded.get(bits)
-            if concepts is None:
-                concepts = decoded[bits] = self._closure._decode(bits)
-            for concept in concepts:
-                out.setdefault(concept, set()).add(instance)
+        for bits, instances in groups.items():
+            for concept in self._closure._decode(bits):
+                out.setdefault(concept, set()).update(instances)
         return out
 
     @cached_property
@@ -481,7 +481,12 @@ class FactBase:
             joined = up[bit[concept]]
             for x in {g.args[0] for g in self.under(relation)}:
                 bits[x] |= joined
-        for action in {g.args[1] for g in self.under(kernel.REL_AGENT)}:
+        agents: dict[str, set[str]] = {}  # D1 runs where an agentive participant
+        for g in self.under(kernel.REL_AGENT):  # is not the action's only agent
+            agents.setdefault(g.args[1], set()).add(g.args[0])
+        agentive = closure.mask(kernel.AGENTIVE_UNION)
+        for action in {a for z, a in (g.args for g in self.under(kernel.REL_PARTICIPATION))
+                       if a in agents and bits[z] & agentive and agents[a] != {z}}:
             if _d1(action, self.has_member, self.facts_with) is not None:
                 bits[action] |= up[bit[kernel.INTERACTION]]
         for g in self.under(kernel.REL_SUBJECT):  # D2 reads only the arguments

@@ -11,12 +11,14 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+from okc import kernel
 from okc.bundle import RoleRecord
 from okc.frontend import parse, render
 from okc.kernel import merge_with_kernel
 from okc.checks import validate
 from okc.model import (
     LABEL_FAMILY,
+    PRIMITIVES,
     ConceptDecl,
     Conjunction,
     Fact,
@@ -27,7 +29,11 @@ from okc.model import (
     RelationDecl,
     RoleDefinition,
     Severity,
+    SourceSpan,
+    _check_particularization_cycles,
+    _error,
 )
+from okc.reasoner import _d1
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CORPUS = REPO_ROOT / "corpus"
@@ -76,6 +82,139 @@ def load_corpus_file(name: str):
     onto, diags = load_source(path.read_text(encoding="utf-8"), str(path))
     assert onto is not None, [d.render() for d in diags]
     return onto
+
+
+# --- reference oracle ----------------------------------------------------------
+
+
+def scan_references(onto, diags: list) -> None:
+    """The reference checks of `load`, one declaration at a time: each
+    name is looked up where it is used, and each fact checked on its own.
+    It takes the place of `okc.model._check_references` to give the
+    findings a load must match."""
+    def need_concept(name: str, span: SourceSpan, context: str) -> None:
+        if name not in onto.concepts:
+            kind = "relation" if name in onto.relations else (
+                "instance" if name in onto.instances else None)
+            detail = f"names a {kind}, not a concept" if kind else "is not declared"
+            diags.append(_error("E3", f"{context}: '{name}' {detail}", span, name))
+
+    for c in onto.concepts.values():
+        if c.definition is not None and c.parents:
+            diags.append(_error(
+                "E4", f"concept '{c.name}' has both asserted parents and a definition",
+                c.span, c.name))
+        for p in c.parents:
+            need_concept(p, c.span, f"parent of '{c.name}'")
+        if isinstance(c.definition, RoleDefinition):
+            need_concept(c.definition.reasoning_concept, c.span,
+                         f"reasoning concept of role '{c.name}'")
+        elif isinstance(c.definition, Conjunction):
+            need_concept(c.definition.type_concept, c.span, f"conjunct of '{c.name}'")
+            need_concept(c.definition.formal_role, c.span, f"conjunct of '{c.name}'")
+
+    for r in onto.relations.values():
+        for position in r.signature:
+            for member in position:
+                need_concept(member, r.span, f"signature of relation '{r.name}'")
+        if not r.signature:
+            diags.append(_error(
+                "E4", f"relation '{r.name}' has an empty signature", r.span, r.name))
+        if r.particularizes is not None:
+            parent = onto.relations.get(r.particularizes)
+            if parent is None:
+                diags.append(_error(
+                    "E3", f"relation '{r.name}' particularizes undeclared "
+                    f"relation '{r.particularizes}'", r.span, r.name, r.particularizes))
+            elif parent.arity != r.arity:
+                diags.append(_error(
+                    "E7", f"relation '{r.name}' (arity {r.arity}) particularizes "
+                    f"'{parent.name}' (arity {parent.arity})", r.span, r.name, parent.name))
+    _check_particularization_cycles(onto, diags)
+
+    for inst in onto.instances.values():
+        for cname in inst.concepts:
+            need_concept(cname, inst.span, f"concept of instance '{inst.name}'")
+
+    for lb in onto.labels.values():
+        if lb.primitive not in PRIMITIVES:
+            diags.append(_error(
+                "E4", f"unknown modeling primitive '{lb.primitive}'", lb.span, lb.concept))
+        need_concept(lb.concept, lb.span, f"label {lb.primitive}")
+        if lb.time < 0:
+            diags.append(_error("E4", f"negative label time {lb.time}", lb.span, lb.concept))
+
+    for per_concept in onto.annotations.values():
+        for ann in per_concept.values():
+            need_concept(ann.concept, ann.span, f"annotate {ann.axis}")
+
+    for dis in onto.disjoints.values():
+        need_concept(dis.first, dis.span, "disjointness")
+        need_concept(dis.second, dis.span, "disjointness")
+        if dis.first == dis.second:
+            diags.append(_error(
+                "E4", f"'{dis.first}' declared disjoint with itself", dis.span, dis.first))
+
+    for f in onto.facts.values():
+        rel = onto.relations.get(f.relation)
+        if rel is None:
+            detail = ("names a concept, not a relation" if f.relation in onto.concepts
+                      else "is not declared")
+            diags.append(_error(
+                "E3", f"fact relation '{f.relation}' {detail}", f.span, f.relation))
+            continue
+        if len(f.args) != rel.arity:
+            diags.append(_error(
+                "E4", f"fact {f.relation} expects {rel.arity} argument(s), "
+                f"got {len(f.args)}", f.span, f.relation))
+        if rel.temporal and f.time is None:
+            diags.append(_error(
+                "E4", f"fact {f.relation} requires a trailing time point", f.span, f.relation))
+        if not rel.temporal and f.time is not None:
+            diags.append(_error(
+                "E4", f"fact {f.relation} takes no time point", f.span, f.relation))
+        if f.time is not None and f.time < 0:
+            diags.append(_error("E4", f"negative time point {f.time}", f.span, f.relation))
+        for arg in f.args:
+            if arg not in onto.instances:
+                kind = "concept" if arg in onto.concepts else (
+                    "relation" if arg in onto.relations else None)
+                detail = f"names a {kind}, not an instance" if kind else "is not declared"
+                diags.append(_error("E3", f"fact argument '{arg}' {detail}", f.span, arg))
+
+
+def unparsable_faults_model(seed: int):
+    """Declaration records with reference errors that no `.oks` text
+    parses to, beside well-formed ones: negative label and fact times,
+    unknown primitives, a relation or a concept as a fact argument, and a
+    concept as a fact's relation.  Returns the declarations and each
+    plant's (code, message) pair, which load must report."""
+    rng = random.Random(f"unparsable-{seed}")
+    decls = [ConceptDecl("Gauge", ("POB",)), InstanceDecl("g", ("Gauge",)),
+             InstanceDecl("run", ("Reasoning",)),
+             RelationDecl("reads", (("ED",), ("PD",)), temporal=True)]
+    plants = {
+        "negative label time": (MetaLabel("Task", "Gauge", -1 - seed % 3),
+                                ("E4", f"negative label time {-1 - seed % 3}")),
+        "unknown primitive": (MetaLabel("Gadget", "Gauge", 1),
+                              ("E4", "unknown modeling primitive 'Gadget'")),
+        "negative fact time": (Fact("reads", ("g", "run"), -2),
+                               ("E4", "negative time point -2")),
+        "relation as argument": (Fact("reads", ("reads", "run"), 0),
+                                 ("E3", "fact argument 'reads' names a relation, "
+                                        "not an instance")),
+        "concept as argument": (Fact("PC", ("g", "Gauge"), 1),
+                                ("E3", "fact argument 'Gauge' names a concept, "
+                                       "not an instance")),
+        "concept as relation": (Fact("Gauge", ("g",), None),
+                                ("E3", "fact relation 'Gauge' names a concept, "
+                                       "not a relation")),
+    }
+    chosen = rng.sample(sorted(plants), k=rng.randint(1, len(plants)))
+    decls += [plants[name][0] for name in chosen]
+    decls += [Fact("reads", ("g", "run"), rng.randint(0, 3)), MetaLabel("Task", "Gauge", 2)]
+    rng.shuffle(decls)
+    return decls, [plants[name][1] for name in chosen]
 
 
 # --- closure oracle ----------------------------------------------------------
@@ -423,7 +562,7 @@ def wide_disjointness_source(n: int) -> str:
 # --- random loadable models for round-trips ------------------------------------
 
 
-def random_loadable_model(seed: int):
+def random_loadable_decls(seed: int) -> list:
     """Random declaration set covering every statement form; always loads."""
     rng = random.Random(seed)
     decls = []
@@ -509,7 +648,11 @@ def random_loadable_model(seed: int):
                 args = tuple(rng.choice(instances) for _ in range(arity))
                 decls.append(Fact(name, args, rng.randint(0, 3) if temporal else None))
 
-    onto, diags = merge_with_kernel(decls)
+    return decls
+
+
+def random_loadable_model(seed: int):
+    onto, diags = merge_with_kernel(random_loadable_decls(seed))
     assert onto is not None, [d.render() for d in diags]
     return onto
 
@@ -745,6 +888,55 @@ def particularization_model(seed: int):
     return onto
 
 
+def d1_source(seed: int) -> str:
+    """Scenes around D1, one action each: its sole agent is its only
+    agentive participant (D1 must not fire), a second agent, another
+    agentive participant, one through a subconcept of APO or ASO, and
+    facts of user relations under PC and under isAgentOf.  Actions are
+    sometimes not AC, or already Interactions, and agents not agentive."""
+    rng = random.Random(f"d1-{seed}")
+    lines = ["concept Robot specializes APO", "concept Bot specializes ASO",
+             "concept Deed specializes AC",
+             "relation joins particularizes PC signature (ED, PD) temporal",
+             "relation leads particularizes isAgentOf signature (APO | ASO, AC)"]
+    actions = ["AC", "AC", "Deed", "Reasoning", "Communication", "EV"]
+    for i in range(rng.randint(1, 6)):
+        scene = rng.choice(["sole agent", "second agent", "other participant",
+                            "subconcept", "user relations"])
+        a, y, z, m = f"a{i}", f"y{i}", f"z{i}", f"m{i}"
+        user = scene == "user relations"
+        agent_of = "leads" if user and rng.random() < 0.7 else "isAgentOf"
+        pc = "joins" if user and rng.random() < 0.7 else "PC"
+        agent = rng.choice(["APO", "ASO", "Robot"] + ["Model"] * (scene != "sole agent"))
+        other = rng.choice(["Robot", "Bot"] if scene == "subconcept" else ["APO", "ASO"])
+        lines += [f"instance {a} : {rng.choice(actions)}", f"instance {y} : {agent}",
+                  f"instance {z} : {other}", f"instance {m} : Model",
+                  f"fact {agent_of}({y}, {a})", f"fact PC({m}, {a}, {rng.randint(0, 2)})"]
+        if scene == "sole agent":
+            lines.append(f"fact {pc}({y}, {a}, {rng.randint(0, 2)})")
+        elif scene == "second agent":
+            lines += [f"fact isAgentOf({z}, {a})", f"fact {pc}({rng.choice([y, z])}, {a}, 1)"]
+        else:
+            lines.append(f"fact {pc}({z}, {a}, {rng.randint(0, 2)})")
+            if rng.random() < 0.3:
+                lines.append(f"fact {agent_of}({z}, {a})")
+    return "\n".join(lines) + "\n"
+
+
+def d1_model(seed: int):
+    onto, diags = load_source(d1_source(seed))
+    assert onto is not None, [d.render() for d in diags]
+    return onto
+
+
+def d1_on_every_agent_action(facts) -> set[str]:
+    """The actions `_d1` makes Interactions when it runs on every action
+    with an agent, as saturation did before it ran only on candidates.
+    `facts` holds the memberships D1 reads, as before D1 fires."""
+    return {action for action in {g.args[1] for g in facts.under(kernel.REL_AGENT)}
+            if _d1(action, facts.has_member, facts.facts_with) is not None}
+
+
 # Model families the fact base is checked against an oracle on: family ->
 # (build, the seeds or corpus files it is built from).
 FIXPOINT_MODELS = {
@@ -754,6 +946,7 @@ FIXPOINT_MODELS = {
     "shared_temporal_model": (lambda seed: shared_temporal_model(seed)[0], range(60)),
     "corpus": (load_corpus_file, ("car_diagnosis.oks", "calibration.oks", "a4_a5_a6.oks")),
     "particularization_model": (particularization_model, range(200)),
+    "d1_model": (d1_model, range(120)),
 }
 
 

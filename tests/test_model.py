@@ -9,9 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from helpers import CORPUS, error_codes, load_source, ontology_content
+from helpers import (
+    CORPUS,
+    error_codes,
+    load_source,
+    ontology_content,
+    random_loadable_decls,
+    scan_references,
+    unparsable_faults_model,
+)
 
 import okc
+from okc import model
 from okc.bundle import BundleConcept, DomainRelation, ModelBundle, PlaysLink, RoleRecord
 from okc.checks import CheckContext, CheckInfo
 from okc.corpus import CorpusEntry
@@ -205,6 +214,55 @@ def test_load_diagnostics_do_not_depend_on_declaration_order():
             if onto is not None:
                 assert ontology_content(other) == ontology_content(onto), name
     assert {"E1", "E2", "E3", "E4", "E5", "E6", "E7"} <= codes
+
+
+def _load_cases(family: str):
+    """(name, user declarations, (code, message) of each plant) per model."""
+    if family == "negative corpus":
+        for path in sorted((CORPUS / "negative").glob("*.oks")):
+            yield path.name, parse(path.read_text(encoding="utf-8"), path.name)[0], ()
+    elif family == "faulty":
+        for seed in range(60):
+            yield f"random_{seed}.oks", parse(_faulty_model(seed), f"random_{seed}.oks")[0], ()
+    elif family == "loadable":
+        # Each fact again, in reverse, at an earlier line: every key repeats.
+        for seed in range(100):
+            decls = [d._replace(span=SourceSpan("m.oks", 100 + line, 1))
+                     for line, d in enumerate(random_loadable_decls(seed))]
+            again = [f._replace(span=SourceSpan("m.oks", line, 1))
+                     for line, f in enumerate(reversed(decls)) if isinstance(f, Fact)]
+            yield f"loadable {seed}", decls + again, ()
+    else:
+        for seed in range(60):
+            yield (f"unparsable {seed}", *unparsable_faults_model(seed))
+
+
+@pytest.mark.parametrize("family", ["negative corpus", "faulty", "loadable", "unparsable"])
+def test_load_matches_a_scan_of_each_declaration(family, monkeypatch):
+    # load resolves references by set difference and files the facts in one
+    # dict build; a scan of each declaration, and each fact kept as the
+    # earliest of its key, must give the same findings and facts.
+    codes = set()
+    for name, decls, plants in _load_cases(family):
+        decls = [*KERNEL_DECLARATIONS, *decls]
+        onto, found = load(decls)
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_check_references", scan_references)
+            scanned, expected = load(decls)
+        assert [d.to_json() for d in found] == [d.to_json() for d in expected], name
+        assert (onto is None) == (scanned is None), name
+        assert set(plants) <= {(d.code, d.message) for d in found}, name
+        codes.update(d.code for d in found)
+        earliest: dict = {}
+        for f in (d for d in decls if isinstance(d, Fact)):
+            if f.key() not in earliest or f.span[:3] < earliest[f.key()].span[:3]:
+                earliest[f.key()] = f
+        if onto is not None:
+            assert list(onto.facts.items()) == list(earliest.items()), name
+    if family != "loadable":
+        assert {"E3", "E4"} <= codes, family
+    if family == "faulty":
+        assert {"E1", "E2", "E3", "E4", "E5", "E6", "E7"} <= codes
 
 
 def test_every_public_name_resolves():

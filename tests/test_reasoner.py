@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     FIXPOINT_MODELS,
+    d1_on_every_agent_action,
     engine_sets,
     load_corpus_file,
     load_source,
@@ -459,6 +460,38 @@ def test_d1_d2_inputs_are_final_after_d3_d4(family):
         expected = {(x, a) for x, c in early for a in closure.ancestors(c) if a in D1_D2_READS}
         final = {(m.instance, m.concept) for m in facts.members if m.concept in D1_D2_READS}
         assert final == expected, (family, seed)
+
+
+@pytest.mark.parametrize("family", sorted(FIXPOINT_MODELS))
+def test_d1_runs_only_on_its_candidates(family, monkeypatch):
+    # saturate calls _d1 only on actions with an agentive participant that
+    # is not their only agent.  It must derive the Interactions that _d1
+    # derives on every action with an agent, from the memberships D1 reads:
+    # those of a saturation in which D1 never fires.
+    build, seeds = FIXPOINT_MODELS[family]
+    d1, fired = reasoner._d1, 0
+    for seed in seeds:
+        onto = build(seed)
+        closure = compute_closure(onto)
+        called = []
+        with monkeypatch.context() as patch:
+            patch.setattr(reasoner, "_d1", lambda action, *rest: called.append(action)
+                          or d1(action, *rest))
+            facts = saturate(onto, closure)
+            patch.setattr(reasoner, "_d1", lambda *args: None)
+            before = saturate(onto, closure)
+        derived = d1_on_every_agent_action(before)
+        assert facts.instances_of(kernel.INTERACTION) == \
+            before.instances_of(kernel.INTERACTION) | derived, (family, seed)
+        assert len(called) == len(set(called)) and derived <= set(called), (family, seed)
+        for action in called:
+            agents = {g.args[0] for g in before.facts_with(kernel.REL_AGENT, 1, action)}
+            assert any(agents - {pc.args[0]} and any(
+                before.has_member(pc.args[0], c) for c in kernel.AGENTIVE_UNION)
+                for pc in before.facts_with(kernel.REL_PARTICIPATION, 1, action)), (family, seed)
+        fired += len(derived)
+    if family == "d1_model":
+        assert fired
 
 
 def count_d5_d6_evaluations(monkeypatch, evaluate, source: str) -> int:
