@@ -159,16 +159,20 @@ def effective_labels(ontology: Ontology, snapshot_time: int) -> dict[str, set[st
 
     A label (p, c, u) is effective at s iff u <= s and no label of the
     same exclusivity family on c exists at u < u' <= s (latest wins).
+    One pass keeps, per concept and family, the latest time and its primitives.
     """
-    latest: dict[tuple[str, str], int] = {}
-    for lb in ontology.labels.values():
-        key = (lb.concept, LABEL_FAMILY[lb.primitive])
-        if latest.get(key, -1) < lb.time <= snapshot_time:
-            latest[key] = lb.time
+    latest: dict[tuple[str, str], tuple[int, list[str]]] = {}
+    for primitive, concept, time in ontology.labels:
+        key = (concept, LABEL_FAMILY[primitive])
+        seen = latest.get(key, (-1, []))
+        if seen[0] < time <= snapshot_time:
+            latest[key] = (time, [primitive])
+        elif seen[0] == time:
+            seen[1].append(primitive)
     out: dict[str, set[str]] = {}
-    for lb in ontology.labels.values():
-        if latest.get((lb.concept, LABEL_FAMILY[lb.primitive])) == lb.time:
-            out.setdefault(lb.primitive, set()).add(lb.concept)
+    for (concept, _), (_, primitives) in latest.items():
+        for primitive in primitives:
+            out.setdefault(primitive, set()).add(concept)
     return out
 
 
@@ -201,7 +205,8 @@ def _io_of(
     """The data and the result roles whose reasoning concept subsumes
     `concept`, each in role-name order.  `roles_at` groups the role
     records by reasoning concept, and `among` is the bitset of those
-    concepts, so only the subsumers that carry roles are decoded."""
+    concepts, so only the subsumers that carry roles are decoded; the
+    answer is one per distinct `closure.ancestor_bits(concept, among)`."""
     hits = closure.ancestors(concept, among)
     records = sorted([r for c in hits for r in roles_at[c]], key=_by_name)
     return (tuple(r for r in records if r.mode == "data"),
@@ -250,11 +255,15 @@ def compile_bundle(
     for record in _role_records(ontology):
         roles_at.setdefault(record.reasoning_concept, []).append(record)
     among = closure.mask(roles_at)
+    io_at: dict[int, tuple] = {}  # masked ancestor bitset -> (inputs, outputs)
 
     def reasoning_concepts(members: set[str], with_methods: bool) -> tuple[BundleConcept, ...]:
         out = []
         for name in sorted(members):
-            inputs, outputs = _io_of(roles_at, among, closure, name)
+            key = closure.ancestor_bits(name, among)
+            if key not in io_at:
+                io_at[key] = _io_of(roles_at, among, closure, name)
+            inputs, outputs = io_at[key]
             out.append(BundleConcept(
                 name, _parents_within(ontology, name, members),
                 _annotations_of(ontology, name),

@@ -107,8 +107,8 @@ def check_w1(ontology: Ontology) -> list[Diagnostic]:
 
 
 def check_w2(ctx: CheckContext) -> list[Diagnostic]:
-    """Concept level: one pass over the concepts, each meeting its
-    disjoint-pair ancestors.  Instance level: one check per pair."""
+    """Concept level: one pass over the concepts, each meeting its disjoint-pair
+    ancestors if it has at least two.  Instance level: one check per pair."""
     diags = []
     partners: dict[str, set[str]] = {}
     for a, b in ctx.ontology.disjoints:
@@ -116,6 +116,8 @@ def check_w2(ctx: CheckContext) -> list[Diagnostic]:
         partners.setdefault(b, set()).add(a)
     among = ctx.closure.mask(partners)
     for concept in ctx.closure.concepts:
+        if ctx.closure.ancestor_bits(concept, among).bit_count() < 2:
+            continue
         above = ctx.closure.ancestors(concept, among)
         for a in above:
             for b in partners[a] & above:

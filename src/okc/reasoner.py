@@ -65,6 +65,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from functools import cached_property
+from itertools import compress
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import kernel
@@ -78,7 +79,8 @@ class SubsumptionClosure:
     its ancestors, as an integer bitset, so a 10,000-deep chain costs
     megabytes where one frozenset per concept would cost gigabytes.
     Questions about what a concept subsumes are asked from below: walk
-    the concepts and read their ancestors under a mask.
+    the concepts and read their ancestors under a mask (`ancestor_bits`),
+    and name them by walking a sparse set's bits or a dense set's digits.
     """
 
     def __init__(self, names: tuple[str, ...], up: list[int]):
@@ -92,10 +94,14 @@ class SubsumptionClosure:
         d = self._bit.get(descendant)
         return a is not None and d is not None and (self._up[d] >> a) & 1 == 1
 
+    def ancestor_bits(self, concept: str, among: int = -1) -> int:
+        """The ancestors of `concept` in the bitset `among`, as a bitset; 0 if unknown."""
+        i = self._bit.get(concept)
+        return 0 if i is None else self._up[i] & among
+
     def ancestors(self, concept: str, among: int = -1) -> frozenset[str]:
         """Subsumers of `concept`; only those in the bitset `among`, if given."""
-        i = self._bit.get(concept)
-        return frozenset() if i is None else self._decode(self._up[i] & among)
+        return self._decode(self.ancestor_bits(concept, among))
 
     def mask(self, concepts: Iterable[str]) -> int:
         """Bitset of the given concepts, for `among`; unknown names are left out."""
@@ -111,13 +117,10 @@ class SubsumptionClosure:
         return self._names
 
     def _decode(self, bits: int) -> frozenset[str]:
-        digits = bin(bits)[:1:-1]  # digits[i] is bit i
-        names = []
-        i = digits.find("1")
-        while i >= 0:
-            names.append(self._names[i])
-            i = digits.find("1", i + 1)
-        return frozenset(names)
+        if bits.bit_count() * 20 < bits.bit_length():  # sparse: walk the set bits
+            return frozenset(_bit_names(self._names, bits))
+        digits = bin(bits)[:1:-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+        return frozenset(compress(self._names, digits))  # digits[i] is bit i, as 0 or 1
 
 
 def compute_closure(ontology: Ontology) -> SubsumptionClosure:
@@ -302,11 +305,11 @@ def _d2(fact: Ground, has: Callable[[str, str], bool]) -> Optional[tuple[Entry, 
 
 
 def _bit_names(names: tuple[str, ...], bits: int) -> Iterator[str]:
-    """The names of the set bits, cheaper than decoding a sparse bitset."""
+    """The names of the set bits, highest first, clearing each: the bitset shrinks."""
     while bits:
-        low = bits & -bits
-        yield names[low.bit_length() - 1]
-        bits ^= low
+        i = bits.bit_length() - 1
+        yield names[i]
+        bits ^= 1 << i
 
 
 class FactBase:
@@ -518,7 +521,8 @@ class FactBase:
                 for relation, role in rules.d5.get(concept, ()):
                     for player in players[relation].get(x, ()):
                         add(player, role)
-                for other in _bit_names(names, now & others.get(concept, 0)):
+                pairs = now & others.get(concept, 0)
+                for other in _bit_names(names, pairs) if pairs else ():
                     for conjunction, _, _ in rules.d6[concept][other]:
                         add(x, conjunction)
 

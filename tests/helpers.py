@@ -559,6 +559,32 @@ def wide_disjointness_source(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def deep_chain_source(n: int) -> str:
+    """n concepts, each specializing the next and the last `Reasoning`,
+    and an instance `x` of the lowest, C00000."""
+    lines = [f"concept C{i:05d} specializes {f'C{i + 1:05d}' if i + 1 < n else 'Reasoning'}"
+             for i in range(n)]
+    return "\n".join(lines + ["instance x : C00000"]) + "\n"
+
+
+def bushy_taxonomy(seed: int, n: int) -> list:
+    """n concepts in a six-ary tree under `Model`, each with a random
+    kernel hook as a second parent half of the time, and an instance of
+    every seventh concept.  Ancestor sets stay small, so the closure
+    oracle is affordable at n in the thousands."""
+    rng = random.Random(f"bushy-{seed}")
+    hooks = ["PT", "ED", "Reasoning", "Content", "STV", "NPOB"]
+    names = [f"T{i:05d}" for i in range(n)]
+    decls = []
+    for i, name in enumerate(names):
+        parents = {names[(i - 1) // 6] if i else "Model"}
+        if rng.random() < 0.5:
+            parents.add(rng.choice(hooks))
+        decls.append(ConceptDecl(name, tuple(sorted(parents))))
+    decls += [InstanceDecl(f"x{i:05d}", (name,)) for i, name in enumerate(names) if i % 7 == 0]
+    return decls
+
+
 # --- random loadable models for round-trips ------------------------------------
 
 

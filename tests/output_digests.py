@@ -2,13 +2,15 @@
 
     PYTHONPATH=src python tests/output_digests.py > digests.txt
 
-The inputs are the corpus files (`corpus/*.oks`, `corpus/negative/*.oks`)
-and the seed-3 files of the three benchmark workloads, generated by
-`perfbench/families.py`.  Each file runs through `okc check` (text and
-`--format json`) and `okc compile` (text and json); each workload file
-with a probe instance also runs through `okc explain` on that probe, and
-`okc kernel` runs once.  A digest covers the exit code, stdout, stderr
-and, for compile, the name and bytes of every bundle file.
+The inputs are the corpus files (`corpus/*.oks`, `corpus/negative/*.oks`),
+the seed-3 files of the three benchmark workloads, generated by
+`perfbench/families.py`, and shapes from `tests/helpers.py` whose
+bitsets are wide or dense: wide disjointness, shared operand and role
+fan-in at n = 300, and a 2,000-deep chain.  Each file runs through `okc
+check` (text and `--format json`) and `okc compile` (text and json);
+each file with a probe instance also runs through `okc explain` on that
+probe, and `okc kernel` runs once.  A digest covers the exit code,
+stdout, stderr and, for compile, the name and bytes of every bundle file.
 
 Two checkouts print the same lines exactly when their outputs are
 byte-identical, so compare the output of two runs with `diff`, under
@@ -29,6 +31,12 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import families  # noqa: E402
+from helpers import (  # noqa: E402
+    deep_chain_source,
+    role_fan_in_source,
+    shared_operand_source,
+    wide_disjointness_source,
+)
 from okc.cli import main  # noqa: E402
 
 SEED = 3
@@ -42,6 +50,11 @@ def _inputs() -> list[tuple[str, str, str | None]]:
         workload = family(SEED)
         for f in workload.files + workload.half:
             out.append((f"{name}/{f.name}", f.text, f.probe))
+    shapes = [("wide_disjointness_300", wide_disjointness_source(300), "c"),
+              ("shared_operand_300", shared_operand_source(300), "m00299"),
+              ("role_fan_in_300", role_fan_in_source(300), "r"),
+              ("deep_chain_2000", deep_chain_source(2000), "x")]
+    out += [(f"shapes/{name}.oks", text, probe) for name, text, probe in shapes]
     return out
 
 

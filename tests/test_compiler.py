@@ -120,17 +120,33 @@ def test_roles_inherited_from_unrelated_ancestors_merge_by_name():
 
 
 def _io_against_oracle(onto, snapshot):
+    """The task and inference concepts of the bundle, each checked against the oracle."""
     bundle, _ = compile_bundle(onto, snapshot)
     closure = compute_closure(onto)
     concepts = bundle.task_concepts + bundle.inference_concepts
     for concept in concepts:
         assert (concept.inputs, concept.outputs) == \
             role_io_oracle(onto, closure, concept.name), concept.name
-    return sum(len(c.inputs) + len(c.outputs) for c in concepts)
+    return concepts
 
 
 def test_role_io_against_subsumption_scan():
-    assert sum(_io_against_oracle(random_role_model(seed), 3) for seed in range(100)) > 0
+    assert sum(len(c.inputs) + len(c.outputs) for seed in range(100)
+               for c in _io_against_oracle(random_role_model(seed), 3)) > 0
+
+
+def test_taxonomy_io_and_labels_against_oracles(monkeypatch):
+    """Concepts that inherit the same role-carrying ancestors share one io;
+    the taxonomy workload has many of them."""
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    import families
+
+    onto, _ = load_source(families.taxonomy_file(1, n=200).text)
+    for snapshot in range(9):
+        assert effective_labels(onto, snapshot) == \
+            effective_labels_oracle(onto, snapshot), snapshot
+        concepts = _io_against_oracle(onto, snapshot)
+    assert len({(c.inputs, c.outputs) for c in concepts}) < len(concepts)
 
 
 def test_effective_labels_latest_wins():

@@ -8,7 +8,9 @@ import pytest
 
 from helpers import (
     FIXPOINT_MODELS,
+    bushy_taxonomy,
     d1_on_every_agent_action,
+    deep_chain_source,
     engine_sets,
     load_corpus_file,
     load_source,
@@ -72,24 +74,68 @@ def test_closure_includes_definition_edges():
     assert not closure.subsumes("Calibrating", "CalibrationData")
 
 
+def _oracle_ancestors(onto) -> dict[str, frozenset[str]]:
+    """Each concept's subsumers, itself included, by the brute-force closure."""
+    nodes = sorted(onto.concepts)
+    reach = reachability_oracle(nodes, {(n, p) for n in nodes
+                                        for p in direct_supers(onto.concepts[n])})
+    above: dict[str, set[str]] = {}
+    for descendant, ancestor in reach:
+        above.setdefault(descendant, set()).add(ancestor)
+    return {concept: frozenset(ancestors) for concept, ancestors in above.items()}
+
+
 def closure_matches_oracle(seed: int) -> None:
     decls = random_taxonomy(seed)
     onto, diags = merge_with_kernel(decls)
     assert onto is not None, diags
     closure = compute_closure(onto)
-    nodes = sorted(onto.concepts)
-    edges = {(name, parent)
-             for name in nodes for parent in direct_supers(onto.concepts[name])}
-    reach = reachability_oracle(nodes, edges)
-    for descendant in nodes:
-        for ancestor in nodes:
+    above = _oracle_ancestors(onto)
+    for descendant in onto.concepts:
+        for ancestor in onto.concepts:
             assert closure.subsumes(ancestor, descendant) == \
-                ((descendant, ancestor) in reach), (seed, ancestor, descendant)
+                (ancestor in above[descendant]), (seed, ancestor, descendant)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_closure_against_brute_force(seed):
     closure_matches_oracle(seed)
+
+
+def _check_decoding(onto, above: dict[str, frozenset[str]]) -> None:
+    """`closure.ancestors` under a full, a dense and two sparse masks, and
+    `concepts_of` of every instance, against the ancestor sets `above`."""
+    closure = compute_closure(onto)
+    facts = saturate(onto, closure)
+    rng = random.Random(len(closure.concepts))
+    names = closure.concepts
+    assert len(names) >= 1_200
+    for density in (1.0, 0.7, 0.02, 0.002):
+        chosen = {c for c in names if rng.random() < density}
+        among = closure.mask(chosen)
+        for concept in names:
+            assert closure.ancestors(concept, among) == above[concept] & chosen, \
+                (density, concept)
+    for inst in onto.instances.values():
+        assert facts.concepts_of(inst.name) == \
+            frozenset().union(*(above[c] for c in inst.concepts)), inst.name
+
+
+def test_decoding_wide_and_deep_bitsets_against_oracle():
+    """Bit positions past 1,000, with sets sparse and dense within their
+    width: a bushy taxonomy of 1,200 concepts against the brute-force
+    closure, and a 2,000-deep chain against the kernel's closure extended
+    down the chain."""
+    onto, _ = merge_with_kernel(bushy_taxonomy(0, 1_200))
+    _check_decoding(onto, _oracle_ancestors(onto))
+
+    depth = 2_000
+    onto, _ = load_source(deep_chain_source(depth))
+    above = _oracle_ancestors(kernel_ontology())
+    for i in reversed(range(depth)):  # C_i is under C_j exactly when i <= j
+        above[f"C{i:05d}"] = above[f"C{i + 1:05d}" if i + 1 < depth else "Reasoning"] \
+            | {f"C{i:05d}"}
+    _check_decoding(onto, above)
 
 
 def test_cycle_detection():
