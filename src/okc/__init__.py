@@ -6,7 +6,7 @@ compiled into three expertise-model documents (domain, inference, task).
 """
 
 from .bundle import CompileRefusedError, ModelBundle, compile_bundle, emit_bundle
-from .checks import REGISTRY, check_labels, check_temporal_participation, validate
+from .checks import REGISTRY, validate
 from .frontend import parse, render
 from .kernel import kernel_ontology, merge_with_kernel
 from .model import (
@@ -36,8 +36,6 @@ __all__ = [
     "Severity",
     "SourceSpan",
     "SubsumptionClosure",
-    "check_labels",
-    "check_temporal_participation",
     "compile_bundle",
     "compute_closure",
     "emit_bundle",

@@ -13,10 +13,11 @@ whose signature concepts all live in the domain model.
 
 Emission writes each document straight from the bundle's records, one
 text template per record kind at its fixed depth and key order, and each
-concept's text as soon as it is rendered.  The bytes equal those of
-`json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)` over
-`ModelBundle.documents()`.  One role record recurs under every concept
-that inherits it; its text is rendered once per emission.
+concept's text as soon as it is rendered.  The templates are the one
+encoding of the bundle schema: the bytes are those of `json.dumps(doc,
+indent=2, sort_keys=True, ensure_ascii=False)` over the document as a
+dict.  One role record recurs under every concept that inherits it; its
+text is rendered once per emission.
 """
 
 from __future__ import annotations
@@ -65,14 +66,6 @@ class RoleRecord(NamedTuple):
     reasoning_concept: str
     players: tuple[str, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "mode": self.mode,
-            "reasoning_concept": self.reasoning_concept,
-            "players": list(self.players),
-        }
-
 
 @_record
 class BundleConcept(NamedTuple):
@@ -83,21 +76,6 @@ class BundleConcept(NamedTuple):
     outputs: Optional[tuple[RoleRecord, ...]] = None
     methods: Optional[tuple[str, ...]] = None
 
-    def to_json(self) -> dict:
-        doc: dict = {
-            "name": self.name,
-            "parents": list(self.parents),
-            "annotations": dict(self.annotations),
-        }
-        if self.inputs is not None or self.outputs is not None:
-            doc["io"] = {
-                "inputs": [r.to_json() for r in self.inputs or ()],
-                "outputs": [r.to_json() for r in self.outputs or ()],
-            }
-        if self.methods is not None:
-            doc["methods"] = list(self.methods)
-        return doc
-
 
 @_record
 class DomainRelation(NamedTuple):
@@ -106,18 +84,11 @@ class DomainRelation(NamedTuple):
     range: str
     temporal: bool
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "domain": self.domain,
-                "range": self.range, "temporal": self.temporal}
-
 
 @_record
 class PlaysLink(NamedTuple):
     type_concept: str
     role: str
-
-    def to_json(self) -> dict:
-        return {"type": self.type_concept, "role": self.role}
 
 
 @_record
@@ -128,30 +99,6 @@ class ModelBundle(NamedTuple):
     plays: tuple[PlaysLink, ...] = ()
     inference_concepts: tuple[BundleConcept, ...] = ()
     task_concepts: tuple[BundleConcept, ...] = ()
-
-    def content(self) -> tuple:
-        """Everything except the snapshot time, for equality over content."""
-        return self[1:]
-
-    def documents(self) -> dict[str, dict]:
-        """The three documents as dicts: the reference view of what `emit_bundle` writes."""
-        common = {"schema_version": SCHEMA_VERSION, "snapshot_time": self.snapshot_time}
-        return {
-            "domain.json": {
-                **common,
-                "concepts": [c.to_json() for c in self.domain_concepts],
-                "relations": [r.to_json() for r in self.domain_relations],
-                "plays": [p.to_json() for p in self.plays],
-            },
-            "inference.json": {
-                **common,
-                "concepts": [c.to_json() for c in self.inference_concepts],
-            },
-            "task.json": {
-                **common,
-                "concepts": [c.to_json() for c in self.task_concepts],
-            },
-        }
 
 
 def effective_labels(ontology: Ontology, snapshot_time: int) -> dict[str, set[str]]:

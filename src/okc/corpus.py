@@ -17,10 +17,6 @@ from typing import NamedTuple, Optional
 from .model import _record
 
 
-class UnknownExampleError(KeyError):
-    pass
-
-
 @_record
 class CorpusEntry(NamedTuple):
     name: str
@@ -33,9 +29,6 @@ class CorpusEntry(NamedTuple):
 
     def golden_path(self) -> Optional[Path]:
         return corpus_root() / self.golden_dir if self.golden_dir else None
-
-    def source(self) -> str:
-        return self.path().read_text(encoding="utf-8")
 
 
 def corpus_root() -> Path:
@@ -90,21 +83,6 @@ _ENTRIES: tuple[CorpusEntry, ...] = (
 )
 
 REGISTRY: dict[str, CorpusEntry] = {entry.name: entry for entry in _ENTRIES}
-
-
-def load_example(name: str) -> CorpusEntry:
-    try:
-        return REGISTRY[name]
-    except KeyError:
-        raise UnknownExampleError(f"unknown corpus example '{name}'") from None
-
-
-def positive_entries() -> list[CorpusEntry]:
-    return [e for e in _ENTRIES if not e.expected_codes]
-
-
-def negative_entries() -> list[CorpusEntry]:
-    return [e for e in _ENTRIES if e.expected_codes]
 
 
 def regenerate_goldens(log=print) -> list[Path]:

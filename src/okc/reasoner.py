@@ -316,8 +316,9 @@ class FactBase:
     """Memberships and ground facts closed under the rule set.
 
     An instance's memberships are one bitset over the closure's concept
-    bits.  Each asserted fact is stored once, by relation, and most readers
-    take its arguments as asserted (`under`).  `facts_of` and each
+    bits, read through `has_member`, `instances_of` and `concepts_of`.
+    Each asserted fact is stored once, by relation, and most readers take
+    its arguments as asserted (`under`).  `facts_of` and each
     (relation, position) index of `facts_with` map facts up R-up on first
     read, for A13/R13 and D1's candidates; `grounds` materialises every
     fact, for explain.
@@ -338,11 +339,6 @@ class FactBase:
                        for r in ontology.relations.values()}
         # relation -> the distinct signature masks of it and the relations above
         self._masks_above: dict[Optional[str], frozenset] = {None: frozenset()}
-
-    @cached_property
-    def members(self) -> set[Member]:
-        decode = self._closure._decode
-        return {Member(i, c) for i, bits in self._bits.items() for c in decode(bits)}
 
     @cached_property
     def grounds(self) -> set[Ground]:

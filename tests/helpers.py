@@ -16,6 +16,7 @@ from okc.bundle import RoleRecord
 from okc.frontend import parse, render
 from okc.kernel import merge_with_kernel
 from okc.checks import validate
+from okc.corpus import REGISTRY as CORPUS_REGISTRY
 from okc.model import (
     LABEL_FAMILY,
     PRIMITIVES,
@@ -24,6 +25,7 @@ from okc.model import (
     Fact,
     InstanceDecl,
     MetaLabel,
+    Origin,
     AnnotationDecl,
     DisjointDecl,
     RelationDecl,
@@ -32,8 +34,9 @@ from okc.model import (
     SourceSpan,
     _check_particularization_cycles,
     _error,
+    direct_supers,
 )
-from okc.reasoner import _d1
+from okc.reasoner import Member, _d1
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CORPUS = REPO_ROOT / "corpus"
@@ -75,6 +78,11 @@ def ontology_content(onto) -> tuple:
         frozenset(onto.facts),
         frozenset(onto.disjoints),
     )
+
+
+def corpus_source(name: str) -> str:
+    """The text of the corpus entry registered as `name`."""
+    return CORPUS_REGISTRY[name].path().read_text(encoding="utf-8")
 
 
 def load_corpus_file(name: str):
@@ -222,16 +230,16 @@ def unparsable_faults_model(seed: int):
 
 def reachability_oracle(nodes: list[str], edges: set[tuple[str, str]]) -> set[tuple[str, str]]:
     """All (descendant, ancestor) pairs by boolean Floyd-Warshall,
-    including the reflexive pairs."""
-    reach = {(n, n) for n in nodes} | set(edges)
+    including the reflexive pairs.  `up[i]` is row i of the matrix: when i
+    reaches k, it reaches all that k reaches."""
+    up = {n: {n} for n in nodes}
+    for descendant, ancestor in edges:
+        up[descendant].add(ancestor)
     for k in nodes:
-        for i in nodes:
-            if (i, k) not in reach:
-                continue
-            for j in nodes:
-                if (k, j) in reach:
-                    reach.add((i, j))
-    return reach
+        for row in up.values():
+            if k in row:
+                row |= up[k]
+    return {(i, j) for i, row in up.items() for j in row}
 
 
 def random_taxonomy(seed: int, max_nodes: int = 12) -> list[ConceptDecl]:
@@ -355,10 +363,15 @@ def naive_saturate(onto, rng: random.Random):
     return members, grounds
 
 
-def engine_sets(factbase):
-    members = {(m.instance, m.concept) for m in factbase.members}
-    grounds = {(g.relation, g.args, g.time) for g in factbase.grounds}
-    return members, grounds
+def members_of(onto, facts) -> set[Member]:
+    """Every membership of the fact base: `concepts_of` over the declared instances."""
+    return {Member(i, c) for i in onto.instances for c in facts.concepts_of(i)}
+
+
+def engine_sets(onto, facts):
+    memberships = {(m.instance, m.concept) for m in members_of(onto, facts)}
+    grounds = {(g.relation, g.args, g.time) for g in facts.grounds}
+    return memberships, grounds
 
 
 def random_saturation_model(seed: int):
@@ -776,36 +789,155 @@ def shared_temporal_model(seed: int):
 
 
 def effective_labels_oracle(ontology, snapshot_time: int) -> dict[str, set[str]]:
-    """Latest label per exclusivity family, by comparing every pair of labels."""
+    """Latest label per exclusivity family, by comparing every pair of
+    labels on one concept."""
     out: dict[str, set[str]] = {}
-    labels = list(ontology.labels.values())
-    for lb in labels:
-        if lb.time > snapshot_time:
-            continue
-        family = LABEL_FAMILY[lb.primitive]
-        overridden = any(
-            other.concept == lb.concept
-            and LABEL_FAMILY[other.primitive] == family
-            and lb.time < other.time <= snapshot_time
-            for other in labels)
-        if not overridden:
-            out.setdefault(lb.primitive, set()).add(lb.concept)
+    on: dict[str, list] = {}
+    for lb in ontology.labels.values():
+        on.setdefault(lb.concept, []).append(lb)
+    for labels in on.values():
+        for lb in labels:
+            if lb.time > snapshot_time:
+                continue
+            family = LABEL_FAMILY[lb.primitive]
+            overridden = any(
+                LABEL_FAMILY[other.primitive] == family
+                and lb.time < other.time <= snapshot_time
+                for other in labels)
+            if not overridden:
+                out.setdefault(lb.primitive, set()).add(lb.concept)
     return out
 
 
-def role_io_oracle(ontology, closure, concept: str):
+def role_io_oracle(ontology, subsumes, concept: str):
     """The data and the result roles of `concept`, by testing every role
-    definition's reasoning concept with `closure.subsumes`."""
+    definition's reasoning concept with `subsumes(ancestor, descendant)`."""
+    players: dict[str, list[str]] = {}
+    for c in ontology.conjunctions():
+        players.setdefault(c.definition.formal_role, []).append(c.definition.type_concept)
     hits = []
     for role in sorted(ontology.role_definitions(), key=lambda c: c.name):
-        if closure.subsumes(role.definition.reasoning_concept, concept):
-            players = sorted(c.definition.type_concept for c in ontology.conjunctions()
-                             if c.definition.formal_role == role.name)
+        if subsumes(role.definition.reasoning_concept, concept):
             hits.append(RoleRecord(role.name, role.definition.mode,
-                                   role.definition.reasoning_concept, tuple(players)))
+                                   role.definition.reasoning_concept,
+                                   tuple(sorted(players.get(role.name, ())))))
     return (tuple(r for r in hits if r.mode == "data"),
             tuple(r for r in hits if r.mode == "result"))
 
+
+# A clean model whose domain model holds user relations: union signatures,
+# temporal ones, domains that differ from their ranges, a particularization
+# chain with facts (R-up over user relations), an atemporal particularization
+# of a temporal one with its witness (S2), and conjunctions (plays-links).
+# Its signature concepts are DomainConcepts from times 1-3.
+USER_RELATIONS_SOURCE = """\
+concept Engine specializes POB
+concept FuelTank specializes POB
+concept Pump specializes POB
+concept Mechanic specializes APO
+relation feeds signature (FuelTank | Pump, Engine)
+relation supplies particularizes feeds signature (Pump, Engine)
+relation primes particularizes supplies signature (Pump, Engine)
+relation drains signature (Engine, FuelTank) temporal
+relation tends signature (Mechanic, Engine | Pump) temporal
+relation services particularizes tends signature (Mechanic, Engine)
+relation spins signature (Engine)
+concept Diagnosis specializes Reasoning
+role Evidence = data of Diagnosis
+role Finding = result of Diagnosis
+concept FaultyEngine = Engine and Finding
+concept PumpEvidence = Pump and Evidence
+annotate Engine rigidity rigid
+annotate Pump identity carries
+label DomainConcept Engine at 1
+label DomainConcept FuelTank at 1
+label DomainConcept Pump at 2
+label DomainConcept Mechanic at 3
+label DomainConcept FaultyEngine at 3
+label Task Diagnosis at 1
+instance e1 : Engine
+instance p1 : Pump
+instance t1 : FuelTank
+instance bob : Mechanic
+instance d1 : Diagnosis
+fact primes(p1, e1)
+fact feeds(t1, e1)
+fact drains(e1, t1, 1)
+fact tends(bob, e1, 2)
+fact services(bob, e1)
+fact spins(e1)
+fact isDataOf(p1, d1)
+fact isResultOf(e1, d1)
+fact PRE(d1, 0)
+fact PC(e1, d1, 0)
+fact PC(p1, d1, 0)
+fact PC(t1, d1, 0)
+fact PC(bob, d1, 0)
+"""
+
+# --- reference compile ------------------------------------------------------------
+
+
+def reference_documents(ontology, snapshot_time: int) -> dict[str, dict]:
+    """The three bundle documents of `ontology` at `snapshot_time`, built
+    straight from its declarations: the labels by `effective_labels_oracle`,
+    each task and inference concept's io by `role_io_oracle` over
+    `reachability_oracle`, and the parent, annotation, relation and plays
+    rules written out plainly.  `emit_bundle` must write them as `json.dumps`
+    renders them."""
+    effective = effective_labels_oracle(ontology, snapshot_time)
+    nodes = sorted(ontology.concepts)
+    reach = reachability_oracle(nodes, {(n, p) for n in nodes
+                                        for p in direct_supers(ontology.concepts[n])})
+
+    def concept(name: str, members: set[str]) -> dict:
+        """A concept's parents are its asserted parents and, for a
+        conjunction, both operands, as far as they are in its own model."""
+        decl = ontology.concepts[name]
+        parents = set(decl.parents)
+        if isinstance(decl.definition, Conjunction):
+            parents |= {decl.definition.type_concept, decl.definition.formal_role}
+        annotations = ontology.annotations.get(name, {})
+        return {"name": name, "parents": sorted(parents & members - {name}),
+                "annotations": {axis: d.value for axis, d in annotations.items()}}
+
+    def role(record: RoleRecord) -> dict:
+        return {"name": record.name, "mode": record.mode,
+                "reasoning_concept": record.reasoning_concept, "players": list(record.players)}
+
+    def reasoning(members: set[str], with_methods: bool) -> list[dict]:
+        docs = []
+        for name in sorted(members):
+            doc = concept(name, members)
+            inputs, outputs = role_io_oracle(
+                ontology, lambda ancestor, descendant: (descendant, ancestor) in reach, name)
+            doc["io"] = {"inputs": [role(r) for r in inputs],
+                         "outputs": [role(r) for r in outputs]}
+            if with_methods:
+                doc["methods"] = []
+            docs.append(doc)
+        return docs
+
+    domain = effective.get("DomainConcept", set())
+    # A user relation joins the domain model when every concept of its
+    # signature does; its domain is its first position, its range its last.
+    relations = [{"name": r.name, "domain": "|".join(r.signature[0]),
+                  "range": "|".join(r.signature[-1]), "temporal": r.temporal}
+                 for r in sorted(ontology.relations.values(), key=lambda r: r.name)
+                 if r.origin is Origin.USER
+                 and all(c in domain for union in r.signature for c in union)]
+    plays = [{"type": c.definition.type_concept, "role": c.name}
+             for c in sorted(ontology.conjunctions(), key=lambda c: c.name)]
+    common = {"schema_version": "1", "snapshot_time": snapshot_time}
+    return {
+        "domain.json": {**common, "concepts": [concept(n, domain) for n in sorted(domain)],
+                        "relations": relations, "plays": plays},
+        "inference.json": {**common, "concepts": reasoning(
+            effective.get("Inference", set()) | effective.get("TransferFunction", set()),
+            with_methods=False)},
+        "task.json": {**common, "concepts": reasoning(effective.get("Task", set()),
+                                                      with_methods=True)},
+    }
 
 def random_label_model(seed: int):
     """Random labels of every primitive on up to six concepts at times

@@ -4,12 +4,17 @@
 
 The inputs are the corpus files (`corpus/*.oks`, `corpus/negative/*.oks`),
 the seed-3 files of the three benchmark workloads, generated by
-`perfbench/families.py`, and shapes from `tests/helpers.py` whose
-bitsets are wide or dense: wide disjointness, shared operand and role
-fan-in at n = 300, and a 2,000-deep chain.  Each file runs through `okc
-check` (text and `--format json`) and `okc compile` (text and json);
-each file with a probe instance also runs through `okc explain` on that
-probe, and `okc kernel` runs once.  A digest covers the exit code,
+`perfbench/families.py`, and models from `tests/helpers.py`:
+  - shapes whose bitsets are wide or dense: wide disjointness, shared
+    operand and role fan-in at n = 300, and a 2,000-deep chain;
+  - user relations, which neither the corpus nor the workloads declare:
+    the clean `USER_RELATIONS_SOURCE`, whose bundle lists relations and
+    plays-links, and `particularization_source` seeds 0 and 1, whose
+    particularization chains give S1 and S2 findings on user signatures.
+
+Each file runs through `okc check` (text and `--format json`) and `okc
+compile` (text and json); each file with a probe instance also runs
+through `okc explain` on that probe, and `okc kernel` runs once.  A digest covers the exit code,
 stdout, stderr and, for compile, the name and bytes of every bundle file.
 
 Two checkouts print the same lines exactly when their outputs are
@@ -32,7 +37,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import families  # noqa: E402
 from helpers import (  # noqa: E402
+    USER_RELATIONS_SOURCE,
     deep_chain_source,
+    particularization_source,
     role_fan_in_source,
     shared_operand_source,
     wide_disjointness_source,
@@ -55,6 +62,10 @@ def _inputs() -> list[tuple[str, str, str | None]]:
               ("role_fan_in_300", role_fan_in_source(300), "r"),
               ("deep_chain_2000", deep_chain_source(2000), "x")]
     out += [(f"shapes/{name}.oks", text, probe) for name, text, probe in shapes]
+    relations = [("user_relations", USER_RELATIONS_SOURCE, "e1"),
+                 ("particularization_0", particularization_source(0), "x0"),
+                 ("particularization_1", particularization_source(1), "x0")]
+    out += [(f"relations/{name}.oks", text, probe) for name, text, probe in relations]
     return out
 
 

@@ -14,6 +14,7 @@ import time
 from helpers import (
     CORPUS,
     check_source,
+    corpus_source,
     engine_sets,
     load_source,
     naive_saturate,
@@ -26,15 +27,15 @@ from helpers import (
     temporal_model,
     temporal_oracle,
 )
+from traceability import REQUIRED_CODES, TABLE
 
 from okc.bundle import BUNDLE_FILES, compile_bundle, emit_bundle
 from okc.checks import REGISTRY, VALIDATOR_CODES, CheckContext, check_temporal_participation
 from okc.cli import main
-from okc.corpus import load_example
+from okc.corpus import REGISTRY as CORPUS_REGISTRY
 from okc.kernel import merge_with_kernel
 from okc.model import Severity
 from okc.reasoner import RULE_CODES, compute_closure, direct_supers, saturate
-from okc.traceability import REQUIRED_CODES, TABLE
 
 
 def run_cli(*argv):
@@ -85,7 +86,7 @@ def test_criterion_2_traceability():
 
 
 def test_criterion_3_label_reproduction():
-    base = load_example("a4_a5_a6").source()
+    base = corpus_source("a4_a5_a6")
     assert check_source(base) == []
     mutations = {
         "A7": ("label Task Diagnosis at 1", "label Task EmptyFuelTank at 1"),
@@ -125,7 +126,7 @@ def test_criterion_5_saturation_oracle():
     started = time.monotonic()
     for seed in range(100):
         onto = random_saturation_model(seed)
-        engine = engine_sets(saturate(onto, compute_closure(onto)))
+        engine = engine_sets(onto, saturate(onto, compute_closure(onto)))
         oracle = naive_saturate(onto, random.Random(seed * 13 + 1))
         assert engine == oracle, seed
     elapsed = time.monotonic() - started
@@ -173,8 +174,8 @@ def test_criterion_6_temporal_oracle():
 def test_criterion_7_golden_compile(tmp_path):
     started = time.monotonic()
     for name in ("car_diagnosis", "calibration"):
-        entry = load_example(name)
-        onto, diags = load_source(entry.source(), str(entry.path()))
+        entry = CORPUS_REGISTRY[name]
+        onto, diags = load_source(corpus_source(name), str(entry.path()))
         assert onto is not None and diags == []
         bundle, warnings = compile_bundle(onto, onto.max_label_time())
         assert warnings == []
@@ -201,8 +202,8 @@ def test_criterion_7_golden_compile(tmp_path):
 
 def test_criterion_8_round_trip():
     for name in ("car_diagnosis", "calibration"):
-        entry = load_example(name)
-        onto, _ = load_source(entry.source(), str(entry.path()))
+        entry = CORPUS_REGISTRY[name]
+        onto, _ = load_source(corpus_source(name), str(entry.path()))
         assert ontology_content(round_trip(onto)) == ontology_content(onto)
     for seed in range(50):
         onto = random_loadable_model(seed)
@@ -211,8 +212,6 @@ def test_criterion_8_round_trip():
 
 
 def test_criterion_9_cli_determinism(tmp_path):
-    from okc.corpus import REGISTRY as CORPUS_REGISTRY
-
     def full_run(out_root):
         results = []
         for entry in sorted(CORPUS_REGISTRY.values(), key=lambda e: e.name):

@@ -9,11 +9,12 @@ import pytest
 
 from helpers import (
     REPO_ROOT,
+    USER_RELATIONS_SOURCE,
     effective_labels_oracle,
-    load_corpus_file,
     load_source,
     random_label_model,
     random_role_model,
+    reference_documents,
     role_io_oracle,
 )
 
@@ -31,7 +32,7 @@ from okc.bundle import (
     emit_bundle,
 )
 from okc.checks import validate
-from okc.corpus import positive_entries
+from okc.corpus import REGISTRY as CORPUS_REGISTRY
 from okc.kernel import kernel_ontology
 from okc.model import sort_diagnostics
 from okc.reasoner import compute_closure
@@ -116,7 +117,8 @@ def test_roles_inherited_from_unrelated_ancestors_merge_by_name():
     task = bundle.task_concepts[0]
     assert [r.name for r in task.inputs] == ["Alpha", "Delta", "Echo"]
     assert [r.name for r in task.outputs] == ["Bravo", "Charlie"]
-    assert (task.inputs, task.outputs) == role_io_oracle(onto, compute_closure(onto), "Both")
+    assert (task.inputs, task.outputs) == \
+        role_io_oracle(onto, compute_closure(onto).subsumes, "Both")
 
 
 def _io_against_oracle(onto, snapshot):
@@ -126,7 +128,7 @@ def _io_against_oracle(onto, snapshot):
     concepts = bundle.task_concepts + bundle.inference_concepts
     for concept in concepts:
         assert (concept.inputs, concept.outputs) == \
-            role_io_oracle(onto, closure, concept.name), concept.name
+            role_io_oracle(onto, closure.subsumes, concept.name), concept.name
     return concepts
 
 
@@ -187,8 +189,8 @@ def test_transfer_function_joins_inference_model():
 def test_same_effective_labels_same_content(car_ontology):
     bundle_3, _ = compile_bundle(car_ontology, 3)
     bundle_9, _ = compile_bundle(car_ontology, 9)
-    assert bundle_3.content() == bundle_9.content()
     assert bundle_3.snapshot_time != bundle_9.snapshot_time
+    assert bundle_3._replace(snapshot_time=9) == bundle_9
 
 
 def test_snapshot_before_labels_warns_c1(car_ontology):
@@ -330,12 +332,40 @@ def _bundle_of(text: str, snapshot_time: int) -> ModelBundle:
     )
 
 
-def _assert_written_equal_json_dumps(bundle, written):
-    """The files `emit_bundle` wrote hold `bundle.documents()` as `json.dumps` renders them."""
-    documents = bundle.documents()
+def _documents_of(bundle: ModelBundle) -> dict[str, dict]:
+    """The documents of a hand-built bundle, field by field, as dicts."""
+    def concept(c: BundleConcept) -> dict:
+        doc = {"name": c.name, "parents": list(c.parents), "annotations": dict(c.annotations)}
+        if c.inputs is not None or c.outputs is not None:
+            doc["io"] = {"inputs": [role(r) for r in c.inputs or ()],
+                         "outputs": [role(r) for r in c.outputs or ()]}
+        if c.methods is not None:
+            doc["methods"] = list(c.methods)
+        return doc
+
+    def role(r: RoleRecord) -> dict:
+        return {"name": r.name, "mode": r.mode, "reasoning_concept": r.reasoning_concept,
+                "players": list(r.players)}
+
+    common = {"schema_version": "1", "snapshot_time": bundle.snapshot_time}
+    return {
+        "domain.json": {
+            **common,
+            "concepts": [concept(c) for c in bundle.domain_concepts],
+            "relations": [{"name": r.name, "domain": r.domain, "range": r.range,
+                           "temporal": r.temporal} for r in bundle.domain_relations],
+            "plays": [{"type": p.type_concept, "role": p.role} for p in bundle.plays],
+        },
+        "inference.json": {**common, "concepts": [concept(c) for c in bundle.inference_concepts]},
+        "task.json": {**common, "concepts": [concept(c) for c in bundle.task_concepts]},
+    }
+
+
+def _assert_written_equal_json_dumps(documents, written):
+    """The files `emit_bundle` wrote hold `documents` as `json.dumps` renders them."""
     assert [path.name for path in written] == list(documents) == list(BUNDLE_FILES)
     for path in written:
-        assert path.read_text(encoding="utf-8") == _dumps(documents[path.name]) + "\n"
+        assert path.read_text(encoding="utf-8") == _dumps(documents[path.name]) + "\n", path.name
 
 
 def _scalars(value) -> list:
@@ -366,7 +396,8 @@ def test_canonical_json_equals_json_dumps(value, tmp_path):
     for i, text in enumerate(texts):
         for j, time in enumerate(times):
             bundle = _bundle_of(text, time)
-            _assert_written_equal_json_dumps(bundle, emit_bundle(bundle, tmp_path / f"{i}-{j}"))
+            _assert_written_equal_json_dumps(_documents_of(bundle),
+                                             emit_bundle(bundle, tmp_path / f"{i}-{j}"))
 
 
 def test_emit_renders_each_role_record_once(tmp_path, monkeypatch):
@@ -376,13 +407,15 @@ def test_emit_renders_each_role_record_once(tmp_path, monkeypatch):
             return str.__mod__(self, values)
 
     monkeypatch.setattr(bundle_module, "_ROLE", CountingTemplate(bundle_module._ROLE))
-    bundle = compile_bundle(random_role_model(3), 3)[0]
+    onto = random_role_model(3)
+    bundle = compile_bundle(onto, 3)[0]
     records = [r for c in bundle.inference_concepts + bundle.task_concepts
                for r in c.inputs + c.outputs]
     assert len(records) > len(set(records)) > 1  # records recur under several concepts
     for _ in range(2):  # once per call
         rendered: list = []
-        _assert_written_equal_json_dumps(bundle, emit_bundle(bundle, tmp_path))
+        _assert_written_equal_json_dumps(reference_documents(onto, 3),
+                                         emit_bundle(bundle, tmp_path))
         assert len(rendered) == len(set(rendered)) == len(set(records))
 
 
@@ -401,23 +434,48 @@ _RELATIONS_SOURCE = (
     "label Task Diagnosis at 1\n")
 
 
-def test_emitted_bundles_equal_json_dumps(tmp_path):
-    bundles = []
-    for entry in positive_entries():
-        if entry.golden_dir is not None:
-            onto = load_corpus_file(entry.relative_path)
-            bundles.append(compile_bundle(onto, onto.max_label_time())[0])
-    bundles += [compile_bundle(random_role_model(seed), 3)[0] for seed in range(30)]
+def test_emitted_bundles_equal_json_dumps(tmp_path, monkeypatch):
+    """What `compile_bundle` and `emit_bundle` write for a model equals the
+    reference compile of that model; a hand-built bundle, whose fields no
+    model produces, is written as its fields read."""
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    import families
+
+    models = []  # (ontology, snapshot times)
+    for entry in CORPUS_REGISTRY.values():
+        if not entry.expected_codes:
+            onto, _ = load_source(entry.path().read_text(encoding="utf-8"))
+            models.append((onto, (0, onto.max_label_time())))
+            if entry.golden_dir is not None:  # `okc compile` wrote the golden at the latest time
+                _assert_written_equal_json_dumps(
+                    reference_documents(onto, onto.max_label_time()),
+                    [entry.golden_path() / name for name in BUNDLE_FILES])
+    models += [(random_role_model(seed), (3,)) for seed in range(30)]
+    models.append((load_source(families.taxonomy_file(1, n=200).text)[0], (0, 4, 8)))
     onto, _ = load_source(_RELATIONS_SOURCE)
     with_relations = [compile_bundle(onto, time)[0] for time in (0, 2, 10 ** 20)]
     assert [len(b.domain_relations) for b in with_relations] == [0, 2, 2]
     assert {r.temporal for r in with_relations[1].domain_relations} == {True, False}
     assert "FuelTank|Pump" in {r.domain for r in with_relations[1].domain_relations}
     assert with_relations[1].plays
-    bundles += with_relations
-    bundles += [_bundle_of(text, time) for text in ("", "ü \u2028\\\"") for time in (0, 2 ** 70)]
-    for i, bundle in enumerate(bundles):
-        _assert_written_equal_json_dumps(bundle, emit_bundle(bundle, tmp_path / str(i)))
+    models.append((onto, (0, 2, 10 ** 20)))
+    onto, _ = load_source(USER_RELATIONS_SOURCE)
+    assert validate(onto) == []
+    user = compile_bundle(onto, 3)[0]
+    assert {r.domain != r.range for r in user.domain_relations} == {True, False}
+    assert {r.temporal for r in user.domain_relations} == {True, False}
+    assert any("|" in r.domain + r.range for r in user.domain_relations)
+    assert len(user.plays) == 2 and len(user.task_concepts[0].inputs) == 1
+    models.append((onto, range(5)))
+    for i, (onto, times) in enumerate(models):
+        for time in times:
+            bundle = compile_bundle(onto, time)[0]
+            _assert_written_equal_json_dumps(reference_documents(onto, time),
+                                             emit_bundle(bundle, tmp_path / f"{i}-{time}"))
+    hand_built = [_bundle_of(text, time) for text in ("", "ü \u2028\\\"") for time in (0, 2 ** 70)]
+    for i, bundle in enumerate(hand_built):
+        _assert_written_equal_json_dumps(_documents_of(bundle),
+                                         emit_bundle(bundle, tmp_path / f"hand-built-{i}"))
 
 
 def test_emission_stays_small_and_exact(tmp_path, monkeypatch):
@@ -438,7 +496,7 @@ def test_emission_stays_small_and_exact(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 0.2 * sum(path.stat().st_size for path in written)
-    _assert_written_equal_json_dumps(bundle, written)
+    _assert_written_equal_json_dumps(reference_documents(onto, onto.max_label_time()), written)
 
 
 def test_negative_snapshot_rejected(car_ontology):

@@ -6,23 +6,15 @@ import shutil
 
 import pytest
 
-from helpers import CORPUS, all_codes, check_source
+from helpers import CORPUS, all_codes, check_source, corpus_source
 
 import okc.corpus
 from okc.bundle import BUNDLE_FILES
-from okc.corpus import (
-    REGISTRY,
-    UnknownExampleError,
-    load_example,
-    negative_entries,
-    positive_entries,
-    regenerate_goldens,
-)
+from okc.corpus import REGISTRY, regenerate_goldens
 
 
 def test_load_car_diagnosis_entry():
-    entry = load_example("car_diagnosis")
-    source = entry.source()
+    source = corpus_source("car_diagnosis")
     for name in ("Diagnosis", "EmptyFuelTank", "DiagnosisHypothesis",
                  "DiagnosisResult", "Hypothesis", "LowBatteryLevelComplaint",
                  "CarModel"):
@@ -32,26 +24,23 @@ def test_load_car_diagnosis_entry():
 
 
 def test_load_calibration_entry():
-    source = load_example("calibration").source()
+    source = corpus_source("calibration")
     for name in ("Calibrating", "CalibrationData", "Model", "ModelToCalibrate"):
         assert name in source
     assert "label FormalKnowledgeRole CalibrationData at 2" in source
 
 
-def test_unknown_example_name():
-    with pytest.raises(UnknownExampleError):
-        load_example("nope")
-
-
-@pytest.mark.parametrize("entry", positive_entries(), ids=lambda e: e.name)
+@pytest.mark.parametrize("entry", [e for e in REGISTRY.values() if not e.expected_codes],
+                         ids=lambda e: e.name)
 def test_positive_corpora_have_zero_findings(entry):
-    diags = check_source(entry.source(), str(entry.path()))
+    diags = check_source(corpus_source(entry.name), str(entry.path()))
     assert diags == [], [d.render() for d in diags]
 
 
-@pytest.mark.parametrize("entry", negative_entries(), ids=lambda e: e.name)
+@pytest.mark.parametrize("entry", [e for e in REGISTRY.values() if e.expected_codes],
+                         ids=lambda e: e.name)
 def test_negative_corpora_emit_exactly_their_codes(entry):
-    diags = check_source(entry.source(), str(entry.path()))
+    diags = check_source(corpus_source(entry.name), str(entry.path()))
     assert all_codes(diags) == set(entry.expected_codes), [d.render() for d in diags]
 
 
@@ -62,7 +51,7 @@ def test_every_registered_file_exists():
 
 def test_golden_directories_exist_for_worked_examples():
     for name in ("car_diagnosis", "calibration"):
-        golden = load_example(name).golden_path()
+        golden = REGISTRY[name].golden_path()
         assert golden is not None
         for filename in ("domain.json", "inference.json", "task.json"):
             assert (golden / filename).is_file()

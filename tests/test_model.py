@@ -18,6 +18,7 @@ from helpers import (
     scan_references,
     unparsable_faults_model,
 )
+from traceability import Fixture, TraceRow
 
 import okc
 from okc import model
@@ -42,7 +43,6 @@ from okc.model import (
     SourceSpan,
     load,
 )
-from okc.traceability import Fixture, TraceRow
 
 
 def test_add_concept_to_kernel():
@@ -364,9 +364,29 @@ def test_records_equal_only_records_of_their_own_class(cls, field, values):
         assert len({record, other}) == 2
 
 
-def test_importing_okc_leaves_dataclasses_unloaded():
-    probe = ("import sys, okc, okc.cli, okc.corpus, okc.traceability; "
-             "print('dataclasses' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            cwd=Path(okc.__file__).parents[1], check=True)
-    assert result.stdout == "False\n"
+def test_importing_okc_leaves_dataclasses_unloaded(tmp_path):
+    """Every command loads each module of the package but `okc.corpus` and
+    `okc.__main__`, and nothing of the test tree; no import of okc loads
+    `dataclasses`.  The probe sees only the source tree and starts outside it."""
+    src = Path(okc.__file__).parents[1]
+    model = tmp_path / "calibration.oks"
+    model.write_text((CORPUS / "calibration.oks").read_text(encoding="utf-8"), encoding="utf-8")
+    probe = (
+        "import io, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from okc.cli import main\n"
+        "model, out = sys.argv[2:]\n"
+        "for argv in (['check', model], ['compile', model, '--out', out],\n"
+        "             ['explain', model, 'm1'], ['kernel']):\n"
+        "    assert main(argv, io.StringIO(), io.StringIO()) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'okc'))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('helpers', 'traceability', 'tests')))\n"
+        "import okc.corpus\n"
+        "print('dataclasses' in sys.modules)\n")
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", probe, str(src), str(model), str(tmp_path / "bundle")],
+        capture_output=True, text=True, cwd=tmp_path, check=True)
+    package = {f"okc.{path.stem}" for path in (src / "okc").glob("*.py")}
+    expected = sorted({"okc"} | package - {"okc.__init__", "okc.corpus", "okc.__main__"})
+    assert result.stdout.splitlines() == [repr(expected), "[]", "False"]

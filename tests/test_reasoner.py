@@ -14,6 +14,7 @@ from helpers import (
     engine_sets,
     load_corpus_file,
     load_source,
+    members_of,
     naive_saturate,
     random_loadable_model,
     random_saturation_model,
@@ -287,7 +288,7 @@ def test_t_theorems_hold_in_saturated_bases():
         onto = random_saturation_model(seed)
         facts = saturate(onto, compute_closure(onto))
         instances_of = {}
-        for m in facts.members:
+        for m in members_of(onto, facts):
             instances_of.setdefault(m.concept, set()).add(m.instance)
         data = instances_of.get("Data", set())
         assert data <= instances_of.get("Patient", set())
@@ -302,7 +303,7 @@ def test_disjoint_instances_are_the_members_of_disjoint_concepts():
         facts = saturate(onto, compute_closure(onto))
         named = {c for pair in onto.disjoints for c in pair}
         expected: dict[str, set[str]] = {}
-        for m in facts.members:
+        for m in members_of(onto, facts):
             if m.concept in named:
                 expected.setdefault(m.concept, set()).add(m.instance)
         assert facts.disjoint_instances == expected
@@ -311,7 +312,7 @@ def test_disjoint_instances_are_the_members_of_disjoint_concepts():
 @pytest.mark.parametrize("seed", range(25))
 def test_saturation_against_naive_fixpoint(seed):
     onto = random_saturation_model(seed)
-    engine = engine_sets(saturate(onto, compute_closure(onto)))
+    engine = engine_sets(onto, saturate(onto, compute_closure(onto)))
     oracle = naive_saturate(onto, random.Random(seed * 31 + 7))
     assert engine == oracle
 
@@ -320,7 +321,7 @@ def test_saturation_against_naive_fixpoint(seed):
 def test_shared_model_saturation_against_naive_fixpoint(seed):
     onto = random_shared_model(seed)
     assert 40 <= len(onto.instances) <= 80 and 60 <= len(onto.facts) <= 150
-    engine = engine_sets(saturate(onto, compute_closure(onto)))
+    engine = engine_sets(onto, saturate(onto, compute_closure(onto)))
     assert engine == naive_saturate(onto, random.Random(seed))
 
 
@@ -329,7 +330,7 @@ def test_role_web_saturation_against_naive_fixpoint(seed):
     onto = role_web_model(seed)
     defined = [c for c in onto.concepts.values() if c.definition is not None]
     assert 20 <= len(defined) <= 60
-    engine = engine_sets(saturate(onto, compute_closure(onto)))
+    engine = engine_sets(onto, saturate(onto, compute_closure(onto)))
     assert engine == naive_saturate(onto, random.Random(seed))
 
 
@@ -353,15 +354,15 @@ def test_monotonicity_over_asserted_facts():
         smaller_decls = [d for d in smaller_decls if d.origin.value != "kernel"]
         smaller, diags = merge_with_kernel(smaller_decls)
         assert smaller is not None, diags
-        small_m, small_g = engine_sets(saturate(smaller, compute_closure(smaller)))
-        big_m, big_g = engine_sets(saturate(onto, compute_closure(onto)))
+        small_m, small_g = engine_sets(smaller, saturate(smaller, compute_closure(smaller)))
+        big_m, big_g = engine_sets(onto, saturate(onto, compute_closure(onto)))
         assert small_m <= big_m and small_g <= big_g
 
 
 def test_idempotence_resaturating_saturated_base():
     onto = random_saturation_model(11)
     facts = saturate(onto, compute_closure(onto))
-    members, grounds = engine_sets(facts)
+    members, grounds = engine_sets(onto, facts)
     schema = (*onto.concepts.values(), *onto.relations.values(), *onto.disjoints.values(),
               *(a for per in onto.annotations.values() for a in per.values()),
               *onto.labels.values())
@@ -374,7 +375,7 @@ def test_idempotence_resaturating_saturated_base():
     decls += [Fact(relation, args, time) for relation, args, time in grounds]
     closed, diags = merge_with_kernel(decls)
     assert closed is not None, diags
-    again = engine_sets(saturate(closed, compute_closure(closed)))
+    again = engine_sets(closed, saturate(closed, compute_closure(closed)))
     assert again == (members, grounds)
 
 
@@ -411,7 +412,7 @@ def test_explain_output(calibration_ontology):
 def assert_fixpoint_matches_engine(onto, what) -> None:
     facts = saturate(onto, compute_closure(onto))
     trace = _Engine(onto, reasoner._RuleTable(onto)).run()
-    assert facts.members == {e for e in trace if isinstance(e, Member)}, what
+    assert members_of(onto, facts) == {e for e in trace if isinstance(e, Member)}, what
     assert facts.grounds == {e for e in trace if isinstance(e, Ground)}, what
     for g in facts.grounds:  # span_of follows the trace's R-up premises
         source = g
@@ -504,7 +505,8 @@ def test_d1_d2_inputs_are_final_after_d3_d4(family):
         early = {(i.name, c) for i in onto.instances.values() for c in i.concepts}
         early |= {(g.args[0], feeds[g.relation]) for g in facts.grounds if g.relation in feeds}
         expected = {(x, a) for x, c in early for a in closure.ancestors(c) if a in D1_D2_READS}
-        final = {(m.instance, m.concept) for m in facts.members if m.concept in D1_D2_READS}
+        final = {(m.instance, m.concept) for m in members_of(onto, facts)
+                 if m.concept in D1_D2_READS}
         assert final == expected, (family, seed)
 
 

@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import check_source
+from helpers import check_source, corpus_source
+from traceability import BY_CODE, REQUIRED_CODES, TABLE, Fixture, TraceRow
 
 from okc.checks import REGISTRY, VALIDATOR_CODES
-from okc.corpus import load_example
 from okc.kernel import kernel_ontology
 from okc.model import Severity
 from okc.reasoner import RULE_CODES, compute_closure, direct_supers, saturate
-from okc.traceability import BY_CODE, REQUIRED_CODES, TABLE, Fixture, TraceRow
 
 
 def test_table_covers_exactly_the_required_codes():
@@ -48,7 +47,7 @@ def test_falsifiable_rows_have_failing_fixtures():
 
 def _fixture_source(fixture: Fixture) -> str:
     if fixture.corpus is not None:
-        return load_example(fixture.corpus).source()
+        return corpus_source(fixture.corpus)
     assert fixture.source is not None
     return fixture.source
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .model import _record
+from okc.model import _record
 
 
 @_record
