@@ -209,15 +209,15 @@ def check_temporal_participation(ctx: CheckContext) -> list[Diagnostic]:
     for p in facts.under(kernel.REL_PRESENCE):  # temporal: every time is set
         presence.setdefault(p.args[0], []).append(p.time)
     edges = {y: (min(times), max(times)) for y, times in presence.items()}
-    participations = facts.facts_of(kernel.REL_PARTICIPATION)
+    # only temporal relations R-up into the temporal PC, and they keep the time
+    participations = {(g.args, g.time) for g in facts.under(kernel.REL_PARTICIPATION)}
     diags = []
     warned: set[str] = set()
     for rel_name, code, side, end in ((kernel.REL_DATA, "A13", "first", 0),
                                       (kernel.REL_RESULT, "R13", "last", 1)):
         pairs = {g.args for g in facts.under(rel_name)}
-        required = {(kernel.REL_PARTICIPATION, (x, y), edges[y][end])
-                    for x, y in pairs if y in edges}
-        for _, (x, y), edge in required - participations:
+        required = {((x, y), edges[y][end]) for x, y in pairs if y in edges}
+        for (x, y), edge in required - participations:
             g = Ground(rel_name, (x, y), None)
             diags.append(_error(
                 code,
@@ -419,8 +419,6 @@ REGISTRY: dict[str, CheckInfo] = {
     **{info.code: info for info in FRONTEND_CODES},
     **{info.code: info for info, _ in _VALIDATOR_CHECKS},
 }
-
-VALIDATOR_CODES: tuple[str, ...] = tuple(info.code for info, _ in _VALIDATOR_CHECKS)
 
 
 def validate(ontology: Ontology) -> list[Diagnostic]:

@@ -21,18 +21,19 @@ Existential bodies are evaluated over declared instances only, and
 disjointness is never used to derive anything; contradictions surface in
 the validator.
 
-Each rule is written once: `_RuleTable` holds what an ontology makes of
-R-up and D3-D6, and `_d1` and `_d2` are the D1 and D2 bodies over a
-`has(instance, concept)` test.  Two evaluators read them, as in
-semi-naive Datalog evaluation.  `saturate` computes the fixpoint alone,
-each instance's memberships one bitset over the closure's concept bits,
-closed under M-up by a union with an ancestor bitset: it ORs in the
-asserted, D3 and D4 memberships, fires D1 once on its candidate actions
-and D2 once, then serves D5 and D6 from a worklist that holds each
-instance with a D5 or D6 key once, and again only when it gains one.
-`FactBase.trace` runs `_Engine` on first read, a FIFO queue of entries
-in which each entry keeps the first derivation that reaches it; `okc
-explain` prints these traces.
+`_RuleTable` holds what the ontology makes of each rule: M-up is the
+closure, and D1 and D2 read kernel concepts only.  Two evaluators apply
+the rule set, as in semi-naive Datalog evaluation.  `saturate` applies
+all eight rules set-at-a-time on bitsets.  Each instance's memberships
+are one bitset over the closure's concept bits, closed under M-up by a
+union with an ancestor bitset.  It ORs in the asserted, D3 and D4
+memberships, fires D1 once on its candidate actions and D2 once on the
+`hasForSubject` facts, each a bit test, then serves D5 and D6 from a
+worklist that holds each instance with a D5 or D6 key once, and again
+only when it gains one.  `_Engine` applies the rules entry by entry with
+their premises: a FIFO queue in which each entry keeps the first
+derivation that reaches it.  `FactBase.trace` runs it on first read, and
+`okc explain` prints these traces.
 
 One pass of D1 and D2 suffices because the bits they read (AC, APO, ASO,
 Proposition, IdaConcept) are final once the asserted, D3 and D4
@@ -66,7 +67,7 @@ from bisect import insort
 from collections import deque
 from functools import cached_property
 from itertools import compress
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from . import kernel
 from .model import Fact, Ground, Ontology, SourceSpan, direct_supers
@@ -229,7 +230,6 @@ class Member(NamedTuple):
 Entry = Union[Member, Ground]
 
 RULE_ASSERTED = "asserted"
-RULE_CODES = ("M-up", "R-up", "D1", "D2", "D3", "D4", "D5", "D6")
 
 
 class Derivation(NamedTuple):
@@ -281,29 +281,6 @@ class _RuleTable:
                 self.d6.setdefault(operand, {}).setdefault(other, []).append((c.name, left, right))
 
 
-def _d1(action: str, has: Callable[[str, str], bool],
-        facts_with: Callable[..., Sequence[Ground]]) -> Optional[tuple[Entry, ...]]:
-    """Premises of `action : Interaction` by D1: AC(action), an agent y and
-    an agentive participant z other than y.  None unless D1 derives it anew."""
-    if not has(action, kernel.ACTION) or has(action, kernel.INTERACTION):
-        return None
-    agents = sorted(facts_with(kernel.REL_AGENT, 1, action))
-    for pc in sorted(facts_with(kernel.REL_PARTICIPATION, 1, action)) if agents else ():
-        z = pc.args[0]
-        agentive = next((c for c in kernel.AGENTIVE_UNION if has(z, c)), None)
-        agent = next((a for a in agents if a.args[0] != z), None)
-        if agentive is not None and agent is not None:
-            return (Member(action, kernel.ACTION), agent, Member(z, agentive), pc)
-    return None
-
-
-def _d2(fact: Ground, has: Callable[[str, str], bool]) -> Optional[tuple[Entry, ...]]:
-    """Premises of D2 from `hasForSubject(p, c)`: p is a Proposition and c
-    an IdaConcept.  None unless both hold."""
-    prop, idea = Member(fact.args[0], kernel.PROPOSITION), Member(fact.args[1], kernel.IDA_CONCEPT)
-    return (fact, prop, idea) if has(*prop) and has(*idea) else None
-
-
 def _bit_names(names: tuple[str, ...], bits: int) -> Iterator[str]:
     """The names of the set bits, highest first, clearing each: the bitset shrinks."""
     while bits:
@@ -317,11 +294,10 @@ class FactBase:
 
     An instance's memberships are one bitset over the closure's concept
     bits, read through `has_member`, `instances_of` and `concepts_of`.
-    Each asserted fact is stored once, by relation, and most readers take
-    its arguments as asserted (`under`).  `facts_of` and each
-    (relation, position) index of `facts_with` map facts up R-up on first
-    read, for A13/R13 and D1's candidates; `grounds` materialises every
-    fact, for explain.
+    Each asserted fact is stored once, by relation, and its readers take
+    it as asserted under each relation above it (`under`).  Only
+    `span_of` and `off_signature` map facts up R-up; `okc explain` reads
+    the derived facts from `trace`.
     """
 
     def __init__(self, ontology: Ontology, closure: SubsumptionClosure,
@@ -333,18 +309,10 @@ class FactBase:
         self._asserted: dict[str, list[Ground]] = {}
         for key in ontology.facts:  # a fact's key is its Ground
             self._asserted.setdefault(key.relation, []).append(key)
-        self._of: dict[str, set[Ground]] = {}
-        self._index: dict[tuple[str, int], dict[str, list[Ground]]] = {}
         self._masks = {r.name: tuple(closure.mask(union) for union in r.signature)
                        for r in ontology.relations.values()}
         # relation -> the distinct signature masks of it and the relations above
         self._masks_above: dict[Optional[str], frozenset] = {None: frozenset()}
-
-    @cached_property
-    def grounds(self) -> set[Ground]:
-        """Every ground fact, asserted or derived."""
-        return {up for asserted in self._asserted.values() for g in asserted
-                for up in self._r_up_chain(g)}
 
     @cached_property
     def disjoint_instances(self) -> dict[str, set[str]]:
@@ -379,33 +347,14 @@ class FactBase:
     def concepts_of(self, instance: str) -> frozenset[str]:
         return self._closure._decode(self._bits.get(instance, 0))
 
-    def facts_of(self, relation: str) -> set[Ground]:
-        """The facts of `relation` and, mapped up, of every relation below it."""
-        out = self._of.get(relation)
-        if out is None:
-            keep = getattr(self._ontology.relations.get(relation), "temporal", False)
-            out = self._of[relation] = {
-                g if g.relation == relation else Ground(relation, g.args, g.time if keep else None)
-                for g in self.under(relation)}
-        return out
-
     def under(self, relation: str) -> Iterator[Ground]:
         """The asserted facts of `relation` and of every relation below it, as
-        asserted: R-up changes no argument, so a rule or check that reads only
-        arguments reads these instead of `facts_of`."""
+        asserted: R-up changes no argument, and keeps the time when `relation`
+        is temporal, whose relations below are temporal too."""
         below = [relation]
         for lower in below:  # grows while it is walked; E7 refuses cycles
             below.extend(self._rules.r_down.get(lower, ()))
             yield from self._asserted.get(lower, ())
-
-    def facts_with(self, relation: str, position: int, value: str) -> Sequence[Ground]:
-        """Facts of `relation` whose argument at `position` is `value`."""
-        index = self._index.get((relation, position))
-        if index is None:
-            index = self._index[relation, position] = {}
-            for g in self.facts_of(relation):
-                index.setdefault(g.args[position], []).append(g)
-        return index.get(value, ())
 
     def span_of(self, g: Ground) -> SourceSpan:
         """Span of the asserted fact `g` is, or else of the one in the nearest
@@ -480,17 +429,17 @@ class FactBase:
             joined = up[bit[concept]]
             for x in {g.args[0] for g in self.under(relation)}:
                 bits[x] |= joined
-        agents: dict[str, set[str]] = {}  # D1 runs where an agentive participant
-        for g in self.under(kernel.REL_AGENT):  # is not the action's only agent
+        agents: dict[str, set[str]] = {}  # D1: an AC with an agentive participant
+        for g in self.under(kernel.REL_AGENT):  # that is not its only agent
             agents.setdefault(g.args[1], set()).add(g.args[0])
-        agentive = closure.mask(kernel.AGENTIVE_UNION)
-        for action in {a for z, a in (g.args for g in self.under(kernel.REL_PARTICIPATION))
-                       if a in agents and bits[z] & agentive and agents[a] != {z}}:
-            if _d1(action, self.has_member, self.facts_with) is not None:
-                bits[action] |= up[bit[kernel.INTERACTION]]
-        for g in self.under(kernel.REL_SUBJECT):  # D2 reads only the arguments
-            if _d2(g, self.has_member) is not None:
-                bits[g.args[1]] |= up[bit[kernel.SUBJECT]]
+        ac, agentive = 1 << bit[kernel.ACTION], closure.mask(kernel.AGENTIVE_UNION)
+        for z, a in (g.args for g in self.under(kernel.REL_PARTICIPATION)):
+            if a in agents and bits[a] & ac and bits[z] & agentive and agents[a] != {z}:
+                bits[a] |= up[bit[kernel.INTERACTION]]
+        proposition, idea = 1 << bit[kernel.PROPOSITION], 1 << bit[kernel.IDA_CONCEPT]
+        for p, c in (g.args for g in self.under(kernel.REL_SUBJECT)):  # D2
+            if bits[p] & proposition and bits[c] & idea:
+                bits[c] |= up[bit[kernel.SUBJECT]]
 
         trigger = closure.mask(rules.d5) | closure.mask(rules.d6)
         others = {operand: closure.mask(by_other) for operand, by_other in rules.d6.items()}
@@ -563,9 +512,6 @@ class _Engine:
     def has(self, instance: str, concept: str) -> bool:
         return Member(instance, concept) in self.trace
 
-    def facts_with(self, relation: str, position: int, value: str) -> list[Ground]:
-        return self.by_arg.get((relation, position, value), [])
-
     def run(self) -> dict[Entry, Derivation]:
         for inst in sorted(self.onto.instances.values(), key=lambda d: d.name):
             for concept in sorted(inst.concepts):
@@ -604,16 +550,16 @@ class _Engine:
                         if later > c:
                             insort(todo, later)
         for relation, role in rules.d5.get(m.concept, ()):
-            for g in sorted(self.facts_with(relation, 1, x)):
+            for g in sorted(self.by_arg.get((relation, 1, x), ())):
                 self.add(Member(g.args[0], role), Derivation("D5", (g, m)))
         if m.concept == kernel.ACTION:
             self.d1(x)
         if m.concept in kernel.AGENTIVE_UNION:
-            for g in sorted(self.facts_with(kernel.REL_PARTICIPATION, 0, x)):
+            for g in sorted(self.by_arg.get((kernel.REL_PARTICIPATION, 0, x), ())):
                 self.d1(g.args[1])
         if m.concept in (kernel.PROPOSITION, kernel.IDA_CONCEPT):
-            for g in sorted({*self.facts_with(kernel.REL_SUBJECT, 0, x),
-                             *self.facts_with(kernel.REL_SUBJECT, 1, x)}):
+            for g in sorted({*self.by_arg.get((kernel.REL_SUBJECT, 0, x), ()),
+                             *self.by_arg.get((kernel.REL_SUBJECT, 1, x), ())}):
                 self.d2(g)
 
     def on_ground(self, g: Ground) -> None:
@@ -643,12 +589,28 @@ class _Engine:
             self.d2(g)
 
     def d1(self, action: str) -> None:
-        if (premises := _d1(action, self.has, self.facts_with)) is not None:
-            self.add(Member(action, kernel.INTERACTION), Derivation("D1", premises))
+        """`action : Interaction` by D1, from AC(action), an agent y and an
+        agentive participant z other than y: the least such participation
+        and the least agent on it."""
+        if not self.has(action, kernel.ACTION) or self.has(action, kernel.INTERACTION):
+            return
+        agents = sorted(self.by_arg.get((kernel.REL_AGENT, 1, action), ()))
+        participations = self.by_arg.get((kernel.REL_PARTICIPATION, 1, action), ())
+        for pc in sorted(participations) if agents else ():
+            z = pc.args[0]
+            agentive = next((c for c in kernel.AGENTIVE_UNION if self.has(z, c)), None)
+            agent = next((a for a in agents if a.args[0] != z), None)
+            if agentive is not None and agent is not None:
+                self.add(Member(action, kernel.INTERACTION), Derivation(
+                    "D1", (Member(action, kernel.ACTION), agent, Member(z, agentive), pc)))
+                return
 
     def d2(self, g: Ground) -> None:
-        if (premises := _d2(g, self.has)) is not None:
-            self.add(Member(g.args[1], kernel.SUBJECT), Derivation("D2", premises))
+        """`c : Subject` by D2 from `hasForSubject(p, c)`, if p is a
+        Proposition and c an IdaConcept."""
+        prop, idea = Member(g.args[0], kernel.PROPOSITION), Member(g.args[1], kernel.IDA_CONCEPT)
+        if self.has(*prop) and self.has(*idea):
+            self.add(Member(g.args[1], kernel.SUBJECT), Derivation("D2", (g, prop, idea)))
 
 
 # --- explanation -------------------------------------------------------------
@@ -684,8 +646,8 @@ def explain_instance(factbase: FactBase, instance: str) -> str:
     for concept in sorted(factbase.concepts_of(instance)):
         entry = Member(instance, concept)
         lines.append("  " + _trace_line(factbase, entry))
-    involved = sorted(
-        (g for g in factbase.grounds if instance in g.args), key=entry_sort_key)
+    involved = sorted((g for g in factbase.trace if isinstance(g, Ground) and instance in g.args),
+                      key=entry_sort_key)
     if involved:
         lines.append(f"facts involving {instance}:")
         for g in involved:

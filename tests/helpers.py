@@ -36,7 +36,7 @@ from okc.model import (
     _error,
     direct_supers,
 )
-from okc.reasoner import Member, _d1
+from okc.reasoner import Ground, Member
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CORPUS = REPO_ROOT / "corpus"
@@ -368,9 +368,15 @@ def members_of(onto, facts) -> set[Member]:
     return {Member(i, c) for i in onto.instances for c in facts.concepts_of(i)}
 
 
+def grounds_of(facts) -> set[Ground]:
+    """Every ground fact of the fact base, asserted or derived: each
+    asserted fact and what R-up derives from it, walked up its chain."""
+    return {up for g in facts._ontology.facts for up in facts._r_up_chain(g)}
+
+
 def engine_sets(onto, facts):
     memberships = {(m.instance, m.concept) for m in members_of(onto, facts)}
-    grounds = {(g.relation, g.args, g.time) for g in facts.grounds}
+    grounds = {(g.relation, g.args, g.time) for g in grounds_of(facts)}
     return memberships, grounds
 
 
@@ -1088,11 +1094,14 @@ def d1_model(seed: int):
 
 
 def d1_on_every_agent_action(facts) -> set[str]:
-    """The actions `_d1` makes Interactions when it runs on every action
-    with an agent, as saturation did before it ran only on candidates.
-    `facts` holds the memberships D1 reads, as before D1 fires."""
-    return {action for action in {g.args[1] for g in facts.under(kernel.REL_AGENT)}
-            if _d1(action, facts.has_member, facts.facts_with) is not None}
+    """The actions D1's body holds for over the memberships of `facts`:
+    an AC with an agent y and an agentive participant z other than y."""
+    agents: dict[str, set[str]] = {}
+    for g in facts.under(kernel.REL_AGENT):
+        agents.setdefault(g.args[1], set()).add(g.args[0])
+    return {a for z, a in (g.args for g in facts.under(kernel.REL_PARTICIPATION))
+            if agents.get(a, set()) - {z} and facts.has_member(a, kernel.ACTION)
+            and any(facts.has_member(z, c) for c in kernel.AGENTIVE_UNION)}
 
 
 # Model families the fact base is checked against an oracle on: family ->

@@ -10,7 +10,10 @@ the seed-3 files of the three benchmark workloads, generated by
   - user relations, which neither the corpus nor the workloads declare:
     the clean `USER_RELATIONS_SOURCE`, whose bundle lists relations and
     plays-links, and `particularization_source` seeds 0 and 1, whose
-    particularization chains give S1 and S2 findings on user signatures.
+    particularization chains give S1 and S2 findings on user signatures;
+  - rules D1 and D2, which derive nothing in the other inputs:
+    `d1_source(1)`, whose probe `a1` is an Interaction by D1, and
+    `random_shared_model(1)` as text, whose probe `x06` is a Subject by D2.
 
 Each file runs through `okc check` (text and `--format json`) and `okc
 compile` (text and json); each file with a probe instance also runs
@@ -38,13 +41,16 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import families  # noqa: E402
 from helpers import (  # noqa: E402
     USER_RELATIONS_SOURCE,
+    d1_source,
     deep_chain_source,
     particularization_source,
+    random_shared_model,
     role_fan_in_source,
     shared_operand_source,
     wide_disjointness_source,
 )
 from okc.cli import main  # noqa: E402
+from okc.frontend import render  # noqa: E402
 
 SEED = 3
 
@@ -66,6 +72,9 @@ def _inputs() -> list[tuple[str, str, str | None]]:
                  ("particularization_0", particularization_source(0), "x0"),
                  ("particularization_1", particularization_source(1), "x0")]
     out += [(f"relations/{name}.oks", text, probe) for name, text, probe in relations]
+    rules = [("d1_1", d1_source(1), "a1"),
+             ("shared_1", render(random_shared_model(1)), "x06")]
+    out += [(f"rules/{name}.oks", text, probe) for name, text, probe in rules]
     return out
 
 

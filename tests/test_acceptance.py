@@ -27,15 +27,15 @@ from helpers import (
     temporal_model,
     temporal_oracle,
 )
-from traceability import REQUIRED_CODES, TABLE
+from traceability import REQUIRED_CODES, RULE_CODES, TABLE, VALIDATOR_CODES
 
 from okc.bundle import BUNDLE_FILES, compile_bundle, emit_bundle
-from okc.checks import REGISTRY, VALIDATOR_CODES, CheckContext, check_temporal_participation
+from okc.checks import REGISTRY, CheckContext, check_temporal_participation
 from okc.cli import main
 from okc.corpus import REGISTRY as CORPUS_REGISTRY
 from okc.kernel import merge_with_kernel
 from okc.model import Severity
-from okc.reasoner import RULE_CODES, compute_closure, direct_supers, saturate
+from okc.reasoner import compute_closure, direct_supers, saturate
 
 
 def run_cli(*argv):

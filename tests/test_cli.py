@@ -67,7 +67,7 @@ def test_warning_exit_codes():
     assert code == 2
 
 
-def test_json_format_findings():
+def test_json_format_findings(tmp_path):
     code, out, err = run("check", str(CORPUS / "negative" / "a7_task_on_state.oks"),
                          "--format", "json")
     assert code == 1 and out == ""
@@ -77,6 +77,12 @@ def test_json_format_findings():
     assert f["code"] == "A7" and f["severity"] == "error"
     assert set(f) == {"code", "severity", "message", "file", "line", "column", "subjects"}
     assert f["subjects"] == ["EmptyFuelTank"]
+    # With no findings, stderr stays empty in either format, and the exit is 0.
+    clean = str(CORPUS / "calibration.oks")
+    for fmt in ("text", "json"):
+        assert run("check", clean, "--format", fmt) == (0, "", ""), fmt
+        assert run("compile", clean, "--out", str(tmp_path / fmt), "--format", fmt) == \
+            (0, "", ""), fmt
 
 
 def test_compile_writes_three_files(tmp_path):

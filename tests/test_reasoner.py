@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from helpers import (
     d1_on_every_agent_action,
     deep_chain_source,
     engine_sets,
+    grounds_of,
     load_corpus_file,
     load_source,
     members_of,
@@ -25,13 +27,14 @@ from helpers import (
     role_web_model,
     shared_operand_source,
 )
+from output_digests import _inputs
+from traceability import RULE_CODES
 
 from okc import kernel, reasoner
 from okc.kernel import kernel_ontology, merge_with_kernel
 from okc.model import ConceptDecl, Fact, InstanceDecl
 from okc.reasoner import (
     RULE_ASSERTED,
-    RULE_CODES,
     Ground,
     Member,
     _Engine,
@@ -185,7 +188,7 @@ def test_saturation_without_facts_is_upward_closure_only():
     facts = saturate(onto, compute_closure(onto))
     assert facts.concepts_of("m") == {
         "Model", "Proposition", "Content", "MOB", "NPOB", "ED", "PT"}
-    assert facts.grounds == set()
+    assert grounds_of(facts) == set()
 
 
 def test_interaction_derivation_requires_distinct_agentive():
@@ -413,8 +416,9 @@ def assert_fixpoint_matches_engine(onto, what) -> None:
     facts = saturate(onto, compute_closure(onto))
     trace = _Engine(onto, reasoner._RuleTable(onto)).run()
     assert members_of(onto, facts) == {e for e in trace if isinstance(e, Member)}, what
-    assert facts.grounds == {e for e in trace if isinstance(e, Ground)}, what
-    for g in facts.grounds:  # span_of follows the trace's R-up premises
+    grounds = grounds_of(facts)
+    assert grounds == {e for e in trace if isinstance(e, Ground)}, what
+    for g in grounds:  # span_of follows the trace's R-up premises
         source = g
         while trace[source].rule != RULE_ASSERTED:
             assert trace[source].rule == "R-up", what
@@ -436,15 +440,13 @@ def test_fact_reads_match_naive_saturation(family):
         onto = build(seed)
         facts = saturate(onto, compute_closure(onto))
         _, grounds = naive_saturate(onto, random.Random(seed))
+        derived = grounds_of(facts)
         for rel in sorted(onto.relations.values(), key=lambda r: r.name):
             expected = {Ground(*g) for g in grounds if g[0] == rel.name}
-            assert facts.facts_of(rel.name) == expected, (family, seed, rel.name)
-            for position in range(rel.arity):
-                for value in sorted({g.args[position] for g in expected} | {"nobody"}):
-                    found = facts.facts_with(rel.name, position, value)
-                    assert sorted(found) == sorted(
-                        g for g in expected if g.args[position] == value), (family, seed)
-        assert "grounds" not in facts.__dict__, (family, seed)
+            assert {g for g in derived if g.relation == rel.name} == expected, \
+                (family, seed, rel.name)
+            assert {g.args for g in facts.under(rel.name)} == {g.args for g in expected}, \
+                (family, seed, rel.name)
 
 
 def test_trace_is_built_on_first_read_only(monkeypatch):
@@ -452,7 +454,7 @@ def test_trace_is_built_on_first_read_only(monkeypatch):
     facts = saturate(onto, compute_closure(onto))
     runs = []
     monkeypatch.setattr(_Engine, "run", lambda self: runs.append(self.rules) or {})
-    assert facts.has_member("x00", "PT") and facts.grounds and not runs
+    assert facts.has_member("x00", "PT") and grounds_of(facts) and not runs
     assert facts.trace is facts.trace
     assert len(runs) == 1 and runs[0] is facts._rules  # the fact base's own rule table
 
@@ -503,7 +505,8 @@ def test_d1_d2_inputs_are_final_after_d3_d4(family):
         closure = compute_closure(onto)
         facts = saturate(onto, closure)
         early = {(i.name, c) for i in onto.instances.values() for c in i.concepts}
-        early |= {(g.args[0], feeds[g.relation]) for g in facts.grounds if g.relation in feeds}
+        early |= {(g.args[0], feeds[g.relation]) for g in grounds_of(facts)
+                  if g.relation in feeds}
         expected = {(x, a) for x, c in early for a in closure.ancestors(c) if a in D1_D2_READS}
         final = {(m.instance, m.concept) for m in members_of(onto, facts)
                  if m.concept in D1_D2_READS}
@@ -511,35 +514,39 @@ def test_d1_d2_inputs_are_final_after_d3_d4(family):
 
 
 @pytest.mark.parametrize("family", sorted(FIXPOINT_MODELS))
-def test_d1_runs_only_on_its_candidates(family, monkeypatch):
-    # saturate calls _d1 only on actions with an agentive participant that
-    # is not their only agent.  It must derive the Interactions that _d1
-    # derives on every action with an agent, from the memberships D1 reads:
-    # those of a saturation in which D1 never fires.
+def test_d1_runs_only_on_its_candidates(family):
+    # saturate fires D1 as a bit test on the actions with an agentive
+    # participant that is not their only agent, and D2 as two bit tests on
+    # the arguments of hasForSubject.  The Interactions and Subjects must be
+    # the naive fixpoint's, and D1's body, tested on every action with an
+    # agent, must hold for no action that is not an Interaction.
     build, seeds = FIXPOINT_MODELS[family]
-    d1, fired = reasoner._d1, 0
+    fired = 0
     for seed in seeds:
         onto = build(seed)
         closure = compute_closure(onto)
-        called = []
-        with monkeypatch.context() as patch:
-            patch.setattr(reasoner, "_d1", lambda action, *rest: called.append(action)
-                          or d1(action, *rest))
-            facts = saturate(onto, closure)
-            patch.setattr(reasoner, "_d1", lambda *args: None)
-            before = saturate(onto, closure)
-        derived = d1_on_every_agent_action(before)
-        assert facts.instances_of(kernel.INTERACTION) == \
-            before.instances_of(kernel.INTERACTION) | derived, (family, seed)
-        assert len(called) == len(set(called)) and derived <= set(called), (family, seed)
-        for action in called:
-            agents = {g.args[0] for g in before.facts_with(kernel.REL_AGENT, 1, action)}
-            assert any(agents - {pc.args[0]} and any(
-                before.has_member(pc.args[0], c) for c in kernel.AGENTIVE_UNION)
-                for pc in before.facts_with(kernel.REL_PARTICIPATION, 1, action)), (family, seed)
-        fired += len(derived)
+        facts = saturate(onto, closure)
+        members, _ = naive_saturate(onto, random.Random(seed))
+        for concept in (kernel.INTERACTION, kernel.SUBJECT):
+            assert facts.instances_of(concept) == {x for x, c in members if c == concept}, \
+                (family, seed, concept)
+        derived = d1_on_every_agent_action(facts)
+        assert derived <= facts.instances_of(kernel.INTERACTION), (family, seed)
+        fired += len({x for x in derived if not any(
+            closure.subsumes(kernel.INTERACTION, c) for c in onto.instances[x].concepts)})
     if family == "d1_model":
         assert fired
+
+
+def test_output_digest_inputs_derive_by_d1_and_d2():
+    # The byte-identity digests see a change to saturation's D1 or D2 only
+    # if some input derives a membership by that rule.
+    rules = Counter()
+    for name, text, _ in _inputs():
+        onto, _ = load_source(text, name)
+        if onto is not None and not find_subsumption_cycles(onto):
+            rules.update(d.rule for d in saturate(onto, compute_closure(onto)).trace.values())
+    assert rules["D1"] >= 1 and rules["D2"] >= 1, rules
 
 
 def count_d5_d6_evaluations(monkeypatch, evaluate, source: str) -> int:

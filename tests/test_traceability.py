@@ -6,12 +6,20 @@ from __future__ import annotations
 import pytest
 
 from helpers import check_source, corpus_source
-from traceability import BY_CODE, REQUIRED_CODES, TABLE, Fixture, TraceRow
+from traceability import (
+    BY_CODE,
+    REQUIRED_CODES,
+    RULE_CODES,
+    TABLE,
+    VALIDATOR_CODES,
+    Fixture,
+    TraceRow,
+)
 
-from okc.checks import REGISTRY, VALIDATOR_CODES
+from okc.checks import REGISTRY
 from okc.kernel import kernel_ontology
 from okc.model import Severity
-from okc.reasoner import RULE_CODES, compute_closure, direct_supers, saturate
+from okc.reasoner import compute_closure, direct_supers, saturate
 
 
 def test_table_covers_exactly_the_required_codes():

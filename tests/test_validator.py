@@ -12,6 +12,7 @@ from helpers import (
     all_codes,
     check_source,
     error_codes,
+    grounds_of,
     load_corpus_file,
     load_source,
     ontology_content,
@@ -25,13 +26,13 @@ from helpers import (
     temporal_model,
     temporal_oracle,
 )
+from traceability import VALIDATOR_CODES
 
 from okc import kernel
 
 from okc.checks import (
     _VALIDATOR_CHECKS,
     REGISTRY,
-    VALIDATOR_CODES,
     SIGNATURE_AXIOM,
     CheckContext,
     check_ad35,
@@ -255,13 +256,13 @@ def test_s2_matches_a_scan_of_every_ground(seed):
     for onto in (random_saturation_model(seed), random_shared_model(seed)):
         closure = compute_closure(onto)
         facts = saturate(onto, closure)
-        expected = set()
-        for g in facts.grounds:
+        expected, grounds = set(), grounds_of(facts)
+        for g in grounds:
             rel = onto.relations[g.relation]
             parent = onto.relations.get(rel.particularizes)
             if rel.temporal or parent is None or not parent.temporal:
                 continue
-            if not any(w.relation == parent.name and w.args == g.args for w in facts.grounds):
+            if not any(w.relation == parent.name and w.args == g.args for w in grounds):
                 expected.add((f"fact {g.render()} has no witnessing "
                               f"{parent.name}({', '.join(g.args)}, t) fact", g.args))
         found = check_s2(CheckContext(onto, closure, facts))
@@ -284,7 +285,7 @@ def test_s1_matches_a_signature_scan_of_every_ground(seed):
         found = Counter((d.message, d.span, d.subjects)
                         for d in check_s1(CheckContext(onto, closure, facts)))
         expected = Counter()
-        for g in facts.grounds:
+        for g in grounds_of(facts):
             rel = onto.relations[g.relation]
             bad = [f"'{arg}' is not a {' or '.join(union)}"
                    for arg, union in zip(g.args, rel.signature)
@@ -318,7 +319,7 @@ def test_checks_never_materialise_every_ground(family):
                 fn(ctx)
         check_temporal_participation(ctx)
         check_labels(ctx)
-        assert "grounds" not in ctx.facts.__dict__
+        assert "trace" not in ctx.facts.__dict__  # the engine holds every ground
 
 
 def test_user_annotation_conflicts_are_e6():
@@ -441,7 +442,7 @@ def test_temporal_check_matches_a_scan_of_every_ground():
         onto = temporal_particularization_model(seed)
         closure = compute_closure(onto)
         facts = saturate(onto, closure)
-        grounds = facts.grounds
+        grounds = grounds_of(facts)
         mapped += sum(1 for g in grounds if g.relation == "isDataOf" and g not in onto.facts)
         expected, warned = Counter(), set()
         for rel, code, pick, side in (("isDataOf", "A13", min, "first"),
@@ -480,12 +481,13 @@ def test_ad35_matches_a_scan_of_every_ground(family):
         onto = build(seed)
         closure = compute_closure(onto)
         facts = saturate(onto, closure)
+        grounds = grounds_of(facts)
         expected = Counter(
             (f"endurant instance '{name}' participates in no perdurant", inst.span, (name,))
             for name, inst in onto.instances.items()
             if kernel.ENDURANT in facts.concepts_of(name)
             and not any(g.relation == kernel.REL_PARTICIPATION and g.args[0] == name
-                        for g in facts.grounds))
+                        for g in grounds))
         found = check_ad35(CheckContext(onto, closure, facts))
         assert Counter((d.message, d.span, d.subjects) for d in found) == expected, (family, seed)
         assert all(d.severity is Severity.WARNING for d in found)

@@ -22,7 +22,13 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
+from okc.checks import _VALIDATOR_CHECKS
 from okc.model import _record
+
+# The saturation rules, as a trace's `Derivation.rule` names them.
+RULE_CODES = ("M-up", "R-up", "D1", "D2", "D3", "D4", "D5", "D6")
+# The validator's check codes, in the order `validate` runs them.
+VALIDATOR_CODES: tuple[str, ...] = tuple(info.code for info, _ in _VALIDATOR_CHECKS)
 
 
 @_record
