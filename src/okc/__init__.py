@@ -14,6 +14,7 @@ from .model import (
     Ontology,
     Severity,
     SourceSpan,
+    SourceText,
     load,
 )
 from .reasoner import (
@@ -35,6 +36,7 @@ __all__ = [
     "REGISTRY",
     "Severity",
     "SourceSpan",
+    "SourceText",
     "SubsumptionClosure",
     "compile_bundle",
     "compute_closure",

@@ -36,7 +36,7 @@ so the code registry is closed in one place.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import kernel
 from .model import (
@@ -98,7 +98,7 @@ W1_LISTED = 10  # members a W1 message names; its subjects list them all
 def check_w1(ontology: Ontology) -> list[Diagnostic]:
     diags = []
     for cycle in find_subsumption_cycles(ontology):
-        span = ontology.concepts[cycle[0]].span
+        span = ontology.source.span(ontology.concepts[cycle[0]].line)
         members = " -> ".join(cycle[:W1_LISTED])
         if len(cycle) > W1_LISTED:
             members += f" -> ... ({len(cycle)} concepts)"
@@ -109,7 +109,7 @@ def check_w1(ontology: Ontology) -> list[Diagnostic]:
 def check_w2(ctx: CheckContext) -> list[Diagnostic]:
     """Concept level: one pass over the concepts, each meeting its disjoint-pair
     ancestors if it has at least two.  Instance level: one check per pair."""
-    diags = []
+    at, diags = ctx.ontology.source.span, []
     partners: dict[str, set[str]] = {}
     for a, b in ctx.ontology.disjoints:
         partners.setdefault(a, set()).add(b)
@@ -125,7 +125,7 @@ def check_w2(ctx: CheckContext) -> list[Diagnostic]:
                     diags.append(_error(
                         "W2",
                         f"'{concept}' is subsumed by both disjoint concepts '{a}' and '{b}'",
-                        ctx.ontology.concepts[concept].span, concept, a, b))
+                        at(ctx.ontology.concepts[concept].line), concept, a, b))
     instances = ctx.facts.disjoint_instances
     for a, b in ctx.ontology.disjoints:
         if {a, b} == {kernel.REASONING, kernel.COMMUNICATION}:
@@ -135,13 +135,13 @@ def check_w2(ctx: CheckContext) -> list[Diagnostic]:
                 "W2",
                 f"instance '{instance}' falls under both disjoint "
                 f"concepts '{a}' and '{b}'",
-                ctx.ontology.instances[instance].span, instance, a, b))
+                at(ctx.ontology.instances[instance].line), instance, a, b))
     return diags
 
 
 def check_s1(ctx: CheckContext) -> list[Diagnostic]:
     """A diagnostic per ground that `FactBase.off_signature` finds by set difference."""
-    diags = []
+    at, diags = ctx.ontology.source.span, []
     for g in ctx.facts.off_signature():
         rel = ctx.ontology.relations[g.relation]
         bad = [f"'{arg}' is not a {' or '.join(union)}"
@@ -153,14 +153,14 @@ def check_s1(ctx: CheckContext) -> list[Diagnostic]:
             "S1",
             f"fact {g.render()} violates the signature of "
             f"{g.relation}: {'; '.join(bad)}{suffix}",
-            ctx.facts.span_of(g), *g.args))
+            at(ctx.facts.line_of(g)), *g.args))
     return diags
 
 
 def check_s2(ctx: CheckContext) -> list[Diagnostic]:
     """The arguments of the facts of each atemporal particularization of a
     temporal relation, minus those of its parent's facts."""
-    diags = []
+    at, diags = ctx.ontology.source.span, []
     witnessed: dict[str, set[tuple[str, ...]]] = {}  # parent -> the arguments of its facts
     for rel in ctx.ontology.relations.values():
         parent = ctx.ontology.relations.get(rel.particularizes)
@@ -174,19 +174,19 @@ def check_s2(ctx: CheckContext) -> list[Diagnostic]:
                 "S2",
                 f"fact {g.render()} has no witnessing "
                 f"{parent.name}({', '.join(args)}, t) fact",
-                ctx.facts.span_of(g), *args))
+                at(ctx.facts.line_of(g)), *args))
     return diags
 
 
 def check_a3(ctx: CheckContext) -> list[Diagnostic]:
-    diags = []
+    at, diags = ctx.ontology.source.span, []
     instances = ctx.facts.disjoint_instances
     for instance in instances.get(kernel.REASONING, set()) \
             & instances.get(kernel.COMMUNICATION, set()):
         diags.append(_error(
             "A3",
             f"instance '{instance}' is both a Reasoning and a Communication",
-            ctx.ontology.instances[instance].span, instance))
+            at(ctx.ontology.instances[instance].line), instance))
     return diags
 
 
@@ -211,7 +211,7 @@ def check_temporal_participation(ctx: CheckContext) -> list[Diagnostic]:
     edges = {y: (min(times), max(times)) for y, times in presence.items()}
     # only temporal relations R-up into the temporal PC, and they keep the time
     participations = {(g.args, g.time) for g in facts.under(kernel.REL_PARTICIPATION)}
-    diags = []
+    at, diags = ctx.ontology.source.span, []
     warned: set[str] = set()
     for rel_name, code, side, end in ((kernel.REL_DATA, "A13", "first", 0),
                                       (kernel.REL_RESULT, "R13", "last", 1)):
@@ -223,7 +223,7 @@ def check_temporal_participation(ctx: CheckContext) -> list[Diagnostic]:
                 code,
                 f"{g.render()}: '{x}' does not participate in '{y}' at its "
                 f"{side} presence time {edge}",
-                facts.span_of(g), x, y))
+                at(facts.line_of(g)), x, y))
         for y, x in sorted((y, x) for x, y in pairs if y not in edges):
             if y not in warned:  # the least participant of y comes first
                 warned.add(y)
@@ -231,15 +231,16 @@ def check_temporal_participation(ctx: CheckContext) -> list[Diagnostic]:
                     code,
                     f"perdurant '{y}' has participants but no declared "
                     f"presence record; {code} holds vacuously",
-                    facts.span_of(Ground(rel_name, (x, y), None)), y))
+                    at(facts.line_of(Ground(rel_name, (x, y), None))), y))
     return diags
 
 
 def check_ad35(ctx: CheckContext) -> list[Diagnostic]:
     """The endurant instances minus the first arguments of `PC` facts."""
     participants = {g.args[0] for g in ctx.facts.under(kernel.REL_PARTICIPATION)}
+    at = ctx.ontology.source.span
     return [_warning("Ad35", f"endurant instance '{name}' participates in no perdurant",
-                     ctx.ontology.instances[name].span, name)
+                     at(ctx.ontology.instances[name].line), name)
             for name in ctx.facts.instances_of(kernel.ENDURANT) - participants]
 
 
@@ -257,7 +258,7 @@ _PLACEMENT: dict[str, tuple[str, str, str]] = {
 def check_labels(ctx: CheckContext) -> list[Diagnostic]:
     """All per-label constraints (A7, A8, L2b, L3, L4) plus L5 and L6."""
     ontology, closure = ctx.ontology, ctx.closure
-    diags = []
+    at, diags = ontology.source.span, []
     formal_at: dict[int, int] = {}  # time -> bitset of the concepts labeled FormalKnowledgeRole
     for lb in ontology.labels.values():
         if lb.primitive == "FormalKnowledgeRole":
@@ -275,14 +276,14 @@ def check_labels(ctx: CheckContext) -> list[Diagnostic]:
                     code,
                     f"{lb.primitive} label on '{lb.concept}': only concepts under "
                     f"{ancestor} can be {noun}",
-                    lb.span, lb.concept))
+                    at(lb.line), lb.concept))
         elif lb.primitive in KNOWLEDGE_ROLE_PRIMITIVES:
             failures = _role_preconditions(ontology, closure, lb)
             if failures:
                 diags.append(_error(
                     "L3",
                     f"{lb.primitive} label on '{lb.concept}': {'; '.join(failures)}",
-                    lb.span, lb.concept))
+                    at(lb.line), lb.concept))
             else:
                 failures = _role_identity(ontology, closure, lb, formal_at, identity_types)
                 if failures:
@@ -290,8 +291,8 @@ def check_labels(ctx: CheckContext) -> list[Diagnostic]:
                         "L4",
                         f"{lb.primitive} label on '{lb.concept}': "
                         f"{'; '.join(failures)}",
-                        lb.span, lb.concept))
-    diags.extend(_check_l5(ontology.labels.values()))
+                        at(lb.line), lb.concept))
+    diags.extend(_check_l5(ontology))
     diags.extend(_check_l6(ontology, closure))
     return diags
 
@@ -340,12 +341,12 @@ def _role_identity(
     return failures
 
 
-def _check_l5(labels: Iterable[MetaLabel]) -> list[Diagnostic]:
+def _check_l5(ontology: Ontology) -> list[Diagnostic]:
     """Each finding takes the span of the label whose primitive sorts last
     in its group."""
-    diags = []
+    at, diags = ontology.source.span, []
     grouped: dict[tuple[str, int, str], list[MetaLabel]] = {}
-    for lb in labels:
+    for lb in ontology.labels.values():
         family = LABEL_FAMILY.get(lb.primitive)
         if family in ("reasoning", "domain"):
             grouped.setdefault((lb.concept, lb.time, family), []).append(lb)
@@ -357,12 +358,12 @@ def _check_l5(labels: Iterable[MetaLabel]) -> list[Diagnostic]:
                 "L5",
                 f"'{concept}' carries exclusive labels {', '.join(prims)} "
                 f"at time {time}",
-                last.span, concept, *prims))
+                at(last.line), concept, *prims))
     return diags
 
 
 def _check_l6(ontology: Ontology, closure: SubsumptionClosure) -> list[Diagnostic]:
-    diags = []
+    at, diags = ontology.source.span, []
     rigidity = {c: ontology.annotation_value(c, AXIS_RIGIDITY) for c in ontology.annotations}
     anti_rigid = closure.mask(c for c, value in rigidity.items() if value == "anti-rigid")
     for lower in (c for c, value in rigidity.items() if value == "rigid"):
@@ -371,7 +372,7 @@ def _check_l6(ontology: Ontology, closure: SubsumptionClosure) -> list[Diagnosti
                 "L6",
                 f"anti-rigid concept '{upper}' subsumes rigid "
                 f"concept '{lower}'",
-                ontology.annotations[upper][AXIS_RIGIDITY].span, upper, lower))
+                at(ontology.annotations[upper][AXIS_RIGIDITY].line), upper, lower))
     return diags
 
 

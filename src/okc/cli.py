@@ -23,7 +23,7 @@ from .bundle import CompileRefusedError, compile_bundle, emit_bundle
 from .checks import check_w1, validate
 from .frontend import parse, render
 from .kernel import kernel_ontology, merge_with_kernel
-from .model import Diagnostic, Ontology, Severity, has_errors, sort_diagnostics
+from .model import Diagnostic, Ontology, Severity, SourceText, has_errors, sort_diagnostics
 from .reasoner import compute_closure, explain_instance, instance_component, saturate
 
 EXIT_CLEAN = 0
@@ -95,7 +95,7 @@ def _load_file(path: str) -> tuple[Optional[Ontology], list[Diagnostic]]:
     decls, parse_diags = parse(text, path)
     if parse_diags:
         return None, parse_diags
-    return merge_with_kernel(decls)
+    return merge_with_kernel(decls, SourceText(path, text))
 
 
 def _cmd_check(args, stdout: TextIO, stderr: TextIO) -> int:

@@ -34,7 +34,10 @@ Every line that path declines (blank, comment-only or malformed lines,
 and any well-formed line it does not recognise) goes to the token
 parser, which alone reports syntax errors.  The accept path must be
 sound: whenever it returns a declaration, the token parser returns an
-equal one for the same line, span included.  It need not be complete.
+equal one for the same line, line number included.  It need not be
+complete.  A declaration holds its line number, not a span: a finding
+on it takes its span from the line when the finding is made
+(`model.SourceText`).
 It builds each record positionally with one `tuple.__new__` call, so it
 relies on the records' field order; the soundness tests pin that order
 by comparing its records with the token parser's, class and field.
@@ -65,6 +68,7 @@ from .model import (
     Severity,
     SourceSpan,
     _record,
+    source_lines,
 )
 
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*"
@@ -196,12 +200,6 @@ def _time_value(numeral: str) -> Optional[int]:
         return None
 
 
-def _statement_span(tokens: list[Token], file: str) -> SourceSpan:
-    first, last = tokens[0], tokens[-1]
-    length = last.column + len(last.text) - first.column
-    return SourceSpan(file, first.line, first.column, length)
-
-
 def _parse_tokens(line: str, line_no: int, filename: str) -> Declaration | Diagnostic | None:
     """The token parser: a declaration, a P1 diagnostic, or None for no statement."""
     tokens = _tokenize_line(line, line_no)
@@ -213,12 +211,12 @@ def _parse_tokens(line: str, line_no: int, filename: str) -> Declaration | Diagn
         handler = _STATEMENTS.get(head.text) if head.kind == "word" else None
         if handler is None:
             raise _SyntaxError("unknown statement keyword", head)
-        return handler(parser, _statement_span(tokens, filename))
+        return handler(parser, line_no)
     except _SyntaxError as err:
         return Diagnostic(Severity.ERROR, "P1", err.message, err.token.span(filename))
 
 
-def _accept(line: str, line_no: int, filename: str) -> Optional[Declaration]:
+def _accept(line: str, line_no: int) -> Optional[Declaration]:
     """The declaration on a well-formed line, or None to defer to the token parser."""
     head = line.split(None, 1)
     form = _FORMS.get(head[0]) if head else None
@@ -228,17 +226,15 @@ def _accept(line: str, line_no: int, filename: str) -> Optional[Declaration]:
     m = pattern.fullmatch(line)
     if m is None:
         return None
-    start, end = m.span(1)
-    return build(m, _new(SourceSpan, (filename, line_no, start + 1, end - start)))
+    return build(m, line_no)
 
 
 def parse(text: str, filename: str) -> tuple[list[Declaration], list[Diagnostic]]:
     """Parse source text into declarations plus syntax diagnostics."""
     decls: list[Declaration] = []
     diags: list[Diagnostic] = []
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for line_no, line in enumerate(lines, start=1):
-        result = _accept(line, line_no, filename) or _parse_tokens(line, line_no, filename)
+    for line_no, line in enumerate(source_lines(text), start=1):
+        result = _accept(line, line_no) or _parse_tokens(line, line_no, filename)
         if type(result) is Diagnostic:
             diags.append(result)
         elif result is not None:
@@ -249,26 +245,26 @@ def parse(text: str, filename: str) -> tuple[list[Declaration], list[Diagnostic]
 # --- statement parsers -----------------------------------------------------
 
 
-def _parse_concept(p: _LineParser, span: SourceSpan) -> ConceptDecl:
+def _parse_concept(p: _LineParser, line: int) -> ConceptDecl:
     name = p.expect_identifier("concept name").text
     tok = p.peek()
     if tok.kind == "word" and tok.text == "specializes":
         p.next()
         parents = tuple(p.identifier_list())
         p.expect_end()
-        return ConceptDecl(name, parents, span=span)
+        return ConceptDecl(name, parents, line=line)
     if tok.kind == "equals":
         p.next()
         type_concept = p.expect_identifier("type concept").text
         p.expect_keyword("and")
         formal_role = p.expect_identifier("formal role").text
         p.expect_end()
-        return ConceptDecl(name, (), Conjunction(type_concept, formal_role), span=span)
+        return ConceptDecl(name, (), Conjunction(type_concept, formal_role), line=line)
     p.expect_end()
-    return ConceptDecl(name, (), span=span)
+    return ConceptDecl(name, (), line=line)
 
 
-def _parse_role(p: _LineParser, span: SourceSpan) -> ConceptDecl:
+def _parse_role(p: _LineParser, line: int) -> ConceptDecl:
     name = p.expect_identifier("role name").text
     p.expect_kind("equals", "'='")
     mode_tok = p.next()
@@ -277,10 +273,10 @@ def _parse_role(p: _LineParser, span: SourceSpan) -> ConceptDecl:
     p.expect_keyword("of")
     reasoning = p.expect_identifier("reasoning concept").text
     p.expect_end()
-    return ConceptDecl(name, (), RoleDefinition(mode_tok.text, reasoning), span=span)
+    return ConceptDecl(name, (), RoleDefinition(mode_tok.text, reasoning), line=line)
 
 
-def _parse_relation(p: _LineParser, span: SourceSpan) -> RelationDecl:
+def _parse_relation(p: _LineParser, line: int) -> RelationDecl:
     name = p.expect_identifier("relation name").text
     particularizes = None
     if p.peek().kind == "word" and p.peek().text == "particularizes":
@@ -306,17 +302,17 @@ def _parse_relation(p: _LineParser, span: SourceSpan) -> RelationDecl:
         temporal = True
     p.expect_end()
     return RelationDecl(name, tuple(signature), temporal=temporal,
-                        particularizes=particularizes, span=span)
+                        particularizes=particularizes, line=line)
 
 
-def _parse_disjoint(p: _LineParser, span: SourceSpan) -> DisjointDecl:
+def _parse_disjoint(p: _LineParser, line: int) -> DisjointDecl:
     first = p.expect_identifier().text
     second = p.expect_identifier().text
     p.expect_end()
-    return DisjointDecl(first, second, span=span)
+    return DisjointDecl(first, second, line=line)
 
 
-def _parse_label(p: _LineParser, span: SourceSpan) -> MetaLabel:
+def _parse_label(p: _LineParser, line: int) -> MetaLabel:
     prim_tok = p.next()
     if prim_tok.kind != "word" or prim_tok.text not in PRIMITIVES:
         raise _SyntaxError("unknown modeling primitive", prim_tok)
@@ -324,10 +320,10 @@ def _parse_label(p: _LineParser, span: SourceSpan) -> MetaLabel:
     p.expect_keyword("at")
     time = p.expect_time()
     p.expect_end()
-    return MetaLabel(prim_tok.text, concept, time, span=span)
+    return MetaLabel(prim_tok.text, concept, time, line=line)
 
 
-def _parse_annotate(p: _LineParser, span: SourceSpan) -> AnnotationDecl:
+def _parse_annotate(p: _LineParser, line: int) -> AnnotationDecl:
     concept = p.expect_identifier("concept").text
     axis_tok = p.next()
     if axis_tok.kind != "word" or axis_tok.text not in ANNOTATION_AXES:
@@ -337,18 +333,18 @@ def _parse_annotate(p: _LineParser, span: SourceSpan) -> AnnotationDecl:
         allowed = "|".join(ANNOTATION_VALUES[axis_tok.text])
         raise _SyntaxError(f"expected {allowed}", value_tok)
     p.expect_end()
-    return AnnotationDecl(concept, axis_tok.text, value_tok.text, span=span)
+    return AnnotationDecl(concept, axis_tok.text, value_tok.text, line=line)
 
 
-def _parse_instance(p: _LineParser, span: SourceSpan) -> InstanceDecl:
+def _parse_instance(p: _LineParser, line: int) -> InstanceDecl:
     name = p.expect_identifier("instance name").text
     p.expect_kind("colon", "':'")
     concepts = tuple(p.identifier_list())
     p.expect_end()
-    return InstanceDecl(name, concepts, span=span)
+    return InstanceDecl(name, concepts, line=line)
 
 
-def _parse_fact(p: _LineParser, span: SourceSpan) -> Fact:
+def _parse_fact(p: _LineParser, line: int) -> Fact:
     relation = p.expect_identifier("relation name").text
     p.expect_kind("lparen", "'('")
     args: list[str] = []
@@ -370,10 +366,10 @@ def _parse_fact(p: _LineParser, span: SourceSpan) -> Fact:
         if tok.kind != "comma":
             raise _SyntaxError("expected ',' or ')'", tok)
     p.expect_end()
-    return Fact(relation, tuple(args), time, span=span)
+    return Fact(relation, tuple(args), time, line=line)
 
 
-_STATEMENTS: dict[str, Callable[[_LineParser, SourceSpan], Declaration]] = {
+_STATEMENTS: dict[str, Callable[[_LineParser, int], Declaration]] = {
     "concept": _parse_concept,
     "role": _parse_role,
     "relation": _parse_relation,
@@ -388,8 +384,7 @@ _STATEMENTS: dict[str, Callable[[_LineParser, SourceSpan], Declaration]] = {
 # --- accept path: one anchored pattern per statement form -----------------
 #
 # Only spaces and tabs separate tokens here, and two words always need one
-# between them, as the tokenizer would otherwise read a single word.  Group
-# 1 spans the statement from its keyword to its last token.
+# between them, as the tokenizer would otherwise read a single word.
 
 _WORD = r"[A-Za-z][A-Za-z0-9_-]*"
 _TIME = rf"[0-9]{{1,{MAX_TIME_DIGITS}}}"
@@ -400,60 +395,60 @@ _USER = Origin.USER  # read once: EnumType's attribute hook runs on every Origin
 
 
 def _form(keyword: str, body: str) -> re.Pattern:
-    return re.compile(rf"[ \t]*({keyword}[ \t]+{body})[ \t]*(?:#.*)?")
+    return re.compile(rf"[ \t]*{keyword}[ \t]+{body}[ \t]*(?:#.*)?")
 
 
-def _accept_concept(m: re.Match, span: SourceSpan) -> ConceptDecl:
-    name, parents, type_concept, formal_role = m.group(2, 3, 4, 5)
+def _accept_concept(m: re.Match, line: int) -> ConceptDecl:
+    name, parents, type_concept, formal_role = m.group(1, 2, 3, 4)
     parents = () if parents is None else tuple(_findall_names(parents))
     definition = None if type_concept is None else _new(Conjunction, (type_concept, formal_role))
-    return _new(ConceptDecl, (name, parents, definition, _USER, span))
+    return _new(ConceptDecl, (name, parents, definition, _USER, line))
 
 
-def _accept_role(m: re.Match, span: SourceSpan) -> ConceptDecl:
-    name, mode, reasoning = m.group(2, 3, 4)
-    return _new(ConceptDecl, (name, (), _new(RoleDefinition, (mode, reasoning)), _USER, span))
+def _accept_role(m: re.Match, line: int) -> ConceptDecl:
+    name, mode, reasoning = m.group(1, 2, 3)
+    return _new(ConceptDecl, (name, (), _new(RoleDefinition, (mode, reasoning)), _USER, line))
 
 
-def _accept_relation(m: re.Match, span: SourceSpan) -> RelationDecl:
-    name, particularizes, signature, temporal = m.group(2, 3, 4, 5)
+def _accept_relation(m: re.Match, line: int) -> RelationDecl:
+    name, particularizes, signature, temporal = m.group(1, 2, 3, 4)
     positions = tuple(tuple(sorted(_findall_names(p))) for p in signature.split(","))
-    return _new(RelationDecl, (name, positions, temporal is not None, particularizes, _USER, span))
+    return _new(RelationDecl, (name, positions, temporal is not None, particularizes, _USER, line))
 
 
-def _accept_disjoint(m: re.Match, span: SourceSpan) -> DisjointDecl:
-    return _new(DisjointDecl, (*m.group(2, 3), _USER, span))
+def _accept_disjoint(m: re.Match, line: int) -> DisjointDecl:
+    return _new(DisjointDecl, (*m.group(1, 2), _USER, line))
 
 
-def _accept_label(m: re.Match, span: SourceSpan) -> Optional[MetaLabel]:
-    primitive, concept, time = m.group(2, 3, 4)
+def _accept_label(m: re.Match, line: int) -> Optional[MetaLabel]:
+    primitive, concept, time = m.group(1, 2, 3)
     value = _time_value(time)
     if primitive not in PRIMITIVES or value is None:
         return None
-    return _new(MetaLabel, (primitive, concept, value, _USER, span))
+    return _new(MetaLabel, (primitive, concept, value, _USER, line))
 
 
-def _accept_annotate(m: re.Match, span: SourceSpan) -> Optional[AnnotationDecl]:
-    concept, axis, value = m.group(2, 3, 4)
+def _accept_annotate(m: re.Match, line: int) -> Optional[AnnotationDecl]:
+    concept, axis, value = m.group(1, 2, 3)
     if value not in ANNOTATION_VALUES.get(axis, ()):
         return None
-    return _new(AnnotationDecl, (concept, axis, value, _USER, span))
+    return _new(AnnotationDecl, (concept, axis, value, _USER, line))
 
 
-def _accept_instance(m: re.Match, span: SourceSpan) -> InstanceDecl:
-    name, concepts = m.group(2, 3)
-    return _new(InstanceDecl, (name, tuple(_findall_names(concepts)), _USER, span))
+def _accept_instance(m: re.Match, line: int) -> InstanceDecl:
+    name, concepts = m.group(1, 2)
+    return _new(InstanceDecl, (name, tuple(_findall_names(concepts)), _USER, line))
 
 
-def _accept_fact(m: re.Match, span: SourceSpan) -> Optional[Fact]:
-    relation, args, time = m.group(2, 3, 4)
+def _accept_fact(m: re.Match, line: int) -> Optional[Fact]:
+    relation, args, time = m.group(1, 2, 3)
     value = None if time is None else _time_value(time)
     if time is not None and value is None:
         return None
-    return _new(Fact, (relation, tuple(_findall_names(args)), value, _USER, span))
+    return _new(Fact, (relation, tuple(_findall_names(args)), value, _USER, line))
 
 
-_Builder = Callable[[re.Match, SourceSpan], Optional[Declaration]]
+_Builder = Callable[[re.Match, int], Optional[Declaration]]
 
 _FORMS: dict[str, tuple[re.Pattern, _Builder]] = {
     keyword: (_form(keyword, body), build) for keyword, body, build in (

@@ -31,9 +31,11 @@ from .model import (
     Declaration,
     Diagnostic,
     DisjointDecl,
+    KERNEL_SOURCE,
     Ontology,
     Origin,
     RelationDecl,
+    SourceText,
     AXIS_DEPENDENCE,
     AXIS_RIGIDITY,
     load,
@@ -140,7 +142,10 @@ def kernel_ontology() -> Ontology:
 
 
 def merge_with_kernel(
-    decls: Iterable[Declaration],
+    decls: Iterable[Declaration], source: SourceText = KERNEL_SOURCE,
 ) -> tuple[Optional[Ontology], list[Diagnostic]]:
-    """Graft user declarations onto the kernel; kernel names stay fixed."""
-    return load(chain(KERNEL_DECLARATIONS, decls))
+    """Graft user declarations onto the kernel; kernel names stay fixed.
+
+    `source` is the text the declarations were parsed from.  Records built
+    in code have line 0, as the kernel's do, and need none."""
+    return load(chain(KERNEL_DECLARATIONS, decls), source)

@@ -16,6 +16,12 @@ source spans and diagnostics here, and the tokens, registry rows, bundle
 records and corpus rows of the other modules.  Each equals only records
 of its own class, never a plain tuple or another record class, and
 hashes as the tuple of its fields.
+
+A declaration holds the 1-based number of the line it was parsed from,
+or 0 for the kernel's; one statement per line makes (file, line) name
+it.  Only diagnostics and tokens hold a `SourceSpan`.  A diagnostic's
+span is built when the diagnostic is: the loaded Ontology keeps its
+file's `SourceText`, which turns a line into the statement's span.
 """
 
 from __future__ import annotations
@@ -55,10 +61,11 @@ def _record(cls):
 
 @_record
 class SourceSpan(NamedTuple):
-    """Location of a declaration or token inside a source file.
+    """Location of a diagnostic or token inside a source file.
 
-    Lines and columns are 1-based; kernel declarations use the
-    KERNEL_SPAN sentinel (line 0).
+    Lines and columns are 1-based, and a column counts characters, so a
+    tab is one column.  A finding on a kernel declaration (line 0) has
+    the KERNEL_SPAN sentinel.
     """
 
     file: str
@@ -68,6 +75,35 @@ class SourceSpan(NamedTuple):
 
 
 KERNEL_SPAN = SourceSpan("<kernel>", 0, 0, 0)
+
+
+def source_lines(text: str) -> list[str]:
+    """The lines of a source text; only LF, CRLF and a lone CR end one."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+class SourceText:
+    """A file's name and text, which turn a declaration's line into a span.
+    The text is split into lines on the first `span` call, so a file
+    without findings is never split here."""
+
+    def __init__(self, file: str, text: str) -> None:
+        self.file, self.text, self._lines = file, text, None
+
+    def span(self, line: int) -> SourceSpan:
+        """The span of the statement on `line`, from its first token to its
+        last; KERNEL_SPAN for line 0.  A line that holds a declaration has
+        no `#` before its comment, and only whitespace between tokens."""
+        if line == 0:
+            return KERNEL_SPAN
+        if self._lines is None:
+            self._lines = source_lines(self.text)
+        statement = self._lines[line - 1].partition("#")[0]
+        body = statement.lstrip()
+        return SourceSpan(self.file, line, len(statement) - len(body) + 1, len(body.rstrip()))
+
+
+KERNEL_SOURCE = SourceText("<kernel>", "")
 
 
 @_record
@@ -181,7 +217,7 @@ class ConceptDecl(NamedTuple):
     parents: tuple[str, ...] = ()
     definition: Optional[Definition] = None
     origin: Origin = Origin.USER
-    span: SourceSpan = KERNEL_SPAN
+    line: int = 0
 
     def content(self) -> tuple:
         return ("concept", frozenset(self.parents), self.definition)
@@ -200,7 +236,7 @@ class RelationDecl(NamedTuple):
     temporal: bool = False
     particularizes: Optional[str] = None
     origin: Origin = Origin.USER
-    span: SourceSpan = KERNEL_SPAN
+    line: int = 0
 
     @property
     def arity(self) -> int:
@@ -218,7 +254,7 @@ class AnnotationDecl(NamedTuple):
     axis: str
     value: str
     origin: Origin = Origin.USER
-    span: SourceSpan = KERNEL_SPAN
+    line: int = 0
 
 
 @_record
@@ -229,7 +265,7 @@ class MetaLabel(NamedTuple):
     concept: str
     time: int
     origin: Origin = Origin.USER
-    span: SourceSpan = KERNEL_SPAN
+    line: int = 0
 
 
 @_record
@@ -237,14 +273,14 @@ class InstanceDecl(NamedTuple):
     name: str
     concepts: tuple[str, ...]
     origin: Origin = Origin.USER
-    span: SourceSpan = KERNEL_SPAN
+    line: int = 0
 
     def content(self) -> tuple:
         return ("instance", frozenset(self.concepts))
 
 
 class Ground(NamedTuple):
-    """A fact without origin or span; unlike the records, it equals a plain tuple."""
+    """A fact without origin or line; unlike the records, it equals a plain tuple."""
 
     relation: str
     args: tuple[str, ...]
@@ -263,7 +299,7 @@ class Fact(NamedTuple):
     args: tuple[str, ...]
     time: Optional[int] = None
     origin: Origin = Origin.USER
-    span: SourceSpan = KERNEL_SPAN
+    line: int = 0
 
     def key(self) -> Ground:
         # As the loader keys facts; tuple.__new__ skips Ground's Python __new__.
@@ -275,7 +311,7 @@ class DisjointDecl(NamedTuple):
     first: str
     second: str
     origin: Origin = Origin.USER
-    span: SourceSpan = KERNEL_SPAN
+    line: int = 0
 
     def pair(self) -> tuple[str, str]:
         return tuple(sorted((self.first, self.second)))  # type: ignore[return-value]
@@ -290,7 +326,8 @@ Declaration = Union[
 
 
 class Ontology:
-    """Complete declared model. Treat as immutable after loading."""
+    """Complete declared model. Treat as immutable after loading.
+    `source` is the text the user declarations were parsed from."""
 
     def __init__(
         self,
@@ -301,6 +338,7 @@ class Ontology:
         labels: dict[tuple[str, str, int], MetaLabel],
         facts: dict[Ground, Fact],
         disjoints: dict[tuple[str, str], DisjointDecl],
+        source: SourceText,
     ):
         self.concepts = concepts
         self.relations = relations
@@ -309,6 +347,7 @@ class Ontology:
         self.labels = labels
         self.facts = facts
         self.disjoints = disjoints
+        self.source = source
 
     # -- lookups
 
@@ -339,14 +378,14 @@ def direct_supers(concept: ConceptDecl) -> tuple[str, ...]:
     return concept.parents + implied
 
 
-def _span_order(decl) -> tuple:
-    return (decl.origin is not Origin.KERNEL, *decl.span[:3])
+def _line_order(decl) -> tuple:
+    return (decl.origin is not Origin.KERNEL, decl.line)
 
 
 def _earliest(decls: list, keys: Iterable) -> tuple[dict, dict[object, list]]:
-    """The earliest declaration per key (kernel first, then by source
-    position), and each repeated key's declarations in that order.  `keys`
-    runs beside `decls`; they are walked one by one only on a repeat."""
+    """The earliest declaration per key (kernel first, then by line), and
+    each repeated key's declarations in that order.  `keys` runs beside
+    `decls`; they are walked one by one only on a repeat."""
     keys = list(keys)
     first = dict(zip(keys, decls))
     duplicates: dict[object, list] = {}
@@ -358,7 +397,7 @@ def _earliest(decls: list, keys: Iterable) -> tuple[dict, dict[object, list]]:
             else:
                 first[k] = d
     for k, group in duplicates.items():
-        group.sort(key=_span_order)
+        group.sort(key=_line_order)
         first[k] = group[0]
     return first, duplicates
 
@@ -374,36 +413,40 @@ def _warning(code: str, message: str, span: SourceSpan, *subjects: str) -> Diagn
     return Diagnostic(Severity.WARNING, code, message, span, subjects)
 
 
-def load(decls: Iterable[Declaration]) -> tuple[Optional[Ontology], list[Diagnostic]]:
+def load(decls: Iterable[Declaration], source: SourceText = KERNEL_SOURCE,
+         ) -> tuple[Optional[Ontology], list[Diagnostic]]:
     """Resolve declarations into an Ontology, or the errors that refuse them.
 
+    `source` is the text the user declarations were parsed from; a
+    finding's span is built from it, and kernel declarations need none.
     Resolution is two-phase: every declaration is grouped by kind first,
     then names are resolved over the complete set, which makes the result
     independent of declaration order.  References resolve by set
     difference, and only the declarations that touch what is left are
     walked for diagnostics.  Every finding of a load is an error.
     """
+    span = source.span
     diags: list[Diagnostic] = []
     staged: dict[type, list] = {kind: [] for kind in get_args(Declaration)}
     for d in decls:
         staged[type(d)].append(d)
 
-    concepts = _collapse_named(staged[ConceptDecl], diags)
-    relations = _collapse_named(staged[RelationDecl], diags)
-    instances = _collapse_named(staged[InstanceDecl], diags)
-    _check_cross_kind(concepts, relations, instances, diags)
+    concepts = _collapse_named(staged[ConceptDecl], span, diags)
+    relations = _collapse_named(staged[RelationDecl], span, diags)
+    instances = _collapse_named(staged[InstanceDecl], span, diags)
+    _check_cross_kind(concepts, relations, instances, span, diags)
 
-    annotations = _collapse_annotations(staged[AnnotationDecl], diags)
+    annotations = _collapse_annotations(staged[AnnotationDecl], span, diags)
     labels, duplicates = _earliest(staged[MetaLabel], map(_LABEL_KEY, staged[MetaLabel]))
     diags.extend(_error("E5", f"duplicate label ({d.primitive}, {d.concept}, {d.time})",
-                        d.span, d.concept)
+                        span(d.line), d.concept)
                  for group in duplicates.values() for d in group[1:])
     # Each key a Ground, as Fact.key builds it, with no Python call per fact.
     facts, _ = _earliest(staged[Fact], map(tuple.__new__, repeat(Ground),
                                            map(itemgetter(0, 1, 2), staged[Fact])))
     disjoints, _ = _earliest(staged[DisjointDecl], map(DisjointDecl.pair, staged[DisjointDecl]))
 
-    onto = Ontology(concepts, relations, instances, annotations, labels, facts, disjoints)
+    onto = Ontology(concepts, relations, instances, annotations, labels, facts, disjoints, source)
     _check_references(onto, diags)
 
     diags = sort_diagnostics(diags)
@@ -412,7 +455,7 @@ def load(decls: Iterable[Declaration]) -> tuple[Optional[Ontology], list[Diagnos
     return onto, diags
 
 
-def _collapse_named(decls, diags: list[Diagnostic]) -> dict:
+def _collapse_named(decls, span, diags: list[Diagnostic]) -> dict:
     out, duplicates = _earliest(decls, map(attrgetter("name"), decls))
     for name, group in duplicates.items():
         canonical = group[0]
@@ -421,43 +464,43 @@ def _collapse_named(decls, diags: list[Diagnostic]) -> dict:
                 continue  # identical re-declaration: set semantics
             if canonical.origin is Origin.KERNEL:
                 diags.append(_error(
-                    "E2", f"'{name}' redefines a kernel declaration", other.span, name))
+                    "E2", f"'{name}' redefines a kernel declaration", span(other.line), name))
             else:
                 diags.append(_error(
                     "E1", f"duplicate declaration of '{name}' with different content",
-                    other.span, name))
+                    span(other.line), name))
     return out
 
 
-def _check_cross_kind(concepts, relations, instances, diags) -> None:
+def _check_cross_kind(concepts, relations, instances, span, diags) -> None:
     # Concepts, relations and instances share one namespace.
     kinds = [("concept", concepts), ("relation", relations), ("instance", instances)]
     for i, (kind_a, map_a) in enumerate(kinds):
         for kind_b, map_b in kinds[i + 1:]:
             for name in map_a.keys() & map_b.keys():
                 a, b = map_a[name], map_b[name]
-                first, second = sorted((a, b), key=_span_order)
+                first, second = sorted((a, b), key=_line_order)
                 code = "E2" if first.origin is Origin.KERNEL else "E1"
                 what = ("redefines a kernel declaration" if code == "E2"
                         else f"already declared as a {kind_a if second is b else kind_b}")
-                diags.append(_error(code, f"'{name}' {what}", second.span, name))
+                diags.append(_error(code, f"'{name}' {what}", span(second.line), name))
 
 
-def _collapse_annotations(decls, diags) -> dict[str, dict[str, AnnotationDecl]]:
+def _collapse_annotations(decls, span, diags) -> dict[str, dict[str, AnnotationDecl]]:
     first, duplicates = _earliest(decls, map(attrgetter("concept", "axis"), decls))
     out: dict[str, dict[str, AnnotationDecl]] = {}
     for (concept, axis), canonical in first.items():
         if canonical.value not in ANNOTATION_VALUES.get(axis, ()):
             diags.append(_error(
                 "E4", f"invalid {axis} value '{canonical.value}' for '{concept}'",
-                canonical.span, concept))
+                span(canonical.line), concept))
             continue
         out.setdefault(concept, {})[axis] = canonical
         for other in duplicates.get((concept, axis), ())[1:]:
             if other.value != canonical.value:
                 diags.append(_error(
                     "E6", f"conflicting {axis} annotation for '{concept}': "
-                    f"'{canonical.value}' vs '{other.value}'", other.span, concept))
+                    f"'{canonical.value}' vs '{other.value}'", span(other.line), concept))
     return out
 
 
@@ -467,6 +510,7 @@ def _check_references(onto: Ontology, diags: list[Diagnostic]) -> None:
     # are checked once per (relation, arity, time).  Only declarations that
     # can give a finding are walked, each kind in order; load sorts them.
     concepts, relations, instances = onto.concepts, onto.relations, onto.instances
+    span = onto.source.span
     primitives, labelled, times = zip(*onto.labels) if onto.labels else ((), (), ())
     defined = [c for c in concepts.values() if c.definition is not None]
     unresolved = set(chain.from_iterable(map(attrgetter("parents"), concepts.values())))
@@ -476,12 +520,12 @@ def _check_references(onto: Ontology, diags: list[Diagnostic]) -> None:
     unresolved -= concepts.keys()
     bad_primitives = set(primitives).difference(PRIMITIVES)
 
-    def need_concept(name: str, span: SourceSpan, context: str) -> None:
+    def need_concept(name: str, line: int, context: str) -> None:
         if name not in concepts:
             kind = "relation" if name in relations else (
                 "instance" if name in instances else None)
             detail = f"names a {kind}, not a concept" if kind else "is not declared"
-            diags.append(_error("E3", f"{context}: '{name}' {detail}", span, name))
+            diags.append(_error("E3", f"{context}: '{name}' {detail}", span(line), name))
 
     for c in concepts.values() if unresolved else defined:
         if c.definition is None and unresolved.isdisjoint(c.parents):
@@ -490,61 +534,61 @@ def _check_references(onto: Ontology, diags: list[Diagnostic]) -> None:
             # The statement grammar offers either form, never both.
             diags.append(_error(
                 "E4", f"concept '{c.name}' has both asserted parents and a definition",
-                c.span, c.name))
+                span(c.line), c.name))
         for p in c.parents:
-            need_concept(p, c.span, f"parent of '{c.name}'")
+            need_concept(p, c.line, f"parent of '{c.name}'")
         if isinstance(c.definition, RoleDefinition):
-            need_concept(c.definition.reasoning_concept, c.span,
+            need_concept(c.definition.reasoning_concept, c.line,
                          f"reasoning concept of role '{c.name}'")
         elif isinstance(c.definition, Conjunction):
-            need_concept(c.definition.type_concept, c.span,
+            need_concept(c.definition.type_concept, c.line,
                          f"conjunct of '{c.name}'")
-            need_concept(c.definition.formal_role, c.span,
+            need_concept(c.definition.formal_role, c.line,
                          f"conjunct of '{c.name}'")
 
     for r in relations.values():
         for position in r.signature:
             for member in position:
-                need_concept(member, r.span, f"signature of relation '{r.name}'")
+                need_concept(member, r.line, f"signature of relation '{r.name}'")
         if not r.signature:
             diags.append(_error(
-                "E4", f"relation '{r.name}' has an empty signature", r.span, r.name))
+                "E4", f"relation '{r.name}' has an empty signature", span(r.line), r.name))
         if r.particularizes is not None:
             parent = relations.get(r.particularizes)
             if parent is None:
                 diags.append(_error(
                     "E3", f"relation '{r.name}' particularizes undeclared "
-                    f"relation '{r.particularizes}'", r.span, r.name, r.particularizes))
+                    f"relation '{r.particularizes}'", span(r.line), r.name, r.particularizes))
             elif parent.arity != r.arity:
                 diags.append(_error(
                     "E7", f"relation '{r.name}' (arity {r.arity}) particularizes "
-                    f"'{parent.name}' (arity {parent.arity})", r.span, r.name, parent.name))
+                    f"'{parent.name}' (arity {parent.arity})", span(r.line), r.name, parent.name))
     _check_particularization_cycles(onto, diags)
 
     for inst in instances.values() if unresolved else ():
         for cname in () if unresolved.isdisjoint(inst.concepts) else inst.concepts:
-            need_concept(cname, inst.span, f"concept of instance '{inst.name}'")
+            need_concept(cname, inst.line, f"concept of instance '{inst.name}'")
 
     broken = unresolved or bad_primitives or min(times, default=0) < 0
     for lb in onto.labels.values() if broken else ():
         if lb.primitive in bad_primitives:
             diags.append(_error(
-                "E4", f"unknown modeling primitive '{lb.primitive}'", lb.span, lb.concept))
-        need_concept(lb.concept, lb.span, f"label {lb.primitive}")
+                "E4", f"unknown modeling primitive '{lb.primitive}'", span(lb.line), lb.concept))
+        need_concept(lb.concept, lb.line, f"label {lb.primitive}")
         if lb.time < 0:
-            diags.append(_error("E4", f"negative label time {lb.time}", lb.span, lb.concept))
+            diags.append(_error("E4", f"negative label time {lb.time}", span(lb.line), lb.concept))
 
     for concept, per_concept in onto.annotations.items() if unresolved else ():
         for ann in per_concept.values() if concept in unresolved else ():
-            need_concept(ann.concept, ann.span, f"annotate {ann.axis}")
+            need_concept(ann.concept, ann.line, f"annotate {ann.axis}")
 
     for dis in onto.disjoints.values():
         if unresolved:
-            need_concept(dis.first, dis.span, "disjointness")
-            need_concept(dis.second, dis.span, "disjointness")
+            need_concept(dis.first, dis.line, "disjointness")
+            need_concept(dis.second, dis.line, "disjointness")
         if dis.first == dis.second:
             diags.append(_error(
-                "E4", f"'{dis.first}' declared disjoint with itself", dis.span, dis.first))
+                "E4", f"'{dis.first}' declared disjoint with itself", span(dis.line), dis.first))
 
     relation_of, args_of, time_of = zip(*onto.facts) if onto.facts else ((), (), ())
     shapes = {shape: found for shape in set(zip(relation_of, map(len, args_of), time_of))
@@ -552,7 +596,7 @@ def _check_references(onto: Ontology, diags: list[Diagnostic]) -> None:
     strangers = set(chain.from_iterable(args_of)).difference(instances)
     for f in onto.facts.values() if shapes or strangers else ():
         for code, message in shapes.get((f.relation, len(f.args), f.time), ()):
-            diags.append(_error(code, message, f.span, f.relation))
+            diags.append(_error(code, message, span(f.line), f.relation))
         if f.relation not in relations or strangers.isdisjoint(f.args):
             continue
         for arg in f.args:
@@ -560,7 +604,7 @@ def _check_references(onto: Ontology, diags: list[Diagnostic]) -> None:
                 kind = "concept" if arg in concepts else (
                     "relation" if arg in relations else None)
                 detail = f"names a {kind}, not an instance" if kind else "is not declared"
-                diags.append(_error("E3", f"fact argument '{arg}' {detail}", f.span, arg))
+                diags.append(_error("E3", f"fact argument '{arg}' {detail}", span(f.line), arg))
 
 
 def _fact_shape_findings(onto: Ontology, relation: str, arity: int,
@@ -581,6 +625,7 @@ def _fact_shape_findings(onto: Ontology, relation: str, arity: int,
 def _check_particularization_cycles(onto: Ontology, diags: list[Diagnostic]) -> None:
     # Every chain ends at a root, at an undeclared name or in a cycle.
     # One E7 names each cycle, and one more each relation leading into it.
+    span = onto.source.span
     reaches: dict[str, Optional[str]] = {}  # walked relation -> its cycle's least name
     for name in onto.relations:
         walk: dict[str, int] = {}  # relation -> its position on this walk
@@ -594,7 +639,7 @@ def _check_particularization_cycles(onto: Ontology, diags: list[Diagnostic]) -> 
             least = min(cycle)
             start = cycle.index(least)
             diags.append(_error("E7", f"particularization cycle through '{least}'",
-                                onto.relations[least].span, *cycle[start:], *cycle[:start]))
+                                span(onto.relations[least].line), *cycle[start:], *cycle[:start]))
             reaches.update(dict.fromkeys(cycle, least))
         else:
             tail, least = path, reaches.get(current)
@@ -603,4 +648,4 @@ def _check_particularization_cycles(onto: Ontology, diags: list[Diagnostic]) -> 
             if least is not None:
                 diags.append(_error(
                     "E7", f"relation '{r}' particularizes into the cycle through '{least}'",
-                    onto.relations[r].span, r, least))
+                    span(onto.relations[r].line), r, least))

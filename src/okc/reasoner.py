@@ -52,7 +52,7 @@ Both evaluators are exact:
   edges instead of storing them.  R-up keeps the arguments, so what
   reads only arguments reads the asserted facts as they are.  The FIFO
   engine derives one first from the asserted fact in the nearest
-  relation below, the least `Fact.key()` among equals, and `span_of`
+  relation below, the least `Fact.key()` among equals, and `line_of`
   follows that rule.
 - Rules join entries only through the arguments of asserted facts, so
   the entries of one component (instances linked by facts, with those
@@ -70,7 +70,7 @@ from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from . import kernel
-from .model import Fact, Ground, Ontology, SourceSpan, direct_supers
+from .model import Fact, Ground, Ontology, direct_supers
 
 
 class SubsumptionClosure:
@@ -296,8 +296,9 @@ class FactBase:
     bits, read through `has_member`, `instances_of` and `concepts_of`.
     Each asserted fact is stored once, by relation, and its readers take
     it as asserted under each relation above it (`under`).  Only
-    `span_of` and `off_signature` map facts up R-up; `okc explain` reads
-    the derived facts from `trace`.
+    `line_of` and `off_signature` map facts up R-up; `okc explain` reads
+    the derived facts from `trace`.  `line_of` places a finding on a fact
+    at its declaration's line, which `Ontology.source` makes a span.
     """
 
     def __init__(self, ontology: Ontology, closure: SubsumptionClosure,
@@ -356,15 +357,15 @@ class FactBase:
             below.extend(self._rules.r_down.get(lower, ()))
             yield from self._asserted.get(lower, ())
 
-    def span_of(self, g: Ground) -> SourceSpan:
-        """Span of the asserted fact `g` is, or else of the one in the nearest
+    def line_of(self, g: Ground) -> int:
+        """Line of the asserted fact `g` is, or else of the one in the nearest
         relation below that R-up maps to `g`, the least key among equals."""
         fact = self._ontology.facts.get(g)
         if fact is None:
             _, _, fact = min((steps, f.key(), f) for f in self._derivers[g.args]
                              for steps, up in enumerate(self._r_up_chain(f.key()))
                              if up == g)
-        return fact.span
+        return fact.line
 
     def off_signature(self) -> Iterator[Ground]:
         """Each ground with an argument outside its relation's signature, once.
@@ -637,7 +638,7 @@ def instance_component(ontology: Ontology, instance: str) -> Ontology:
         {n: d for n, d in ontology.instances.items() if n in instances},
         ontology.annotations, ontology.labels,
         {k: f for k, f in ontology.facts.items() if k in facts},
-        ontology.disjoints)
+        ontology.disjoints, ontology.source)
 
 
 def explain_instance(factbase: FactBase, instance: str) -> str:

@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from okc import kernel
+from okc import kernel, model
 from okc.bundle import RoleRecord
-from okc.frontend import parse, render
+from okc.frontend import _tokenize_line, parse, render
 from okc.kernel import merge_with_kernel
 from okc.checks import validate
 from okc.corpus import REGISTRY as CORPUS_REGISTRY
@@ -38,6 +38,10 @@ from okc.model import (
 )
 from okc.reasoner import Ground, Member
 
+# `tests/output_digests.py` imports this module over the `src` of other
+# checkouts too, so a name that only this checkout's okc defines is read
+# where it is used (`model.SourceText`), not imported here.
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CORPUS = REPO_ROOT / "corpus"
 
@@ -47,7 +51,7 @@ def load_source(text: str, filename: str = "<test>"):
     decls, parse_diags = parse(text, filename)
     if parse_diags:
         return None, parse_diags
-    return merge_with_kernel(decls)
+    return merge_with_kernel(decls, model.SourceText(filename, text))
 
 
 def check_source(text: str, filename: str = "<test>"):
@@ -67,7 +71,7 @@ def all_codes(diags) -> set[str]:
 
 
 def ontology_content(onto) -> tuple:
-    """What an Ontology declares, without source spans: loads of the same
+    """What an Ontology declares, without line numbers: loads of the same
     declarations, in any order and from any file names, have equal contents."""
     return (
         {n: (c.content(), c.origin) for n, c in onto.concepts.items()},
@@ -100,68 +104,70 @@ def scan_references(onto, diags: list) -> None:
     name is looked up where it is used, and each fact checked on its own.
     It takes the place of `okc.model._check_references` to give the
     findings a load must match."""
-    def need_concept(name: str, span: SourceSpan, context: str) -> None:
+    at = onto.source.span
+
+    def need_concept(name: str, line: int, context: str) -> None:
         if name not in onto.concepts:
             kind = "relation" if name in onto.relations else (
                 "instance" if name in onto.instances else None)
             detail = f"names a {kind}, not a concept" if kind else "is not declared"
-            diags.append(_error("E3", f"{context}: '{name}' {detail}", span, name))
+            diags.append(_error("E3", f"{context}: '{name}' {detail}", at(line), name))
 
     for c in onto.concepts.values():
         if c.definition is not None and c.parents:
             diags.append(_error(
                 "E4", f"concept '{c.name}' has both asserted parents and a definition",
-                c.span, c.name))
+                at(c.line), c.name))
         for p in c.parents:
-            need_concept(p, c.span, f"parent of '{c.name}'")
+            need_concept(p, c.line, f"parent of '{c.name}'")
         if isinstance(c.definition, RoleDefinition):
-            need_concept(c.definition.reasoning_concept, c.span,
+            need_concept(c.definition.reasoning_concept, c.line,
                          f"reasoning concept of role '{c.name}'")
         elif isinstance(c.definition, Conjunction):
-            need_concept(c.definition.type_concept, c.span, f"conjunct of '{c.name}'")
-            need_concept(c.definition.formal_role, c.span, f"conjunct of '{c.name}'")
+            need_concept(c.definition.type_concept, c.line, f"conjunct of '{c.name}'")
+            need_concept(c.definition.formal_role, c.line, f"conjunct of '{c.name}'")
 
     for r in onto.relations.values():
         for position in r.signature:
             for member in position:
-                need_concept(member, r.span, f"signature of relation '{r.name}'")
+                need_concept(member, r.line, f"signature of relation '{r.name}'")
         if not r.signature:
             diags.append(_error(
-                "E4", f"relation '{r.name}' has an empty signature", r.span, r.name))
+                "E4", f"relation '{r.name}' has an empty signature", at(r.line), r.name))
         if r.particularizes is not None:
             parent = onto.relations.get(r.particularizes)
             if parent is None:
                 diags.append(_error(
                     "E3", f"relation '{r.name}' particularizes undeclared "
-                    f"relation '{r.particularizes}'", r.span, r.name, r.particularizes))
+                    f"relation '{r.particularizes}'", at(r.line), r.name, r.particularizes))
             elif parent.arity != r.arity:
                 diags.append(_error(
                     "E7", f"relation '{r.name}' (arity {r.arity}) particularizes "
-                    f"'{parent.name}' (arity {parent.arity})", r.span, r.name, parent.name))
+                    f"'{parent.name}' (arity {parent.arity})", at(r.line), r.name, parent.name))
     _check_particularization_cycles(onto, diags)
 
     for inst in onto.instances.values():
         for cname in inst.concepts:
-            need_concept(cname, inst.span, f"concept of instance '{inst.name}'")
+            need_concept(cname, inst.line, f"concept of instance '{inst.name}'")
 
     for lb in onto.labels.values():
         if lb.primitive not in PRIMITIVES:
             diags.append(_error(
-                "E4", f"unknown modeling primitive '{lb.primitive}'", lb.span, lb.concept))
-        need_concept(lb.concept, lb.span, f"label {lb.primitive}")
+                "E4", f"unknown modeling primitive '{lb.primitive}'", at(lb.line), lb.concept))
+        need_concept(lb.concept, lb.line, f"label {lb.primitive}")
         if lb.time < 0:
-            diags.append(_error("E4", f"negative label time {lb.time}", lb.span, lb.concept))
+            diags.append(_error("E4", f"negative label time {lb.time}", at(lb.line), lb.concept))
 
     for per_concept in onto.annotations.values():
         for ann in per_concept.values():
-            need_concept(ann.concept, ann.span, f"annotate {ann.axis}")
+            need_concept(ann.concept, ann.line, f"annotate {ann.axis}")
 
     for dis in onto.disjoints.values():
-        need_concept(dis.first, dis.span, "disjointness")
-        need_concept(dis.second, dis.span, "disjointness")
+        need_concept(dis.first, dis.line, "disjointness")
+        need_concept(dis.second, dis.line, "disjointness")
         if dis.first == dis.second:
             diags.append(_error(
-                "E4", f"'{dis.first}' declared disjoint with itself", dis.span, dis.first))
+                "E4", f"'{dis.first}' declared disjoint with itself", at(dis.line), dis.first))
 
     for f in onto.facts.values():
         rel = onto.relations.get(f.relation)
@@ -169,26 +175,26 @@ def scan_references(onto, diags: list) -> None:
             detail = ("names a concept, not a relation" if f.relation in onto.concepts
                       else "is not declared")
             diags.append(_error(
-                "E3", f"fact relation '{f.relation}' {detail}", f.span, f.relation))
+                "E3", f"fact relation '{f.relation}' {detail}", at(f.line), f.relation))
             continue
         if len(f.args) != rel.arity:
             diags.append(_error(
                 "E4", f"fact {f.relation} expects {rel.arity} argument(s), "
-                f"got {len(f.args)}", f.span, f.relation))
+                f"got {len(f.args)}", at(f.line), f.relation))
         if rel.temporal and f.time is None:
             diags.append(_error(
-                "E4", f"fact {f.relation} requires a trailing time point", f.span, f.relation))
+                "E4", f"fact {f.relation} requires a trailing time point", at(f.line), f.relation))
         if not rel.temporal and f.time is not None:
             diags.append(_error(
-                "E4", f"fact {f.relation} takes no time point", f.span, f.relation))
+                "E4", f"fact {f.relation} takes no time point", at(f.line), f.relation))
         if f.time is not None and f.time < 0:
-            diags.append(_error("E4", f"negative time point {f.time}", f.span, f.relation))
+            diags.append(_error("E4", f"negative time point {f.time}", at(f.line), f.relation))
         for arg in f.args:
             if arg not in onto.instances:
                 kind = "concept" if arg in onto.concepts else (
                     "relation" if arg in onto.relations else None)
                 detail = f"names a {kind}, not an instance" if kind else "is not declared"
-                diags.append(_error("E3", f"fact argument '{arg}' {detail}", f.span, arg))
+                diags.append(_error("E3", f"fact argument '{arg}' {detail}", at(f.line), arg))
 
 
 def unparsable_faults_model(seed: int):
@@ -706,7 +712,7 @@ def round_trip(onto):
     text = render(onto)
     decls, parse_diags = parse(text, "<render>")
     assert not parse_diags, [d.render() for d in parse_diags]
-    reloaded, load_diags = merge_with_kernel(decls)
+    reloaded, load_diags = merge_with_kernel(decls, model.SourceText("<render>", text))
     assert reloaded is not None, [d.render() for d in load_diags]
     return reloaded
 
@@ -836,6 +842,44 @@ def role_io_oracle(ontology, subsumes, concept: str):
 # chain with facts (R-up over user relations), an atemporal particularization
 # of a temporal one with its witness (S2), and conjunctions (plays-links).
 # Its signature concepts are DomainConcepts from times 1-3.
+# Findings on lines indented by spaces, by tabs, and by whitespace that only
+# the token parser takes (form feed, U+0085, U+3000), and one on line 1
+# after a BOM, which `okc` drops as it reads a file.  Load errors stop
+# validation, so the load findings (E1, E3, E5, E6) and the validator's
+# (W2, S1, A7, with Ad35 beside them) have a file each.
+COLUMNS_LOAD_SOURCE = (
+    "\ufeff  concept Widget specializes Nope   # E3, after a BOM\n"
+    "concept Gadget specializes PT\n"
+    "\tconcept Gadget specializes ED\n"
+    "label DomainConcept Gadget at 1\n"
+    "\x85label DomainConcept Gadget at 1\n"
+    "annotate Gadget rigidity rigid\n"
+    "\u3000annotate Gadget rigidity anti-rigid  # conflicting\n"
+    "\x0cinstance g : Gizmo\n"
+    " \t fact PC(g, Nowhere, 0)\n"
+    "    concept Gizmo2 = Nope2 and Nope3\n"
+)
+COLUMNS_CHECKS_SOURCE = (
+    "\ufeff\tconcept Both specializes ED, PD  # W2, after a BOM\n"
+    "concept Solve specializes Reasoning\n"
+    "relation nudges particularizes PC signature (EV, POB) temporal\n"
+    "instance ev : EV\n"
+    "   instance both : EV, POB\n"
+    "\x0cfact PC(ev, both, 0)\n"
+    "\x85fact nudges(ev, both, 1)  # S1 on the PC fact it derives\n"
+    "\u3000label Task Both at 1\n"
+    "label Task Solve at 1\n"
+)
+
+
+def statement_span(line: str, line_no: int, file: str) -> SourceSpan:
+    """The span of the statement on `line` as the token parser reads it:
+    from its first token to the end of its last."""
+    tokens = _tokenize_line(line, line_no)
+    first, last = tokens[0], tokens[-1]
+    return SourceSpan(file, line_no, first.column, last.column + len(last.text) - first.column)
+
+
 USER_RELATIONS_SOURCE = """\
 concept Engine specializes POB
 concept FuelTank specializes POB

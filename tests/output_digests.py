@@ -13,7 +13,11 @@ the seed-3 files of the three benchmark workloads, generated by
     particularization chains give S1 and S2 findings on user signatures;
   - rules D1 and D2, which derive nothing in the other inputs:
     `d1_source(1)`, whose probe `a1` is an Interaction by D1, and
-    `random_shared_model(1)` as text, whose probe `x06` is a Subject by D2.
+    `random_shared_model(1)` as text, whose probe `x06` is a Subject by D2;
+  - columns: `COLUMNS_LOAD_SOURCE` (E1, E3, E5, E6) and
+    `COLUMNS_CHECKS_SOURCE` (W2, S1, A7, Ad35), with findings on lines
+    indented by spaces, tabs, form feed, U+0085 and U+3000, and on line 1
+    after a BOM.
 
 Each file runs through `okc check` (text and `--format json`) and `okc
 compile` (text and json); each file with a probe instance also runs
@@ -40,6 +44,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import families  # noqa: E402
 from helpers import (  # noqa: E402
+    COLUMNS_CHECKS_SOURCE,
+    COLUMNS_LOAD_SOURCE,
     USER_RELATIONS_SOURCE,
     d1_source,
     deep_chain_source,
@@ -75,6 +81,8 @@ def _inputs() -> list[tuple[str, str, str | None]]:
     rules = [("d1_1", d1_source(1), "a1"),
              ("shared_1", render(random_shared_model(1)), "x06")]
     out += [(f"rules/{name}.oks", text, probe) for name, text, probe in rules]
+    out += [("columns/load.oks", COLUMNS_LOAD_SOURCE, None),
+            ("columns/checks.oks", COLUMNS_CHECKS_SOURCE, None)]
     return out
 
 

@@ -15,14 +15,18 @@ import sys
 import pytest
 
 from helpers import (
+    COLUMNS_CHECKS_SOURCE,
+    COLUMNS_LOAD_SOURCE,
     CORPUS,
     REPO_ROOT,
+    check_source,
     random_label_model,
     random_saturation_model,
     random_shared_model,
     r_up_chain_source,
     role_fan_in_source,
     shared_operand_source,
+    statement_span,
     wide_disjointness_source,
 )
 
@@ -83,6 +87,63 @@ def test_json_format_findings(tmp_path):
         assert run("check", clean, "--format", fmt) == (0, "", ""), fmt
         assert run("compile", clean, "--out", str(tmp_path / fmt), "--format", fmt) == \
             (0, "", ""), fmt
+
+
+def test_check_orders_findings_by_file_line_column_code_message_subjects(tmp_path):
+    """Two files named in reverse order, with findings on the same line
+    numbers and several codes per line: text and JSON list the findings
+    sorted by (file, line, column, code, message, subjects)."""
+    for name, concept, instance in (("a.oks", "Both", "x"), ("b.oks", "Pair", "y")):
+        (tmp_path / name).write_text(
+            f"concept {concept} specializes ED, PD\n"
+            f"  instance {instance} : EV, POB\n"
+            f"\tlabel Task {concept} at 1\n"
+            f"label Inference {concept} at 1\n", encoding="utf-8")
+    files = [str(tmp_path / "b.oks"), str(tmp_path / "a.oks")]
+    code, out, err = run("check", *files, "--format", "json")
+    assert (code, out) == (1, "")
+    findings = json.loads(err)
+    keys = [(f["file"], f["line"], f["column"], f["code"], f["message"], f["subjects"])
+            for f in findings]
+    assert keys == sorted(keys)
+    assert [(os.path.basename(f), line, column, code)
+            for f, line, column, code, _, _ in keys] == [
+        (name, line, column, code) for name in ("a.oks", "b.oks") for line, column, code in (
+            (1, 1, "W2"), (2, 3, "Ad35"), (2, 3, "W2"), (3, 2, "A7"), (3, 2, "L5"),
+            (4, 1, "L2b"))]
+    code, out, err = run("check", *files)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"{f['file']}:{f['line']}:{f['column']}: {f['severity']}[{f['code']}] {f['message']}"
+        for f in findings]
+
+
+def test_finding_columns_start_at_the_statement(tmp_path):
+    """Every finding on the column inputs of `tests/output_digests.py` is at
+    the statement's first token, in text and JSON, on lines indented by
+    spaces, tabs, and whitespace that only the token parser takes, and on
+    line 1 after a BOM; in-process, its span is the statement's."""
+    indents = set()
+    for name, source, codes in (("load.oks", COLUMNS_LOAD_SOURCE, {"E1", "E3", "E5", "E6"}),
+                                ("checks.oks", COLUMNS_CHECKS_SOURCE, {"W2", "S1", "A7"})):
+        path = tmp_path / name
+        path.write_text(source, encoding="utf-8")
+        lines = path.read_text(encoding="utf-8-sig").split("\n")
+        code, _, err = run("check", str(path), "--format", "json")
+        findings = json.loads(err)
+        assert code == 1 and codes <= {f["code"] for f in findings}, name
+        assert 1 in {f["line"] for f in findings}, name
+        for f in findings:
+            expected = statement_span(lines[f["line"] - 1], f["line"], str(path))
+            assert f["column"] == expected.column, (name, f)
+            indents.update(lines[f["line"] - 1][:expected.column - 1])
+        _, _, err = run("check", str(path))
+        assert err.splitlines() == [
+            f"{f['file']}:{f['line']}:{f['column']}: {f['severity']}[{f['code']}] {f['message']}"
+            for f in findings], name
+        for d in check_source("\n".join(lines), name):
+            assert d.span == statement_span(lines[d.span.line - 1], d.span.line, name), d
+    assert indents == {" ", "\t", "\x0c", "\x85", "\u3000"}
 
 
 def test_compile_writes_three_files(tmp_path):

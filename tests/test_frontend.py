@@ -9,7 +9,7 @@ import pytest
 from helpers import CORPUS, check_source, load_corpus_file, ontology_content, round_trip
 
 from okc.frontend import MAX_TIME_DIGITS, _accept, _parse_tokens, _tokenize_line, parse, render
-from okc.kernel import kernel_ontology
+from okc.kernel import KERNEL_DECLARATIONS, kernel_ontology
 from okc.model import (
     AnnotationDecl,
     ConceptDecl,
@@ -19,6 +19,7 @@ from okc.model import (
     Fact,
     InstanceDecl,
     MetaLabel,
+    Origin,
     RelationDecl,
     RoleDefinition,
     Severity,
@@ -34,8 +35,7 @@ def parse_one(line: str):
 
 def test_parse_label_statement():
     decl = parse_one("label Task Diagnosis at 1")
-    assert decl == MetaLabel("Task", "Diagnosis", 1, span=decl.span)
-    assert (decl.span.line, decl.span.column) == (1, 1)
+    assert decl == MetaLabel("Task", "Diagnosis", 1, line=1)
 
 
 def test_parse_empty_file():
@@ -81,9 +81,7 @@ def test_negative_time_literal_is_one_diagnostic_with_recovery():
     ("fact PRE(d, 0)", Fact("PRE", ("d",), 0)),
 ])
 def test_statement_forms(line, expected):
-    decl = parse_one(line)
-    expected = expected._replace(span=decl.span)
-    assert decl == expected
+    assert parse_one(line) == expected._replace(line=1)
 
 
 @pytest.mark.parametrize("line", [
@@ -123,7 +121,7 @@ def test_only_lf_crlf_and_cr_end_a_line(char):
     decls, diags = parse(f"# note{char}more\nconcept A specializes PT\r\n"
                          f"concept B specializes A\rconcept C{char}specializes B\n", "<b>")
     assert not diags
-    assert [(d.name, d.span.line) for d in decls] == [("A", 2), ("B", 3), ("C", 4)]
+    assert [(d.name, d.line) for d in decls] == [("A", 2), ("B", 3), ("C", 4)]
     diags = check_source(f"# note{char}more\nconcept A specializes Nope\n")
     assert [(d.code, d.span.line) for d in diags] == [("E3", 2)]
 
@@ -250,7 +248,7 @@ def test_accept_path_covers_the_corpus():
     for line in _corpus_lines():
         slow = _parse_tokens(line, 1, "<c>")
         expected = None if isinstance(slow, Diagnostic) else slow
-        assert _accept(line, 1, "<c>") == expected, line
+        assert _accept(line, 1) == expected, line
 
 
 def test_accept_path_returns_what_the_token_parser_returns():
@@ -260,12 +258,23 @@ def test_accept_path_returns_what_the_token_parser_returns():
     lines += [_mutate(rng, line) for line in lines for _ in range(40)]
     accepted = 0
     for line in lines:
-        fast = _accept(line, 7, "<m>")
+        fast = _accept(line, 7)
         if fast is not None:
             slow = _parse_tokens(line, 7, "<m>")
-            assert fast == slow and fast.span == slow.span, repr(line)
+            assert fast == slow and fast.line == slow.line == 7, repr(line)
             accepted += 1
     assert accepted > len(lines) // 10
+
+
+def _workload_files(monkeypatch) -> list:
+    """The 64 seed-3 files of the benchmark workloads."""
+    monkeypatch.syspath_prepend(str(CORPUS.parent / "perfbench"))
+    import families
+
+    files = [f for _, family in sorted(families.FAMILIES.items())
+             for workload in [family(3)] for f in workload.files + workload.half]
+    assert len(files) == 64
+    return files
 
 
 def test_accept_path_returns_what_the_token_parser_returns_on_the_workload_files(monkeypatch):
@@ -274,18 +283,13 @@ def test_accept_path_returns_what_the_token_parser_returns_on_the_workload_files
     equal only records of their own class, so the accept path's positional
     records must list the same fields in the same order.  The workloads
     declare no relations; signature unions are covered by the lines above."""
-    monkeypatch.syspath_prepend(str(CORPUS.parent / "perfbench"))
-    import families
-
-    files = [f for _, family in sorted(families.FAMILIES.items())
-             for workload in [family(3)] for f in workload.files + workload.half]
-    assert len(files) == 64
     accepted = []
-    for f in files:
+    for f in _workload_files(monkeypatch):
         for line_no, line in enumerate(f.text.split("\n"), start=1):
-            fast = _accept(line, line_no, f.name)
+            fast = _accept(line, line_no)
             if fast is not None:
-                assert fast == _parse_tokens(line, line_no, f.name), (f.name, line_no, line)
+                slow = _parse_tokens(line, line_no, f.name)
+                assert fast == slow and fast.line == slow.line == line_no, (f.name, line_no, line)
                 accepted.append(fast)
     assert len(accepted) > 60_000
     kinds = {type(d) for d in accepted} | {type(d.definition) for d in accepted
@@ -293,3 +297,19 @@ def test_accept_path_returns_what_the_token_parser_returns_on_the_workload_files
     assert kinds >= {ConceptDecl, DisjointDecl, MetaLabel, AnnotationDecl, InstanceDecl, Fact,
                      RoleDefinition, Conjunction}
     assert any(d.time is not None for d in accepted if isinstance(d, Fact))
+
+
+def test_records_hold_their_line_numbers(monkeypatch):
+    """Kernel records hold line 0.  Each record parsed from a seed-3 benchmark
+    file holds the 1-based index of its line: the token parser reads the
+    same record, line included, from that line alone."""
+    assert all(d.line == 0 and d.origin is Origin.KERNEL for d in KERNEL_DECLARATIONS)
+    parsed = 0
+    for f in _workload_files(monkeypatch):
+        lines = f.text.split("\n")
+        decls, _ = parse(f.text, f.name)
+        assert all(a.line < b.line for a, b in zip(decls, decls[1:])), f.name
+        for d in decls:
+            assert d == _parse_tokens(lines[d.line - 1], d.line, f.name), (f.name, d)
+        parsed += len(decls)
+    assert parsed > 60_000

@@ -7,6 +7,10 @@ runs the real check path in-process (parse, load with the kernel and
 `okc.cli.main`.  A linear shape reads about 2 per doubling and a
 quadratic one about 4; the bound leaves room for the closure's bitsets,
 which widen with the concept count.
+
+Parse alone is gated per accepted declaration instead: a declaration
+holds its line number, and a per-record span would show as about 80
+bytes more each.
 """
 
 from __future__ import annotations
@@ -22,11 +26,15 @@ from helpers import REPO_ROOT, r_up_chain_source
 from okc.checks import validate
 from okc.frontend import parse
 from okc.kernel import merge_with_kernel
+from okc.model import SourceText
 
 sys.path.insert(0, str(REPO_ROOT / "perfbench"))
 import families  # noqa: E402
 
 PER_DOUBLING = 2.25
+# Measured at n = 400 (5,700 declarations) on CPython 3.10-3.13: 318-345
+# bytes per declaration, and 398-425 with a `SourceSpan` in each record.
+PARSE_BYTES_PER_DECLARATION = 380
 
 # shape -> (source of size n, the smallest n)
 SHAPES = {
@@ -37,7 +45,7 @@ SHAPES = {
 
 
 def _load(text: str):
-    onto, diags = merge_with_kernel(parse(text, "growth.oks")[0])
+    onto, diags = merge_with_kernel(parse(text, "growth.oks")[0], SourceText("growth.oks", text))
     assert onto is not None, [d.render() for d in diags]
     return onto
 
@@ -70,3 +78,14 @@ def test_validate_peak_grows_linearly_on_activities():
     ontologies = [_load(source(n * k)) for k in (1, 2, 4)]
     ratios = _ratios([_peak(lambda: validate(onto)) for onto in ontologies])
     assert max(ratios) <= PER_DOUBLING, ratios
+
+
+def test_parse_peak_per_declaration_on_activities():
+    source, _ = SHAPES["activities"]
+    text = source(400)
+    parse(source(5), "warm.oks")  # the first parse in a process allocates once
+    parsed = []
+    peak = _peak(lambda: parsed.append(parse(text, "growth.oks")))
+    [(decls, diags)] = parsed
+    assert not diags and len(decls) > 5_000
+    assert peak / len(decls) <= PARSE_BYTES_PER_DECLARATION, peak / len(decls)

@@ -35,12 +35,14 @@ from okc.model import (
     DisjointDecl,
     Fact,
     InstanceDecl,
+    KERNEL_SOURCE,
     MetaLabel,
     Origin,
     RelationDecl,
     RoleDefinition,
     Severity,
     SourceSpan,
+    SourceText,
     load,
 )
 
@@ -198,7 +200,8 @@ def test_load_diagnostics_do_not_depend_on_declaration_order():
     codes = set()
     for name, text in sources:
         decls, _ = parse(text, name)
-        onto, reference = merge_with_kernel(decls)
+        source = SourceText(name, text)
+        onto, reference = merge_with_kernel(decls, source)
         codes.update(d.code for d in reference)
         orders = []
         for seed in range(3):
@@ -208,7 +211,7 @@ def test_load_diagnostics_do_not_depend_on_declaration_order():
             rng.shuffle(mixed)
             orders += [kernel + shuffled, shuffled + kernel, mixed]
         for order in orders:
-            other, diags = load(order)
+            other, diags = load(order, source)
             assert [d.to_json() for d in diags] == [d.to_json() for d in reference], name
             assert (other is None) == (onto is None), name
             if onto is not None:
@@ -217,24 +220,27 @@ def test_load_diagnostics_do_not_depend_on_declaration_order():
 
 
 def _load_cases(family: str):
-    """(name, user declarations, (code, message) of each plant) per model."""
+    """(name, user declarations, (code, message) of each plant, their source)
+    per model."""
     if family == "negative corpus":
         for path in sorted((CORPUS / "negative").glob("*.oks")):
-            yield path.name, parse(path.read_text(encoding="utf-8"), path.name)[0], ()
+            text = path.read_text(encoding="utf-8")
+            yield path.name, parse(text, path.name)[0], (), SourceText(path.name, text)
     elif family == "faulty":
         for seed in range(60):
-            yield f"random_{seed}.oks", parse(_faulty_model(seed), f"random_{seed}.oks")[0], ()
+            name, text = f"random_{seed}.oks", _faulty_model(seed)
+            yield name, parse(text, name)[0], (), SourceText(name, text)
     elif family == "loadable":
         # Each fact again, in reverse, at an earlier line: every key repeats.
         for seed in range(100):
-            decls = [d._replace(span=SourceSpan("m.oks", 100 + line, 1))
+            decls = [d._replace(line=100 + line)
                      for line, d in enumerate(random_loadable_decls(seed))]
-            again = [f._replace(span=SourceSpan("m.oks", line, 1))
+            again = [f._replace(line=line)
                      for line, f in enumerate(reversed(decls)) if isinstance(f, Fact)]
-            yield f"loadable {seed}", decls + again, ()
+            yield f"loadable {seed}", decls + again, (), KERNEL_SOURCE
     else:
         for seed in range(60):
-            yield (f"unparsable {seed}", *unparsable_faults_model(seed))
+            yield (f"unparsable {seed}", *unparsable_faults_model(seed), KERNEL_SOURCE)
 
 
 @pytest.mark.parametrize("family", ["negative corpus", "faulty", "loadable", "unparsable"])
@@ -243,19 +249,19 @@ def test_load_matches_a_scan_of_each_declaration(family, monkeypatch):
     # dict build; a scan of each declaration, and each fact kept as the
     # earliest of its key, must give the same findings and facts.
     codes = set()
-    for name, decls, plants in _load_cases(family):
+    for name, decls, plants, source in _load_cases(family):
         decls = [*KERNEL_DECLARATIONS, *decls]
-        onto, found = load(decls)
+        onto, found = load(decls, source)
         with monkeypatch.context() as patch:
             patch.setattr(model, "_check_references", scan_references)
-            scanned, expected = load(decls)
+            scanned, expected = load(decls, source)
         assert [d.to_json() for d in found] == [d.to_json() for d in expected], name
         assert (onto is None) == (scanned is None), name
         assert set(plants) <= {(d.code, d.message) for d in found}, name
         codes.update(d.code for d in found)
         earliest: dict = {}
         for f in (d for d in decls if isinstance(d, Fact)):
-            if f.key() not in earliest or f.span[:3] < earliest[f.key()].span[:3]:
+            if f.key() not in earliest or f.line < earliest[f.key()].line:
                 earliest[f.key()] = f
         if onto is not None:
             assert list(onto.facts.items()) == list(earliest.items()), name
@@ -310,19 +316,20 @@ def test_equality_ignores_spans():
 # --- record semantics --------------------------------------------------------
 
 _SPAN = SourceSpan("a.oks", 1, 2, 3)
+_LINE = 4
 
 # (record class, a field to overwrite, the values of all its fields)
 RECORDS = [
     (SourceSpan, "line", ("a.oks", 1, 2, 3)),
     (RoleDefinition, "mode", ("data", "X")),
     (Conjunction, "type_concept", ("data", "X")),
-    (ConceptDecl, "parents", ("N", ("PT",), None, Origin.USER, _SPAN)),
-    (RelationDecl, "signature", ("r", (("ED",),), False, None, Origin.USER, _SPAN)),
-    (AnnotationDecl, "value", ("N", "rigidity", "rigid", Origin.USER, _SPAN)),
-    (MetaLabel, "time", ("Task", "N", 1, Origin.USER, _SPAN)),
-    (InstanceDecl, "concepts", ("i", ("N",), Origin.USER, _SPAN)),
-    (Fact, "args", ("r", ("i",), None, Origin.USER, _SPAN)),
-    (DisjointDecl, "second", ("A", "B", Origin.USER, _SPAN)),
+    (ConceptDecl, "parents", ("N", ("PT",), None, Origin.USER, _LINE)),
+    (RelationDecl, "signature", ("r", (("ED",),), False, None, Origin.USER, _LINE)),
+    (AnnotationDecl, "value", ("N", "rigidity", "rigid", Origin.USER, _LINE)),
+    (MetaLabel, "time", ("Task", "N", 1, Origin.USER, _LINE)),
+    (InstanceDecl, "concepts", ("i", ("N",), Origin.USER, _LINE)),
+    (Fact, "args", ("r", ("i",), None, Origin.USER, _LINE)),
+    (DisjointDecl, "second", ("A", "B", Origin.USER, _LINE)),
     (Diagnostic, "code", (Severity.ERROR, "W2", "m", _SPAN, ("A", "B"))),
     (CheckInfo, "axioms", ("S1", Severity.ERROR, "d", ("A9",))),
     # Placeholders stand in for a loaded model's ontology, closure and facts.

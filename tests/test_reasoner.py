@@ -418,12 +418,12 @@ def assert_fixpoint_matches_engine(onto, what) -> None:
     assert members_of(onto, facts) == {e for e in trace if isinstance(e, Member)}, what
     grounds = grounds_of(facts)
     assert grounds == {e for e in trace if isinstance(e, Ground)}, what
-    for g in grounds:  # span_of follows the trace's R-up premises
+    for g in grounds:  # line_of follows the trace's R-up premises
         source = g
         while trace[source].rule != RULE_ASSERTED:
             assert trace[source].rule == "R-up", what
             source = trace[source].premises[0]
-        assert facts.span_of(g) == onto.facts[source].span, (what, g)
+        assert facts.line_of(g) == onto.facts[source].line, (what, g)
 
 
 @pytest.mark.parametrize("family", sorted(FIXPOINT_MODELS))

@@ -51,7 +51,7 @@ from okc.model import (
     DisjointDecl,
     Origin,
     Severity,
-    SourceSpan,
+    SourceText,
     direct_supers,
 )
 from okc.reasoner import RULE_ASSERTED, compute_closure, saturate
@@ -192,11 +192,14 @@ def disjoint_rigidity_model(seed: int):
     taxonomy = random_taxonomy(seed, max_nodes=16)
     names = [d.name for d in taxonomy] + ["PT", "ED", "Reasoning", "Content"]
     decls = taxonomy + [DisjointDecl(*rng.sample(names, 2)) for _ in range(rng.randint(0, 8))]
-    decls += [AnnotationDecl(d.name, AXIS_RIGIDITY,
-                             rng.choice(("rigid", "anti-rigid", "semi-rigid")),
-                             Origin.USER, SourceSpan("<test>", line, 1))
-              for line, d in enumerate(taxonomy, start=1) if rng.random() < 0.8]
-    onto, diags = merge_with_kernel(decls)
+    annotations = [AnnotationDecl(d.name, AXIS_RIGIDITY,
+                                  rng.choice(("rigid", "anti-rigid", "semi-rigid")),
+                                  Origin.USER, line)
+                   for line, d in enumerate(taxonomy, start=1) if rng.random() < 0.8]
+    lines = {a.line: f"annotate {a.concept} {a.axis} {a.value}" for a in annotations}
+    text = "\n".join(lines.get(line, "") for line in range(1, 1 + len(taxonomy)))
+    source = SourceText("<test>", text)
+    onto, diags = merge_with_kernel(decls + annotations, source)
     assert onto is not None, [d.render() for d in diags]
     return onto
 
@@ -209,14 +212,15 @@ def test_w2_and_l6_concept_findings_match_reachability_oracle(seed):
                                         for p in direct_supers(onto.concepts[n])})
     closure = compute_closure(onto)
     ctx = CheckContext(onto, closure, saturate(onto, closure))
+    at = onto.source.span
     w2 = {(d.subjects, d.span) for d in check_w2(ctx) if d.subjects[0] in onto.concepts}
-    assert w2 == {((c, a, b), onto.concepts[c].span)
+    assert w2 == {((c, a, b), at(onto.concepts[c].line))
                   for a, b in onto.disjoints for c in nodes
                   if (c, a) in reach and (c, b) in reach}, seed
     l6 = {(d.subjects, d.span) for d in check_labels(ctx)
           if d.code == "L6"}
     rigidity = {c: onto.annotation_value(c, AXIS_RIGIDITY) for c in onto.annotations}
-    assert l6 == {((upper, lower), onto.annotations[upper][AXIS_RIGIDITY].span)
+    assert l6 == {((upper, lower), at(onto.annotations[upper][AXIS_RIGIDITY].line))
                   for upper, value in rigidity.items() if value == "anti-rigid"
                   for lower, other in rigidity.items() if other == "rigid"
                   and (lower, upper) in reach}, seed
@@ -269,7 +273,8 @@ def test_s2_matches_a_scan_of_every_ground(seed):
         assert len(found) == len(expected)
         assert {(d.message, d.subjects) for d in found} == expected, seed
         for d in found:  # grounded at an asserted fact on the same arguments
-            assert d.span in {f.span for f in onto.facts.values() if f.args == d.subjects}
+            assert d.span in {onto.source.span(f.line) for f in onto.facts.values()
+                              if f.args == d.subjects}
     assert expected, seed  # the shared model always misses some witness
 
 
@@ -297,7 +302,7 @@ def test_s1_matches_a_signature_scan_of_every_ground(seed):
                 axiom = SIGNATURE_AXIOM.get(g.relation)
                 expected[(f"fact {g.render()} violates the signature of {g.relation}: "
                           f"{'; '.join(bad)}" + (f" (violates {axiom})" if axiom else ""),
-                          onto.facts[source].span, g.args)] += 1
+                          onto.source.span(onto.facts[source].line), g.args)] += 1
         assert found == expected, seed
         total += sum(found.values())
     assert total, seed
@@ -406,7 +411,7 @@ def asserted_span(onto, facts, g):
     """Span of the asserted fact that `g`'s trace reaches through R-up."""
     while facts.trace[g].rule != RULE_ASSERTED:
         g = facts.trace[g].premises[0]
-    return onto.facts[g].span
+    return onto.source.span(onto.facts[g].line)
 
 
 def temporal_particularization_model(seed: int):
@@ -483,7 +488,8 @@ def test_ad35_matches_a_scan_of_every_ground(family):
         facts = saturate(onto, closure)
         grounds = grounds_of(facts)
         expected = Counter(
-            (f"endurant instance '{name}' participates in no perdurant", inst.span, (name,))
+            (f"endurant instance '{name}' participates in no perdurant",
+             onto.source.span(inst.line), (name,))
             for name, inst in onto.instances.items()
             if kernel.ENDURANT in facts.concepts_of(name)
             and not any(g.relation == kernel.REL_PARTICIPATION and g.args[0] == name
@@ -500,11 +506,12 @@ def test_validate_is_deterministic_across_declaration_orders():
     from helpers import CORPUS
     text = (CORPUS / "car_diagnosis.oks").read_text(encoding="utf-8")
     decls, _ = parse(text, "car")
+    source = SourceText("car", text)
     reference = None
     for seed in range(4):
         shuffled = decls[:]
         random.Random(seed).shuffle(shuffled)
-        onto, _ = merge_with_kernel(shuffled)
+        onto, _ = merge_with_kernel(shuffled, source)
         result = validate(onto)
         if reference is None:
             reference = result
