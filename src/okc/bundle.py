@@ -243,9 +243,6 @@ def compile_bundle(
     return bundle, sort_diagnostics(diags)
 
 
-BUNDLE_FILES = ("domain.json", "inference.json", "task.json")
-
-
 # The text of each record kind at its fixed depth, keys in sorted order: role
 # records are items of a concept's "inputs" or "outputs", the rest of a top-level list.
 _CONCEPT_HEAD = '{\n      "annotations": %s'

@@ -23,8 +23,9 @@ Validator codes:
           DomainConcept/knowledge-role family
     L6    an anti-rigid concept must not subsume a rigid one
 
-Every validator check but W1 is a `CheckContext -> list[Diagnostic]`
-function; W1 takes the ontology, as it runs only when the closure fails.
+Every validator check but W1 is a `FactBase -> list[Diagnostic]`
+function, reading the ontology and closure the fact base was saturated
+from; W1 takes the ontology, as it runs only when the closure fails.
 A check returns its findings in any order: `validate` sorts them, and
 equal sort keys mean equal findings, so the output depends only on the
 set of findings.
@@ -72,14 +73,7 @@ class CheckInfo(NamedTuple):
     axioms: tuple[str, ...] = ()
 
 
-@_record
-class CheckContext(NamedTuple):
-    ontology: Ontology
-    closure: SubsumptionClosure
-    facts: FactBase
-
-
-CheckFn = Callable[[CheckContext], list[Diagnostic]]
+CheckFn = Callable[[FactBase], list[Diagnostic]]
 
 # Axiom cited by S1 per kernel relation, for messages and traceability.
 SIGNATURE_AXIOM = {
@@ -106,28 +100,29 @@ def check_w1(ontology: Ontology) -> list[Diagnostic]:
     return diags
 
 
-def check_w2(ctx: CheckContext) -> list[Diagnostic]:
+def check_w2(facts: FactBase) -> list[Diagnostic]:
     """Concept level: one pass over the concepts, each meeting its disjoint-pair
     ancestors if it has at least two.  Instance level: one check per pair."""
-    at, diags = ctx.ontology.source.span, []
+    onto, closure = facts.ontology, facts.closure
+    at, diags = onto.source.span, []
     partners: dict[str, set[str]] = {}
-    for a, b in ctx.ontology.disjoints:
+    for a, b in onto.disjoints:
         partners.setdefault(a, set()).add(b)
         partners.setdefault(b, set()).add(a)
-    among = ctx.closure.mask(partners)
-    for concept in ctx.closure.concepts:
-        if ctx.closure.ancestor_bits(concept, among).bit_count() < 2:
+    among = closure.mask(partners)
+    for concept in closure.concepts:
+        if closure.ancestor_bits(concept, among).bit_count() < 2:
             continue
-        above = ctx.closure.ancestors(concept, among)
+        above = closure.ancestors(concept, among)
         for a in above:
             for b in partners[a] & above:
                 if a <= b:  # each pair once, in the order of its key
                     diags.append(_error(
                         "W2",
                         f"'{concept}' is subsumed by both disjoint concepts '{a}' and '{b}'",
-                        at(ctx.ontology.concepts[concept].line), concept, a, b))
-    instances = ctx.facts.disjoint_instances
-    for a, b in ctx.ontology.disjoints:
+                        at(onto.concepts[concept].line), concept, a, b))
+    instances = facts.disjoint_instances
+    for a, b in onto.disjoints:
         if {a, b} == {kernel.REASONING, kernel.COMMUNICATION}:
             continue  # instance level of this pair is owned by A3
         for instance in instances.get(a, set()) & instances.get(b, set()):
@@ -135,65 +130,65 @@ def check_w2(ctx: CheckContext) -> list[Diagnostic]:
                 "W2",
                 f"instance '{instance}' falls under both disjoint "
                 f"concepts '{a}' and '{b}'",
-                at(ctx.ontology.instances[instance].line), instance, a, b))
+                at(onto.instances[instance].line), instance, a, b))
     return diags
 
 
-def check_s1(ctx: CheckContext) -> list[Diagnostic]:
+def check_s1(facts: FactBase) -> list[Diagnostic]:
     """A diagnostic per ground that `FactBase.off_signature` finds by set difference."""
-    at, diags = ctx.ontology.source.span, []
-    for g in ctx.facts.off_signature():
-        rel = ctx.ontology.relations[g.relation]
+    at, diags = facts.ontology.source.span, []
+    for g in facts.off_signature():
+        rel = facts.ontology.relations[g.relation]
         bad = [f"'{arg}' is not a {' or '.join(union)}"
                for arg, union in zip(g.args, rel.signature)
-               if not any(ctx.facts.has_member(arg, c) for c in union)]
+               if not any(facts.has_member(arg, c) for c in union)]
         axiom = SIGNATURE_AXIOM.get(g.relation)
         suffix = f" (violates {axiom})" if axiom else ""
         diags.append(_error(
             "S1",
             f"fact {g.render()} violates the signature of "
             f"{g.relation}: {'; '.join(bad)}{suffix}",
-            at(ctx.facts.line_of(g)), *g.args))
+            at(facts.line_of(g)), *g.args))
     return diags
 
 
-def check_s2(ctx: CheckContext) -> list[Diagnostic]:
+def check_s2(facts: FactBase) -> list[Diagnostic]:
     """The arguments of the facts of each atemporal particularization of a
     temporal relation, minus those of its parent's facts."""
-    at, diags = ctx.ontology.source.span, []
+    at, diags = facts.ontology.source.span, []
     witnessed: dict[str, set[tuple[str, ...]]] = {}  # parent -> the arguments of its facts
-    for rel in ctx.ontology.relations.values():
-        parent = ctx.ontology.relations.get(rel.particularizes)
+    for rel in facts.ontology.relations.values():
+        parent = facts.ontology.relations.get(rel.particularizes)
         if rel.temporal or parent is None or not parent.temporal:
             continue
         if parent.name not in witnessed:
-            witnessed[parent.name] = {w.args for w in ctx.facts.under(parent.name)}
-        for args in {g.args for g in ctx.facts.under(rel.name)} - witnessed[parent.name]:
+            witnessed[parent.name] = {w.args for w in facts.under(parent.name)}
+        for args in {g.args for g in facts.under(rel.name)} - witnessed[parent.name]:
             g = Ground(rel.name, args, None)
             diags.append(_error(
                 "S2",
                 f"fact {g.render()} has no witnessing "
                 f"{parent.name}({', '.join(args)}, t) fact",
-                at(ctx.facts.line_of(g)), *args))
+                at(facts.line_of(g)), *args))
     return diags
 
 
-def check_a3(ctx: CheckContext) -> list[Diagnostic]:
-    at, diags = ctx.ontology.source.span, []
-    instances = ctx.facts.disjoint_instances
+def check_a3(facts: FactBase) -> list[Diagnostic]:
+    at, diags = facts.ontology.source.span, []
+    instances = facts.disjoint_instances
     for instance in instances.get(kernel.REASONING, set()) \
             & instances.get(kernel.COMMUNICATION, set()):
         diags.append(_error(
             "A3",
             f"instance '{instance}' is both a Reasoning and a Communication",
-            at(ctx.ontology.instances[instance].line), instance))
+            at(facts.ontology.instances[instance].line), instance))
     return diags
 
 
 # --- temporal participation --------------------------------------------------
 
 
-def check_temporal_participation(ctx: CheckContext) -> list[Diagnostic]:
+def check_temporal_participation(facts: FactBase) -> list[Diagnostic]:
     """Data participates from the first presence time (A13); results
     participate through the last one (R13).
 
@@ -204,14 +199,13 @@ def check_temporal_participation(ctx: CheckContext) -> list[Diagnostic]:
     participants but no presence record passes vacuously with a warning,
     at its least data fact, or else its least result fact.
     """
-    facts = ctx.facts
     presence: dict[str, list[int]] = {}
     for p in facts.under(kernel.REL_PRESENCE):  # temporal: every time is set
         presence.setdefault(p.args[0], []).append(p.time)
     edges = {y: (min(times), max(times)) for y, times in presence.items()}
     # only temporal relations R-up into the temporal PC, and they keep the time
     participations = {(g.args, g.time) for g in facts.under(kernel.REL_PARTICIPATION)}
-    at, diags = ctx.ontology.source.span, []
+    at, diags = facts.ontology.source.span, []
     warned: set[str] = set()
     for rel_name, code, side, end in ((kernel.REL_DATA, "A13", "first", 0),
                                       (kernel.REL_RESULT, "R13", "last", 1)):
@@ -235,13 +229,13 @@ def check_temporal_participation(ctx: CheckContext) -> list[Diagnostic]:
     return diags
 
 
-def check_ad35(ctx: CheckContext) -> list[Diagnostic]:
+def check_ad35(facts: FactBase) -> list[Diagnostic]:
     """The endurant instances minus the first arguments of `PC` facts."""
-    participants = {g.args[0] for g in ctx.facts.under(kernel.REL_PARTICIPATION)}
-    at = ctx.ontology.source.span
+    participants = {g.args[0] for g in facts.under(kernel.REL_PARTICIPATION)}
+    at = facts.ontology.source.span
     return [_warning("Ad35", f"endurant instance '{name}' participates in no perdurant",
-                     at(ctx.ontology.instances[name].line), name)
-            for name in ctx.facts.instances_of(kernel.ENDURANT) - participants]
+                     at(facts.ontology.instances[name].line), name)
+            for name in facts.instances_of(kernel.ENDURANT) - participants]
 
 
 # --- labeling checks ----------------------------------------------------------
@@ -255,9 +249,9 @@ _PLACEMENT: dict[str, tuple[str, str, str]] = {
 }
 
 
-def check_labels(ctx: CheckContext) -> list[Diagnostic]:
+def check_labels(facts: FactBase) -> list[Diagnostic]:
     """All per-label constraints (A7, A8, L2b, L3, L4) plus L5 and L6."""
-    ontology, closure = ctx.ontology, ctx.closure
+    ontology, closure = facts.ontology, facts.closure
     at, diags = ontology.source.span, []
     formal_at: dict[int, int] = {}  # time -> bitset of the concepts labeled FormalKnowledgeRole
     for lb in ontology.labels.values():
@@ -429,11 +423,10 @@ def validate(ontology: Ontology) -> list[Diagnostic]:
     except ValueError:  # a cycle: closure-dependent checks need an acyclic taxonomy
         return sort_diagnostics(check_w1(ontology))
     facts = saturate(ontology, closure)
-    ctx = CheckContext(ontology, closure, facts)
     diags: list[Diagnostic] = []
     for info, fn in _VALIDATOR_CHECKS:
         if fn is not None:
-            diags.extend(fn(ctx))
-    diags.extend(check_temporal_participation(ctx))
-    diags.extend(check_labels(ctx))
+            diags.extend(fn(facts))
+    diags.extend(check_temporal_participation(facts))
+    diags.extend(check_labels(facts))
     return sort_diagnostics(diags)

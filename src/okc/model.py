@@ -12,8 +12,8 @@ triple is a load error (E5).
 
 Every okc record is an immutable tuple record (`typing.NamedTuple`)
 with read-only fields under `_record`: declarations, their definitions,
-source spans and diagnostics here, and the tokens, registry rows, bundle
-records and corpus rows of the other modules.  Each equals only records
+source spans and diagnostics here, and the tokens, registry rows and
+bundle records of the other modules.  Each equals only records
 of its own class, never a plain tuple or another record class, and
 hashes as the tuple of its fields.
 

@@ -299,12 +299,14 @@ class FactBase:
     `line_of` and `off_signature` map facts up R-up; `okc explain` reads
     the derived facts from `trace`.  `line_of` places a finding on a fact
     at its declaration's line, which `Ontology.source` makes a span.
+    `ontology` and `closure` are what it was saturated from, which the
+    validator checks read beside it.
     """
 
     def __init__(self, ontology: Ontology, closure: SubsumptionClosure,
                  rules: _RuleTable) -> None:
-        self._ontology = ontology
-        self._closure = closure
+        self.ontology = ontology
+        self.closure = closure
         self._rules = rules
         self._bits: dict[str, int] = {}  # instance -> concept bitset
         self._asserted: dict[str, list[Ground]] = {}
@@ -322,31 +324,31 @@ class FactBase:
         W2 and A3 read only these (Reasoning/Communication is a kernel
         disjoint pair), so each distinct bitset under their mask is decoded once.
         """
-        mask = self._closure.mask(c for pair in self._ontology.disjoints for c in pair)
+        mask = self.closure.mask(c for pair in self.ontology.disjoints for c in pair)
         groups: dict[int, list[str]] = {}
         for instance, bits in zip(self._bits, map(mask.__and__, self._bits.values())):
             groups.setdefault(bits, []).append(instance)
         out: dict[str, set[str]] = {}
         for bits, instances in groups.items():
-            for concept in self._closure._decode(bits):
+            for concept in self.closure._decode(bits):
                 out.setdefault(concept, set()).update(instances)
         return out
 
     @cached_property
     def trace(self) -> dict[Entry, Derivation]:
         """Derivation of every entry: the FIFO engine, run on first read."""
-        return _Engine(self._ontology, self._rules).run()
+        return _Engine(self.ontology, self._rules).run()
 
     def has_member(self, instance: str, concept: str) -> bool:
-        bit = self._closure._bit.get(concept)
+        bit = self.closure._bit.get(concept)
         return bit is not None and (self._bits.get(instance, 0) >> bit) & 1 == 1
 
     def instances_of(self, concept: str) -> set[str]:
-        bit = self._closure._bit.get(concept)
+        bit = self.closure._bit.get(concept)
         return set() if bit is None else {x for x, now in self._bits.items() if now >> bit & 1}
 
     def concepts_of(self, instance: str) -> frozenset[str]:
-        return self._closure._decode(self._bits.get(instance, 0))
+        return self.closure._decode(self._bits.get(instance, 0))
 
     def under(self, relation: str) -> Iterator[Ground]:
         """The asserted facts of `relation` and of every relation below it, as
@@ -360,7 +362,7 @@ class FactBase:
     def line_of(self, g: Ground) -> int:
         """Line of the asserted fact `g` is, or else of the one in the nearest
         relation below that R-up maps to `g`, the least key among equals."""
-        fact = self._ontology.facts.get(g)
+        fact = self.ontology.facts.get(g)
         if fact is None:
             _, _, fact = min((steps, f.key(), f) for f in self._derivers[g.args]
                              for steps, up in enumerate(self._r_up_chain(f.key()))
@@ -397,7 +399,7 @@ class FactBase:
     def _derivers(self) -> dict[tuple[str, ...], list[Fact]]:
         """Arguments -> the asserted facts on them."""
         out: dict[tuple[str, ...], list[Fact]] = {}
-        for f in self._ontology.facts.values():
+        for f in self.ontology.facts.values():
             out.setdefault(f.args, []).append(f)
         return out
 
@@ -419,7 +421,7 @@ class FactBase:
         """M-up is a union with an ancestor bitset.  The asserted, D3, D4, D1
         and D2 memberships are ORed in directly; then each instance holding a
         D5 or D6 key is queued once, and again only when it gains a key."""
-        onto, closure, rules = self._ontology, self._closure, self._rules
+        onto, closure, rules = self.ontology, self.closure, self._rules
         bit, up, names, bits = closure._bit, closure._up, closure._names, self._bits
         for inst in onto.instances.values():
             now = 0

@@ -10,13 +10,24 @@ from __future__ import annotations
 
 import random
 from pathlib import Path
+from typing import Optional
 
-from okc import kernel, model
+from digest_inputs import (  # noqa: F401  (re-exported)
+    COLUMNS_CHECKS_SOURCE,
+    COLUMNS_LOAD_SOURCE,
+    USER_RELATIONS_SOURCE,
+    d1_source,
+    deep_chain_source,
+    particularization_source,
+    role_fan_in_source,
+    shared_operand_source,
+    wide_disjointness_source,
+)
+from okc import kernel
 from okc.bundle import RoleRecord
 from okc.frontend import _tokenize_line, parse, render
 from okc.kernel import merge_with_kernel
-from okc.checks import validate
-from okc.corpus import REGISTRY as CORPUS_REGISTRY
+from okc.checks import REGISTRY, validate
 from okc.model import (
     LABEL_FAMILY,
     PRIMITIVES,
@@ -32,18 +43,17 @@ from okc.model import (
     RoleDefinition,
     Severity,
     SourceSpan,
+    SourceText,
     _check_particularization_cycles,
     _error,
     direct_supers,
 )
 from okc.reasoner import Ground, Member
 
-# `tests/output_digests.py` imports this module over the `src` of other
-# checkouts too, so a name that only this checkout's okc defines is read
-# where it is used (`model.SourceText`), not imported here.
-
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CORPUS = REPO_ROOT / "corpus"
+# The documents `okc compile` writes into its output directory.
+BUNDLE_FILES = ("domain.json", "inference.json", "task.json")
 
 
 def load_source(text: str, filename: str = "<test>"):
@@ -51,7 +61,7 @@ def load_source(text: str, filename: str = "<test>"):
     decls, parse_diags = parse(text, filename)
     if parse_diags:
         return None, parse_diags
-    return merge_with_kernel(decls, model.SourceText(filename, text))
+    return merge_with_kernel(decls, SourceText(filename, text))
 
 
 def check_source(text: str, filename: str = "<test>"):
@@ -84,9 +94,40 @@ def ontology_content(onto) -> tuple:
     )
 
 
+# --- the corpus, read from its layout --------------------------------------
+#
+# `corpus/<stem>.oks` has no findings, `corpus/negative/<code>_<what>.oks`
+# emits exactly `<code>`, and `corpus/golden/<stem>/` is the golden bundle of
+# `corpus/<stem>.oks`.
+
+
+def clean_corpus_files() -> list[Path]:
+    return sorted(CORPUS.glob("*.oks"))
+
+
+def negative_corpus_files() -> list[Path]:
+    return sorted((CORPUS / "negative").glob("*.oks"))
+
+
+def negative_code(path: Path) -> Optional[str]:
+    """The registry code the stem of a negative case starts with, before its
+    first `_`, matched case-insensitively (`l2b_...` is L2b); None if none is."""
+    prefix, underscore, _ = path.stem.partition("_")
+    return {code.lower(): code for code in REGISTRY}.get(prefix) if underscore else None
+
+
+def golden_dirs(corpus: Path = CORPUS) -> list[Path]:
+    """The golden bundle directories, `corpus/golden/explain/` aside."""
+    return sorted(p for p in (corpus / "golden").iterdir()
+                  if p.is_dir() and p.name != "explain")
+
+
 def corpus_source(name: str) -> str:
-    """The text of the corpus entry registered as `name`."""
-    return CORPUS_REGISTRY[name].path().read_text(encoding="utf-8")
+    """The text of `corpus/<name>.oks`, or else of `corpus/negative/<name>.oks`."""
+    path = CORPUS / f"{name}.oks"
+    if not path.is_file():
+        path = CORPUS / "negative" / f"{name}.oks"
+    return path.read_text(encoding="utf-8")
 
 
 def load_corpus_file(name: str):
@@ -377,7 +418,7 @@ def members_of(onto, facts) -> set[Member]:
 def grounds_of(facts) -> set[Ground]:
     """Every ground fact of the fact base, asserted or derived: each
     asserted fact and what R-up derives from it, walked up its chain."""
-    return {up for g in facts._ontology.facts for up in facts._r_up_chain(g)}
+    return {up for g in facts.ontology.facts for up in facts._r_up_chain(g)}
 
 
 def engine_sets(onto, facts):
@@ -548,50 +589,6 @@ def role_web_model(seed: int):
     return onto
 
 
-def shared_operand_source(n: int) -> str:
-    """n conjunctions over one shared type: each Model instance m_i is data
-    of a reasoning r_i and so plays role Role_i and conjunction C_i."""
-    lines = []
-    for i in range(n):
-        lines += [f"concept R{i:05d} specializes Reasoning",
-                  f"role Role{i:05d} = data of R{i:05d}",
-                  f"concept C{i:05d} = Model and Role{i:05d}",
-                  f"instance r{i:05d} : R{i:05d}", f"instance m{i:05d} : Model",
-                  f"fact PRE(r{i:05d}, 0)", f"fact PC(m{i:05d}, r{i:05d}, 0)",
-                  f"fact isDataOf(m{i:05d}, r{i:05d})"]
-    return "\n".join(lines) + "\n"
-
-
-def role_fan_in_source(n: int) -> str:
-    """n data roles, each of its own reasoning concept, and n data
-    participants of one reasoning instance r, which only the first role
-    covers."""
-    lines = ["instance r : R00000", "fact PRE(r, 0)"]
-    for i in range(n):
-        lines += [f"concept R{i:05d} specializes Reasoning",
-                  f"role Role{i:05d} = data of R{i:05d}", f"instance m{i:05d} : Model",
-                  f"fact PC(m{i:05d}, r, 0)", f"fact isDataOf(m{i:05d}, r)"]
-    return "\n".join(lines) + "\n"
-
-
-def wide_disjointness_source(n: int) -> str:
-    """Concept A declared disjoint with n others B_i, with n concepts C_i
-    under it; only C00000 is also under a partner, B00000."""
-    lines = ["concept A specializes Reasoning", "instance c : C00001"]
-    for i in range(n):
-        lines += [f"concept B{i:05d} specializes Reasoning", f"disjoint A B{i:05d}",
-                  f"concept C{i:05d} specializes A{', B00000' if i == 0 else ''}"]
-    return "\n".join(lines) + "\n"
-
-
-def deep_chain_source(n: int) -> str:
-    """n concepts, each specializing the next and the last `Reasoning`,
-    and an instance `x` of the lowest, C00000."""
-    lines = [f"concept C{i:05d} specializes {f'C{i + 1:05d}' if i + 1 < n else 'Reasoning'}"
-             for i in range(n)]
-    return "\n".join(lines + ["instance x : C00000"]) + "\n"
-
-
 def bushy_taxonomy(seed: int, n: int) -> list:
     """n concepts in a six-ary tree under `Model`, each with a random
     kernel hook as a second parent half of the time, and an instance of
@@ -712,7 +709,7 @@ def round_trip(onto):
     text = render(onto)
     decls, parse_diags = parse(text, "<render>")
     assert not parse_diags, [d.render() for d in parse_diags]
-    reloaded, load_diags = merge_with_kernel(decls, model.SourceText("<render>", text))
+    reloaded, load_diags = merge_with_kernel(decls, SourceText("<render>", text))
     assert reloaded is not None, [d.render() for d in load_diags]
     return reloaded
 
@@ -837,41 +834,6 @@ def role_io_oracle(ontology, subsumes, concept: str):
             tuple(r for r in hits if r.mode == "result"))
 
 
-# A clean model whose domain model holds user relations: union signatures,
-# temporal ones, domains that differ from their ranges, a particularization
-# chain with facts (R-up over user relations), an atemporal particularization
-# of a temporal one with its witness (S2), and conjunctions (plays-links).
-# Its signature concepts are DomainConcepts from times 1-3.
-# Findings on lines indented by spaces, by tabs, and by whitespace that only
-# the token parser takes (form feed, U+0085, U+3000), and one on line 1
-# after a BOM, which `okc` drops as it reads a file.  Load errors stop
-# validation, so the load findings (E1, E3, E5, E6) and the validator's
-# (W2, S1, A7, with Ad35 beside them) have a file each.
-COLUMNS_LOAD_SOURCE = (
-    "\ufeff  concept Widget specializes Nope   # E3, after a BOM\n"
-    "concept Gadget specializes PT\n"
-    "\tconcept Gadget specializes ED\n"
-    "label DomainConcept Gadget at 1\n"
-    "\x85label DomainConcept Gadget at 1\n"
-    "annotate Gadget rigidity rigid\n"
-    "\u3000annotate Gadget rigidity anti-rigid  # conflicting\n"
-    "\x0cinstance g : Gizmo\n"
-    " \t fact PC(g, Nowhere, 0)\n"
-    "    concept Gizmo2 = Nope2 and Nope3\n"
-)
-COLUMNS_CHECKS_SOURCE = (
-    "\ufeff\tconcept Both specializes ED, PD  # W2, after a BOM\n"
-    "concept Solve specializes Reasoning\n"
-    "relation nudges particularizes PC signature (EV, POB) temporal\n"
-    "instance ev : EV\n"
-    "   instance both : EV, POB\n"
-    "\x0cfact PC(ev, both, 0)\n"
-    "\x85fact nudges(ev, both, 1)  # S1 on the PC fact it derives\n"
-    "\u3000label Task Both at 1\n"
-    "label Task Solve at 1\n"
-)
-
-
 def statement_span(line: str, line_no: int, file: str) -> SourceSpan:
     """The span of the statement on `line` as the token parser reads it:
     from its first token to the end of its last."""
@@ -879,51 +841,6 @@ def statement_span(line: str, line_no: int, file: str) -> SourceSpan:
     first, last = tokens[0], tokens[-1]
     return SourceSpan(file, line_no, first.column, last.column + len(last.text) - first.column)
 
-
-USER_RELATIONS_SOURCE = """\
-concept Engine specializes POB
-concept FuelTank specializes POB
-concept Pump specializes POB
-concept Mechanic specializes APO
-relation feeds signature (FuelTank | Pump, Engine)
-relation supplies particularizes feeds signature (Pump, Engine)
-relation primes particularizes supplies signature (Pump, Engine)
-relation drains signature (Engine, FuelTank) temporal
-relation tends signature (Mechanic, Engine | Pump) temporal
-relation services particularizes tends signature (Mechanic, Engine)
-relation spins signature (Engine)
-concept Diagnosis specializes Reasoning
-role Evidence = data of Diagnosis
-role Finding = result of Diagnosis
-concept FaultyEngine = Engine and Finding
-concept PumpEvidence = Pump and Evidence
-annotate Engine rigidity rigid
-annotate Pump identity carries
-label DomainConcept Engine at 1
-label DomainConcept FuelTank at 1
-label DomainConcept Pump at 2
-label DomainConcept Mechanic at 3
-label DomainConcept FaultyEngine at 3
-label Task Diagnosis at 1
-instance e1 : Engine
-instance p1 : Pump
-instance t1 : FuelTank
-instance bob : Mechanic
-instance d1 : Diagnosis
-fact primes(p1, e1)
-fact feeds(t1, e1)
-fact drains(e1, t1, 1)
-fact tends(bob, e1, 2)
-fact services(bob, e1)
-fact spins(e1)
-fact isDataOf(p1, d1)
-fact isResultOf(e1, d1)
-fact PRE(d1, 0)
-fact PC(e1, d1, 0)
-fact PC(p1, d1, 0)
-fact PC(t1, d1, 0)
-fact PC(bob, d1, 0)
-"""
 
 # --- reference compile ------------------------------------------------------------
 
@@ -1050,85 +967,10 @@ def random_role_model(seed: int):
     return onto
 
 
-def particularization_source(seed: int) -> str:
-    """Random forest of binary relations particularizing one another.
-
-    Roots are kernel relations or user relations; each step is
-    temporal->temporal, temporal->atemporal or atemporal->temporal (which
-    R-up does not cross) at random, chains branch, and signatures vary so
-    that some facts fall outside their own or an ancestor's.  Facts on a
-    few shared argument pairs, at several times, make several facts map
-    to one ancestor fact.
-    """
-    rng = random.Random(f"particularization-{seed}")
-    lines = ["concept Ponder specializes Reasoning"]
-    temporal = {"PC": True, "isAffectedBy": False, "isDataOf": False, "isAgentOf": False}
-    relations = list(temporal)
-    for i in range(rng.randint(0, 2)):
-        name = f"U{i}"
-        temporal[name] = rng.random() < 0.5
-        relations.append(name)
-        lines.append(f"relation {name} signature (ED | PD, PD)"
-                     + (" temporal" if temporal[name] else ""))
-    unions = ["ED", "PD", "Content", "Model | Ponder", "ED | PD", "AC", "APO | Content"]
-    for i in range(rng.randint(2, 10)):
-        name, parent = f"P{i}", rng.choice(relations)
-        temporal[name] = rng.random() < 0.5
-        signature = ", ".join(rng.choice(unions) for _ in range(2))
-        lines.append(f"relation {name} particularizes {parent} signature ({signature})"
-                     + (" temporal" if temporal[name] else ""))
-        relations.append(name)
-    instances = [f"x{i}" for i in range(rng.randint(2, 7))]
-    kinds = ["Model", "Ponder", "APO", "Document", "EV"]
-    lines += [f"instance {x} : {rng.choice(kinds)}" for x in instances]
-    pairs = [tuple(rng.sample(instances, 2)) for _ in range(rng.randint(1, 3))]
-    facts = set()
-    for _ in range(rng.randint(1, 14)):
-        rel = rng.choice(relations[4:] or relations)
-        x, y = rng.choice(pairs) if rng.random() < 0.7 else rng.sample(instances, 2)
-        facts.add(f"fact {rel}({x}, {y}" + (f", {rng.randint(0, 2)})" if temporal[rel] else ")"))
-    return "\n".join(lines + sorted(facts)) + "\n"
-
-
 def particularization_model(seed: int):
     onto, diags = load_source(particularization_source(seed))
     assert onto is not None, [d.render() for d in diags]
     return onto
-
-
-def d1_source(seed: int) -> str:
-    """Scenes around D1, one action each: its sole agent is its only
-    agentive participant (D1 must not fire), a second agent, another
-    agentive participant, one through a subconcept of APO or ASO, and
-    facts of user relations under PC and under isAgentOf.  Actions are
-    sometimes not AC, or already Interactions, and agents not agentive."""
-    rng = random.Random(f"d1-{seed}")
-    lines = ["concept Robot specializes APO", "concept Bot specializes ASO",
-             "concept Deed specializes AC",
-             "relation joins particularizes PC signature (ED, PD) temporal",
-             "relation leads particularizes isAgentOf signature (APO | ASO, AC)"]
-    actions = ["AC", "AC", "Deed", "Reasoning", "Communication", "EV"]
-    for i in range(rng.randint(1, 6)):
-        scene = rng.choice(["sole agent", "second agent", "other participant",
-                            "subconcept", "user relations"])
-        a, y, z, m = f"a{i}", f"y{i}", f"z{i}", f"m{i}"
-        user = scene == "user relations"
-        agent_of = "leads" if user and rng.random() < 0.7 else "isAgentOf"
-        pc = "joins" if user and rng.random() < 0.7 else "PC"
-        agent = rng.choice(["APO", "ASO", "Robot"] + ["Model"] * (scene != "sole agent"))
-        other = rng.choice(["Robot", "Bot"] if scene == "subconcept" else ["APO", "ASO"])
-        lines += [f"instance {a} : {rng.choice(actions)}", f"instance {y} : {agent}",
-                  f"instance {z} : {other}", f"instance {m} : Model",
-                  f"fact {agent_of}({y}, {a})", f"fact PC({m}, {a}, {rng.randint(0, 2)})"]
-        if scene == "sole agent":
-            lines.append(f"fact {pc}({y}, {a}, {rng.randint(0, 2)})")
-        elif scene == "second agent":
-            lines += [f"fact isAgentOf({z}, {a})", f"fact {pc}({rng.choice([y, z])}, {a}, 1)"]
-        else:
-            lines.append(f"fact {pc}({z}, {a}, {rng.randint(0, 2)})")
-            if rng.random() < 0.3:
-                lines.append(f"fact {agent_of}({z}, {a})")
-    return "\n".join(lines) + "\n"
 
 
 def d1_model(seed: int):

@@ -4,7 +4,7 @@
 
 The inputs are the corpus files (`corpus/*.oks`, `corpus/negative/*.oks`),
 the seed-3 files of the three benchmark workloads, generated by
-`perfbench/families.py`, and models from `tests/helpers.py`:
+`perfbench/families.py`, and models from `tests/digest_inputs.py`:
   - shapes whose bitsets are wide or dense: wide disjointness, shared
     operand and role fan-in at n = 300, and a 2,000-deep chain;
   - user relations, which neither the corpus nor the workloads declare:
@@ -13,7 +13,8 @@ the seed-3 files of the three benchmark workloads, generated by
     particularization chains give S1 and S2 findings on user signatures;
   - rules D1 and D2, which derive nothing in the other inputs:
     `d1_source(1)`, whose probe `a1` is an Interaction by D1, and
-    `random_shared_model(1)` as text, whose probe `x06` is a Subject by D2;
+    `tests/shared_model_1.oks`, the text of `random_shared_model(1)`,
+    whose probe `x06` is a Subject by D2;
   - columns: `COLUMNS_LOAD_SOURCE` (E1, E3, E5, E6) and
     `COLUMNS_CHECKS_SOURCE` (W2, S1, A7, Ad35), with findings on lines
     indented by spaces, tabs, form feed, U+0085 and U+3000, and on line 1
@@ -26,8 +27,9 @@ stdout, stderr and, for compile, the name and bytes of every bundle file.
 
 Two checkouts print the same lines exactly when their outputs are
 byte-identical, so compare the output of two runs with `diff`, under
-several `PYTHONHASHSEED` values.  The name does not start with `test_`,
-so pytest does not collect it.
+several `PYTHONHASHSEED` values, or over the `src` of two checkouts: of
+`okc` the script imports only `okc.cli.main`.  The name does not start
+with `test_`, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -39,24 +41,23 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import families  # noqa: E402
-from helpers import (  # noqa: E402
+from digest_inputs import (  # noqa: E402
     COLUMNS_CHECKS_SOURCE,
     COLUMNS_LOAD_SOURCE,
     USER_RELATIONS_SOURCE,
     d1_source,
     deep_chain_source,
     particularization_source,
-    random_shared_model,
     role_fan_in_source,
     shared_operand_source,
     wide_disjointness_source,
 )
 from okc.cli import main  # noqa: E402
-from okc.frontend import render  # noqa: E402
 
 SEED = 3
 
@@ -79,7 +80,7 @@ def _inputs() -> list[tuple[str, str, str | None]]:
                  ("particularization_1", particularization_source(1), "x0")]
     out += [(f"relations/{name}.oks", text, probe) for name, text, probe in relations]
     rules = [("d1_1", d1_source(1), "a1"),
-             ("shared_1", render(random_shared_model(1)), "x06")]
+             ("shared_1", (TESTS / "shared_model_1.oks").read_text(encoding="utf-8"), "x06")]
     out += [(f"rules/{name}.oks", text, probe) for name, text, probe in rules]
     out += [("columns/load.oks", COLUMNS_LOAD_SOURCE, None),
             ("columns/checks.oks", COLUMNS_CHECKS_SOURCE, None)]

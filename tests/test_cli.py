@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from helpers import (
+    BUNDLE_FILES,
     COLUMNS_CHECKS_SOURCE,
     COLUMNS_LOAD_SOURCE,
     CORPUS,
@@ -31,7 +32,6 @@ from helpers import (
 )
 
 from okc import cli, reasoner
-from okc.bundle import BUNDLE_FILES
 from okc.checks import REGISTRY
 from okc.cli import main
 from okc.frontend import _tokenize_line, render

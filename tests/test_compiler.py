@@ -8,8 +8,11 @@ import tracemalloc
 import pytest
 
 from helpers import (
+    BUNDLE_FILES,
+    CORPUS,
     REPO_ROOT,
     USER_RELATIONS_SOURCE,
+    clean_corpus_files,
     effective_labels_oracle,
     load_source,
     random_label_model,
@@ -20,7 +23,6 @@ from helpers import (
 
 from okc import bundle as bundle_module
 from okc.bundle import (
-    BUNDLE_FILES,
     BundleConcept,
     CompileRefusedError,
     DomainRelation,
@@ -32,7 +34,6 @@ from okc.bundle import (
     emit_bundle,
 )
 from okc.checks import validate
-from okc.corpus import REGISTRY as CORPUS_REGISTRY
 from okc.kernel import kernel_ontology
 from okc.model import sort_diagnostics
 from okc.reasoner import compute_closure
@@ -442,14 +443,14 @@ def test_emitted_bundles_equal_json_dumps(tmp_path, monkeypatch):
     import families
 
     models = []  # (ontology, snapshot times)
-    for entry in CORPUS_REGISTRY.values():
-        if not entry.expected_codes:
-            onto, _ = load_source(entry.path().read_text(encoding="utf-8"))
-            models.append((onto, (0, onto.max_label_time())))
-            if entry.golden_dir is not None:  # `okc compile` wrote the golden at the latest time
-                _assert_written_equal_json_dumps(
-                    reference_documents(onto, onto.max_label_time()),
-                    [entry.golden_path() / name for name in BUNDLE_FILES])
+    for path in clean_corpus_files():
+        onto, _ = load_source(path.read_text(encoding="utf-8"))
+        models.append((onto, (0, onto.max_label_time())))
+        golden = CORPUS / "golden" / path.stem
+        if golden.is_dir():  # `okc compile` wrote the golden at the latest time
+            _assert_written_equal_json_dumps(
+                reference_documents(onto, onto.max_label_time()),
+                [golden / name for name in BUNDLE_FILES])
     models += [(random_role_model(seed), (3,)) for seed in range(30)]
     models.append((load_source(families.taxonomy_file(1, n=200).text)[0], (0, 4, 8)))
     onto, _ = load_source(_RELATIONS_SOURCE)

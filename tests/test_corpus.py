@@ -1,16 +1,49 @@
-"""Corpus registry: every entry is exercised; codes match exactly."""
+"""The corpus, read from its layout.
+
+`corpus/<stem>.oks` has no findings, `corpus/negative/<code>_<what>.oks`
+emits exactly `<code>`, and `corpus/golden/<stem>/` is the golden bundle
+of `corpus/<stem>.oks`.  A file that breaks the layout fails a test here
+rather than going unchecked.
+
+Regenerate the golden bundles only when a bundle change is intended; every
+file rewritten is logged:
+
+    PYTHONPATH=src python tests/test_corpus.py
+"""
 
 from __future__ import annotations
 
 import shutil
+from pathlib import Path
 
 import pytest
 
-from helpers import CORPUS, all_codes, check_source, corpus_source
+from helpers import (
+    BUNDLE_FILES,
+    CORPUS,
+    all_codes,
+    check_source,
+    clean_corpus_files,
+    corpus_source,
+    golden_dirs,
+    negative_code,
+    negative_corpus_files,
+)
 
-import okc.corpus
-from okc.bundle import BUNDLE_FILES
-from okc.corpus import REGISTRY, regenerate_goldens
+from okc.cli import main
+
+
+def regenerate_goldens(corpus: Path, log=print) -> list[Path]:
+    """`okc compile` each `corpus/<stem>.oks` into `corpus/golden/<stem>/`."""
+    written: list[Path] = []
+    for golden in golden_dirs(corpus):
+        model = corpus / f"{golden.name}.oks"
+        if main(["compile", str(model), "--out", str(golden)]) != 0:
+            raise RuntimeError(f"{model}: okc compile did not exit cleanly")
+        for path in (golden / name for name in BUNDLE_FILES):
+            log(f"regenerated {path}")
+            written.append(path)
+    return written
 
 
 def test_load_car_diagnosis_entry():
@@ -30,45 +63,53 @@ def test_load_calibration_entry():
     assert "label FormalKnowledgeRole CalibrationData at 2" in source
 
 
-@pytest.mark.parametrize("entry", [e for e in REGISTRY.values() if not e.expected_codes],
-                         ids=lambda e: e.name)
-def test_positive_corpora_have_zero_findings(entry):
-    diags = check_source(corpus_source(entry.name), str(entry.path()))
+@pytest.mark.parametrize("path", clean_corpus_files(), ids=lambda p: p.stem)
+def test_positive_corpora_have_zero_findings(path):
+    diags = check_source(path.read_text(encoding="utf-8"), str(path))
     assert diags == [], [d.render() for d in diags]
 
 
-@pytest.mark.parametrize("entry", [e for e in REGISTRY.values() if e.expected_codes],
-                         ids=lambda e: e.name)
-def test_negative_corpora_emit_exactly_their_codes(entry):
-    diags = check_source(corpus_source(entry.name), str(entry.path()))
-    assert all_codes(diags) == set(entry.expected_codes), [d.render() for d in diags]
+@pytest.mark.parametrize("path", negative_corpus_files(), ids=lambda p: p.stem)
+def test_negative_corpora_emit_exactly_their_codes(path):
+    diags = check_source(path.read_text(encoding="utf-8"), str(path))
+    assert all_codes(diags) == {negative_code(path)}, [d.render() for d in diags]
 
 
 def test_every_registered_file_exists():
-    for entry in REGISTRY.values():
-        assert entry.path().is_file(), entry.relative_path
+    """The layout registers every negative case by its name: each stem
+    starts with a registry code and `_`."""
+    paths = negative_corpus_files()
+    assert paths
+    misnamed = [p.name for p in paths if negative_code(p) is None]
+    assert misnamed == [], f"not named <code>_<what>.oks: {misnamed}"
+
+
+def test_every_golden_directory_names_a_corpus_file():
+    for golden in golden_dirs():
+        assert (CORPUS / f"{golden.name}.oks").is_file(), golden
 
 
 def test_golden_directories_exist_for_worked_examples():
-    for name in ("car_diagnosis", "calibration"):
-        golden = REGISTRY[name].golden_path()
-        assert golden is not None
-        for filename in ("domain.json", "inference.json", "task.json"):
+    assert [golden.name for golden in golden_dirs()] == ["calibration", "car_diagnosis"]
+    for golden in golden_dirs():
+        for filename in BUNDLE_FILES:
             assert (golden / filename).is_file()
 
 
-def test_regenerate_goldens_rewrites_them_byte_identically(tmp_path, monkeypatch):
+def test_regenerate_goldens_rewrites_them_byte_identically(tmp_path):
     copy = tmp_path / "corpus"
     shutil.copytree(CORPUS, copy)
-    for name in ("car_diagnosis", "calibration"):
-        for filename in BUNDLE_FILES:
-            (copy / "golden" / name / filename).unlink()
-    monkeypatch.setattr(okc.corpus, "corpus_root", lambda: copy)
-    lines: list[str] = []
-    written = regenerate_goldens(log=lines.append)
     expected = [copy / "golden" / name / filename
-                for name in ("car_diagnosis", "calibration") for filename in BUNDLE_FILES]
+                for name in ("calibration", "car_diagnosis") for filename in BUNDLE_FILES]
+    for path in expected:
+        path.unlink()
+    lines: list[str] = []
+    written = regenerate_goldens(copy, log=lines.append)
     assert written == expected
     assert lines == [f"regenerated {p}" for p in expected]
     for path in expected:
         assert path.read_bytes() == (CORPUS / path.relative_to(copy)).read_bytes(), path
+
+
+if __name__ == "__main__":
+    regenerate_goldens(CORPUS)

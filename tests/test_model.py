@@ -23,8 +23,7 @@ from traceability import Fixture, TraceRow
 import okc
 from okc import model
 from okc.bundle import BundleConcept, DomainRelation, ModelBundle, PlaysLink, RoleRecord
-from okc.checks import CheckContext, CheckInfo
-from okc.corpus import CorpusEntry
+from okc.checks import CheckInfo
 from okc.frontend import Token, parse
 from okc.kernel import KERNEL_DECLARATIONS, merge_with_kernel
 from okc.model import (
@@ -332,15 +331,12 @@ RECORDS = [
     (DisjointDecl, "second", ("A", "B", Origin.USER, _LINE)),
     (Diagnostic, "code", (Severity.ERROR, "W2", "m", _SPAN, ("A", "B"))),
     (CheckInfo, "axioms", ("S1", Severity.ERROR, "d", ("A9",))),
-    # Placeholders stand in for a loaded model's ontology, closure and facts.
-    (CheckContext, "closure", ("ontology", "closure", "facts")),
     (RoleRecord, "players", ("R", "data", "C", ("T",))),
     (BundleConcept, "methods", ("C", ("P",), (("rigidity", "rigid"),), (), (), ())),
     (DomainRelation, "range", ("r", "A", "B", False)),
     (PlaysLink, "role", ("T", "R")),
     (ModelBundle, "plays", (1, (), (), (), (), ())),
     (Token, "text", ("word", "concept", 1, 1)),
-    (CorpusEntry, "golden_dir", ("n", "n.oks", ("W2",), "golden/n")),
     (Fixture, "expect", ("derives", None, "src", "i", "C")),
     (TraceRow, "note", ("W2", ("check",), True, (), (), "n")),
 ]
@@ -372,9 +368,9 @@ def test_records_equal_only_records_of_their_own_class(cls, field, values):
 
 
 def test_importing_okc_leaves_dataclasses_unloaded(tmp_path):
-    """Every command loads each module of the package but `okc.corpus` and
-    `okc.__main__`, and nothing of the test tree; no import of okc loads
-    `dataclasses`.  The probe sees only the source tree and starts outside it."""
+    """Every command loads each module of the package but `okc.__main__`,
+    and nothing of the test tree; no import of okc loads `dataclasses`.
+    The probe sees only the source tree and starts outside it."""
     src = Path(okc.__file__).parents[1]
     model = tmp_path / "calibration.oks"
     model.write_text((CORPUS / "calibration.oks").read_text(encoding="utf-8"), encoding="utf-8")
@@ -389,11 +385,10 @@ def test_importing_okc_leaves_dataclasses_unloaded(tmp_path):
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'okc'))\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m.split('.')[0] in ('helpers', 'traceability', 'tests')))\n"
-        "import okc.corpus\n"
         "print('dataclasses' in sys.modules)\n")
     result = subprocess.run(
         [sys.executable, "-I", "-c", probe, str(src), str(model), str(tmp_path / "bundle")],
         capture_output=True, text=True, cwd=tmp_path, check=True)
     package = {f"okc.{path.stem}" for path in (src / "okc").glob("*.py")}
-    expected = sorted({"okc"} | package - {"okc.__init__", "okc.corpus", "okc.__main__"})
+    expected = sorted({"okc"} | package - {"okc.__init__", "okc.__main__"})
     assert result.stdout.splitlines() == [repr(expected), "[]", "False"]

@@ -34,7 +34,6 @@ from okc.checks import (
     _VALIDATOR_CHECKS,
     REGISTRY,
     SIGNATURE_AXIOM,
-    CheckContext,
     check_ad35,
     check_labels,
     check_s1,
@@ -210,14 +209,13 @@ def test_w2_and_l6_concept_findings_match_reachability_oracle(seed):
     nodes = sorted(onto.concepts)
     reach = reachability_oracle(nodes, {(n, p) for n in nodes
                                         for p in direct_supers(onto.concepts[n])})
-    closure = compute_closure(onto)
-    ctx = CheckContext(onto, closure, saturate(onto, closure))
+    facts = saturate(onto, compute_closure(onto))
     at = onto.source.span
-    w2 = {(d.subjects, d.span) for d in check_w2(ctx) if d.subjects[0] in onto.concepts}
+    w2 = {(d.subjects, d.span) for d in check_w2(facts) if d.subjects[0] in onto.concepts}
     assert w2 == {((c, a, b), at(onto.concepts[c].line))
                   for a, b in onto.disjoints for c in nodes
                   if (c, a) in reach and (c, b) in reach}, seed
-    l6 = {(d.subjects, d.span) for d in check_labels(ctx)
+    l6 = {(d.subjects, d.span) for d in check_labels(facts)
           if d.code == "L6"}
     rigidity = {c: onto.annotation_value(c, AXIS_RIGIDITY) for c in onto.annotations}
     assert l6 == {((upper, lower), at(onto.annotations[upper][AXIS_RIGIDITY].line))
@@ -258,8 +256,7 @@ def test_s2_matches_a_scan_of_every_ground(seed):
     """S2 reads only the facts of particularizing relations; a scan of every
     ground for the findings, and of every ground for a witness, agrees."""
     for onto in (random_saturation_model(seed), random_shared_model(seed)):
-        closure = compute_closure(onto)
-        facts = saturate(onto, closure)
+        facts = saturate(onto, compute_closure(onto))
         expected, grounds = set(), grounds_of(facts)
         for g in grounds:
             rel = onto.relations[g.relation]
@@ -269,7 +266,7 @@ def test_s2_matches_a_scan_of_every_ground(seed):
             if not any(w.relation == parent.name and w.args == g.args for w in grounds):
                 expected.add((f"fact {g.render()} has no witnessing "
                               f"{parent.name}({', '.join(g.args)}, t) fact", g.args))
-        found = check_s2(CheckContext(onto, closure, facts))
+        found = check_s2(facts)
         assert len(found) == len(expected)
         assert {(d.message, d.subjects) for d in found} == expected, seed
         for d in found:  # grounded at an asserted fact on the same arguments
@@ -285,10 +282,9 @@ def test_s1_matches_a_signature_scan_of_every_ground(seed):
     total = 0
     for onto in (particularization_model(seed), random_saturation_model(seed),
                  random_shared_model(seed)):
-        closure = compute_closure(onto)
-        facts = saturate(onto, closure)
+        facts = saturate(onto, compute_closure(onto))
         found = Counter((d.message, d.span, d.subjects)
-                        for d in check_s1(CheckContext(onto, closure, facts)))
+                        for d in check_s1(facts))
         expected = Counter()
         for g in grounds_of(facts):
             rel = onto.relations[g.relation]
@@ -317,14 +313,13 @@ def test_checks_never_materialise_every_ground(family):
         "saturation": lambda: [random_saturation_model(seed) for seed in range(40)],
     }[family]()
     for onto in models:
-        closure = compute_closure(onto)
-        ctx = CheckContext(onto, closure, saturate(onto, closure))
+        facts = saturate(onto, compute_closure(onto))
         for _, fn in _VALIDATOR_CHECKS:
             if fn is not None:
-                fn(ctx)
-        check_temporal_participation(ctx)
-        check_labels(ctx)
-        assert "trace" not in ctx.facts.__dict__  # the engine holds every ground
+                fn(facts)
+        check_temporal_participation(facts)
+        check_labels(facts)
+        assert "trace" not in facts.__dict__  # the engine holds every ground
 
 
 def test_user_annotation_conflicts_are_e6():
@@ -344,8 +339,7 @@ def test_user_annotation_conflicts_are_e6():
 
 
 def temporal_codes(onto):
-    closure = compute_closure(onto)
-    return check_temporal_participation(CheckContext(onto, closure, saturate(onto, closure)))
+    return check_temporal_participation(saturate(onto, compute_closure(onto)))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -445,8 +439,7 @@ def test_temporal_check_matches_a_scan_of_every_ground():
     cases, mapped = Counter(), 0
     for seed in range(100):
         onto = temporal_particularization_model(seed)
-        closure = compute_closure(onto)
-        facts = saturate(onto, closure)
+        facts = saturate(onto, compute_closure(onto))
         grounds = grounds_of(facts)
         mapped += sum(1 for g in grounds if g.relation == "isDataOf" and g not in onto.facts)
         expected, warned = Counter(), set()
@@ -469,7 +462,7 @@ def test_temporal_check_matches_a_scan_of_every_ground():
                               f"{side} presence time {pick(presence)}",
                               asserted_span(onto, facts, g), (x, y))] += 1
         found = Counter((d.code, d.severity, d.message, d.span, d.subjects) for d in
-                        check_temporal_participation(CheckContext(onto, closure, facts)))
+                        check_temporal_participation(facts))
         assert found == expected, seed
         cases.update((code, severity) for code, severity, *_ in found)
     assert mapped
@@ -484,8 +477,7 @@ def test_ad35_matches_a_scan_of_every_ground(family):
     build, seeds = FIXPOINT_MODELS[family]
     for seed in seeds:
         onto = build(seed)
-        closure = compute_closure(onto)
-        facts = saturate(onto, closure)
+        facts = saturate(onto, compute_closure(onto))
         grounds = grounds_of(facts)
         expected = Counter(
             (f"endurant instance '{name}' participates in no perdurant",
@@ -494,7 +486,7 @@ def test_ad35_matches_a_scan_of_every_ground(family):
             if kernel.ENDURANT in facts.concepts_of(name)
             and not any(g.relation == kernel.REL_PARTICIPATION and g.args[0] == name
                         for g in grounds))
-        found = check_ad35(CheckContext(onto, closure, facts))
+        found = check_ad35(facts)
         assert Counter((d.message, d.span, d.subjects) for d in found) == expected, (family, seed)
         assert all(d.severity is Severity.WARNING for d in found)
 

@@ -9,7 +9,7 @@ Mechanisms:
 
 Each row carries at least one passing fixture, and rows marked
 falsifiable carry at least one failing fixture.  Fixtures are either
-corpus entries (by registered name) or inline model sources, with an
+corpus files (by stem) or inline model sources, with an
 expectation the test suite executes:
 
     clean     validation reports no finding with the mapped check code
