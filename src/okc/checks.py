@@ -1,7 +1,17 @@
 """Well-formedness, axiom and labeling checks over a saturated ontology.
 
-Validator codes:
+Codes, in `REGISTRY` order.  The frontend, the loader and the bundle
+compiler emit the first nine; the checks here emit the rest.
 
+    P1    syntax or lexical error
+    E1    duplicate declaration name
+    E2    redefinition of a kernel name
+    E3    reference to an undeclared or wrong-kind name
+    E4    malformed declaration (arity, temporality, value)
+    E5    duplicate meta-label triple
+    E6    conflicting annotation for a meta-property axis
+    E7    invalid particularization (cycle or arity mismatch)
+    C1    no labels effective at the compile snapshot (warning)
     W1    subsumption taxonomy must be acyclic
     W2    declared disjointness coherence (concept- and instance-level)
     S1    relation signature conformance (also covers Ad33, A9, A12)
@@ -11,7 +21,7 @@ Validator codes:
     A13   a data participant is present from the perdurant's first
           declared presence time on (warning when no presence is declared)
     R13   dual for result participants: present through the last
-          declared presence time
+          declared presence time (warning when no presence is declared)
     Ad35  endurant instances should participate in some perdurant (warning)
     A7    Task labels only classify concepts under Reasoning
     A8    TransferFunction labels only classify concepts under Communication
@@ -28,16 +38,13 @@ function, reading the ontology and closure the fact base was saturated
 from; W1 takes the ontology, as it runs only when the closure fails.
 A check returns its findings in any order: `validate` sorts them, and
 equal sort keys mean equal findings, so the output depends only on the
-set of findings.
-
-Parse, load and compile stages use P1, E1..E7 and C1; those are emitted
-by the frontend, the loader and the bundle compiler but registered here
-so the code registry is closed in one place.
+set of findings.  W1 returns its findings sorted, as `okc explain` prints
+them as they come.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from . import kernel
 from .model import (
@@ -50,9 +57,7 @@ from .model import (
     LABEL_FAMILY,
     MetaLabel,
     Ontology,
-    Severity,
     _error,
-    _record,
     _warning,
     sort_diagnostics,
 )
@@ -63,14 +68,6 @@ from .reasoner import (
     find_subsumption_cycles,
     saturate,
 )
-
-
-@_record
-class CheckInfo(NamedTuple):
-    code: str
-    severity: Severity
-    description: str
-    axioms: tuple[str, ...] = ()
 
 
 CheckFn = Callable[[FactBase], list[Diagnostic]]
@@ -97,7 +94,7 @@ def check_w1(ontology: Ontology) -> list[Diagnostic]:
         if len(cycle) > W1_LISTED:
             members += f" -> ... ({len(cycle)} concepts)"
         diags.append(_error("W1", f"subsumption cycle: {members}", span, *cycle))
-    return diags
+    return sort_diagnostics(diags)
 
 
 def check_w2(facts: FactBase) -> list[Diagnostic]:
@@ -372,48 +369,28 @@ def _check_l6(ontology: Ontology, closure: SubsumptionClosure) -> list[Diagnosti
 
 # --- registry and driver -----------------------------------------------------
 
-FRONTEND_CODES: tuple[CheckInfo, ...] = (
-    CheckInfo("P1", Severity.ERROR, "syntax or lexical error"),
-    CheckInfo("E1", Severity.ERROR, "duplicate declaration name"),
-    CheckInfo("E2", Severity.ERROR, "redefinition of a kernel name"),
-    CheckInfo("E3", Severity.ERROR, "reference to an undeclared or wrong-kind name"),
-    CheckInfo("E4", Severity.ERROR, "malformed declaration (arity, temporality, value)"),
-    CheckInfo("E5", Severity.ERROR, "duplicate meta-label triple"),
-    CheckInfo("E6", Severity.ERROR, "conflicting annotation for a meta-property axis"),
-    CheckInfo("E7", Severity.ERROR, "invalid particularization (cycle or arity mismatch)"),
-    CheckInfo("C1", Severity.WARNING, "no labels effective at the compile snapshot"),
+_VALIDATOR_CHECKS: tuple[tuple[str, Optional[CheckFn]], ...] = (
+    ("W1", None),
+    ("W2", check_w2),
+    ("S1", check_s1),
+    ("S2", check_s2),
+    ("A3", check_a3),
+    ("A13", None),
+    ("R13", None),
+    ("Ad35", check_ad35),
+    ("A7", None),
+    ("A8", None),
+    ("L2b", None),
+    ("L3", None),
+    ("L4", None),
+    ("L5", None),
+    ("L6", None),
 )
 
-_VALIDATOR_CHECKS: tuple[tuple[CheckInfo, Optional[CheckFn]], ...] = (
-    (CheckInfo("W1", Severity.ERROR, "subsumption taxonomy acyclicity"), None),
-    (CheckInfo("W2", Severity.ERROR, "declared disjointness coherence"), check_w2),
-    (CheckInfo("S1", Severity.ERROR, "relation signature conformance",
-               ("Ad33", "A9", "A12")), check_s1),
-    (CheckInfo("S2", Severity.ERROR, "participation witness for atemporal "
-               "particularizations of temporal relations", ("A10",)), check_s2),
-    (CheckInfo("A3", Severity.ERROR,
-               "Reasoning/Communication instance disjointness", ("A3",)), check_a3),
-    (CheckInfo("A13", Severity.ERROR, "data participates from the start",
-               ("A13",)), None),
-    (CheckInfo("R13", Severity.ERROR, "result participates at the end"), None),
-    (CheckInfo("Ad35", Severity.WARNING, "endurant participation",
-               ("Ad35",)), check_ad35),
-    (CheckInfo("A7", Severity.ERROR, "Task labels classify Reasonings (L1)",
-               ("A7",)), None),
-    (CheckInfo("A8", Severity.ERROR,
-               "TransferFunction labels classify Communications (L2)",
-               ("A8",)), None),
-    (CheckInfo("L2b", Severity.ERROR, "Inference labels classify Reasonings"), None),
-    (CheckInfo("L3", Severity.ERROR, "knowledge-role family preconditions"), None),
-    (CheckInfo("L4", Severity.ERROR, "identity-criterion coherence"), None),
-    (CheckInfo("L5", Severity.ERROR, "label exclusivity per time point"), None),
-    (CheckInfo("L6", Severity.ERROR, "rigidity subsumption coherence"), None),
+REGISTRY: tuple[str, ...] = (
+    "P1", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "C1",
+    *(code for code, _ in _VALIDATOR_CHECKS),
 )
-
-REGISTRY: dict[str, CheckInfo] = {
-    **{info.code: info for info in FRONTEND_CODES},
-    **{info.code: info for info, _ in _VALIDATOR_CHECKS},
-}
 
 
 def validate(ontology: Ontology) -> list[Diagnostic]:
@@ -421,10 +398,10 @@ def validate(ontology: Ontology) -> list[Diagnostic]:
     try:
         closure = compute_closure(ontology)
     except ValueError:  # a cycle: closure-dependent checks need an acyclic taxonomy
-        return sort_diagnostics(check_w1(ontology))
+        return check_w1(ontology)
     facts = saturate(ontology, closure)
     diags: list[Diagnostic] = []
-    for info, fn in _VALIDATOR_CHECKS:
+    for _, fn in _VALIDATOR_CHECKS:
         if fn is not None:
             diags.extend(fn(facts))
     diags.extend(check_temporal_participation(facts))

@@ -98,7 +98,7 @@ def _load_file(path: str) -> tuple[Optional[Ontology], list[Diagnostic]]:
     return merge_with_kernel(decls, SourceText(path, text))
 
 
-def _cmd_check(args, stdout: TextIO, stderr: TextIO) -> int:
+def _cmd_check(args, stderr: TextIO) -> int:
     diags: list[Diagnostic] = []
     for path in args.files:
         onto, stage_diags = _load_file(path)
@@ -110,7 +110,7 @@ def _cmd_check(args, stdout: TextIO, stderr: TextIO) -> int:
     return _exit_for(diags, args.werror)
 
 
-def _cmd_compile(args, stdout: TextIO, stderr: TextIO) -> int:
+def _cmd_compile(args, stderr: TextIO) -> int:
     if args.at is not None and args.at < 0:
         raise _UsageError("--at must be non-negative")
     onto, diags = _load_file(args.file)
@@ -152,9 +152,9 @@ def main(argv: Optional[Sequence[str]] = None,
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "check":
-            return _cmd_check(args, stdout, stderr)
+            return _cmd_check(args, stderr)
         if args.command == "compile":
-            return _cmd_compile(args, stdout, stderr)
+            return _cmd_compile(args, stderr)
         if args.command == "explain":
             return _cmd_explain(args, stdout, stderr)
         stdout.write(render(kernel_ontology()))

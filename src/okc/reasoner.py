@@ -241,12 +241,6 @@ class Derivation(NamedTuple):
 _ASSERTED = Derivation(RULE_ASSERTED, ())
 
 
-def entry_sort_key(entry: Entry) -> tuple:
-    if isinstance(entry, Member):
-        return (0, entry.instance, entry.concept)
-    return (1, entry.relation, entry.args, -1 if entry.time is None else entry.time)
-
-
 # --- the rule set ------------------------------------------------------------
 
 
@@ -650,7 +644,7 @@ def explain_instance(factbase: FactBase, instance: str) -> str:
         entry = Member(instance, concept)
         lines.append("  " + _trace_line(factbase, entry))
     involved = sorted((g for g in factbase.trace if isinstance(g, Ground) and instance in g.args),
-                      key=entry_sort_key)
+                      key=lambda g: (g.relation, g.args, -1 if g.time is None else g.time))
     if involved:
         lines.append(f"facts involving {instance}:")
         for g in involved:

@@ -219,3 +219,85 @@ COLUMNS_CHECKS_SOURCE = (
     "\u3000label Task Both at 1\n"
     "label Task Solve at 1\n"
 )
+
+
+# --- the token parser and the finding paths ----------------------------------
+
+
+# USER_RELATIONS_SOURCE plus the forms it lacks (a disjointness, a concept
+# without parents, an instance of two concepts), with every space an
+# ideographic space (U+3000).  The accept path refuses every line, so the
+# token parser reads each into the declaration the accept path would build.
+TOKEN_PARSER_SOURCE = (
+    USER_RELATIONS_SOURCE
+    + "disjoint Mechanic Pump\nconcept Gauge\ninstance g : Gauge, POB\nfact PC(g, d1, 0)\n"
+).replace(" ", "\u3000")
+
+_TOO_LARGE = "9" * 4301  # one digit past the longest time point
+
+# One P1 a line: each statement form, with each message its parser gives.
+P1_SOURCE = "".join(line + "\n" for line in (
+    "bogus X",
+    "concept", "concept X specializes", "concept X specializes A,", "concept X = 1 and B",
+    "concept X = A or B", "concept X = A and", "concept X extends A",
+    "role", "role R data of X", "role R = input of X", "role R = data for X",
+    "role R = data of", "role R = data of X Y",
+    "relation", "relation r particularizes", "relation r (A)", "relation r signature A",
+    "relation r signature ()", "relation r signature (A B)", "relation r signature (A |)",
+    "relation r signature (A) eternal",
+    "disjoint A", "disjoint A B C",
+    "label Hat X at 1", "label Task", "label Task X 1", "label Task X at",
+    f"label Task X at {_TOO_LARGE}", "label Task X at 1 2",
+    "annotate", "annotate X size big", "annotate X rigidity soft",
+    "annotate X rigidity rigid now",
+    "instance", "instance x X", "instance x :", "instance x : A,", "instance x : A B",
+    "fact", "fact r x", "fact r()", "fact r(x, =)", "fact r(x y)", "fact r(x, 1, 2)",
+    f"fact r(x, {_TOO_LARGE})", "fact r(x) y",
+))
+
+# Load findings the other inputs do not give: E1 and E2 across kinds; E3 on
+# an undeclared parent relation, an annotated undeclared concept, and the
+# facts of a concept and of an undeclared relation; E4 on a fact with a time
+# but no argument and on a concept disjoint with itself; and E7 on a cycle
+# and on a relation leading into it.
+LOAD_FINDINGS_SOURCE = """\
+concept Gadget specializes POB
+instance Gadget : PT
+relation Gizmo signature (PT)
+concept Gizmo specializes PT
+instance Reasoning : PT
+relation Data signature (PT)
+relation derived particularizes missing signature (PT)
+annotate Ghost rigidity rigid
+instance g : Gadget
+fact Gadget(g)
+fact Nowhere(g)
+fact PRE(0)
+disjoint Gadget Gadget
+relation loopA particularizes loopB signature (PT)
+relation loopB particularizes loopA signature (PT)
+relation intoLoop particularizes loopB signature (PT)
+"""
+
+
+def cycle_source(n: int) -> str:
+    """n concepts in one subsumption cycle, and an instance `x` of the first."""
+    lines = [f"concept K{i:05d} specializes K{(i + 1) % n:05d}" for i in range(n)]
+    return "\n".join(lines + ["instance x : K00000"]) + "\n"
+
+
+# L4 on each role flavor that can fail it: a material role with all three
+# failures, an Output label on a data role and an Input label on a result
+# role.  Each concept passes L3.
+L4_SOURCE = """\
+concept Diagnosis specializes Reasoning
+role Evidence = data of Diagnosis
+role Finding = result of Diagnosis
+annotate Evidence rigidity anti-rigid
+annotate Evidence dependence dependent
+annotate Finding rigidity anti-rigid
+annotate Finding dependence dependent
+label MaterialKnowledgeRole Evidence at 1
+label Output Evidence at 2
+label Input Finding at 2
+"""

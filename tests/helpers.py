@@ -15,7 +15,12 @@ from typing import Optional
 from digest_inputs import (  # noqa: F401  (re-exported)
     COLUMNS_CHECKS_SOURCE,
     COLUMNS_LOAD_SOURCE,
+    L4_SOURCE,
+    LOAD_FINDINGS_SOURCE,
+    P1_SOURCE,
+    TOKEN_PARSER_SOURCE,
     USER_RELATIONS_SOURCE,
+    cycle_source,
     d1_source,
     deep_chain_source,
     particularization_source,

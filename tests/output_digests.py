@@ -18,7 +18,16 @@ the seed-3 files of the three benchmark workloads, generated by
   - columns: `COLUMNS_LOAD_SOURCE` (E1, E3, E5, E6) and
     `COLUMNS_CHECKS_SOURCE` (W2, S1, A7, Ad35), with findings on lines
     indented by spaces, tabs, form feed, U+0085 and U+3000, and on line 1
-    after a BOM.
+    after a BOM;
+  - the token parser: `TOKEN_PARSER_SOURCE`, a clean model whose every
+    line only the token parser reads, with probe `e1`, and `P1_SOURCE`, a
+    P1 for each statement form and message;
+  - finding paths the other inputs miss: `LOAD_FINDINGS_SOURCE` (E1 and E2
+    across kinds, E3 on a parent relation, an annotation and two fact
+    relations, E4 on `fact PRE(0)` and a self-disjointness, E7 on a cycle
+    and its lead-in), `cycle_source(12)`, whose W1 message is cut at 10
+    members, with probe `x`, and `L4_SOURCE` (L4 on the material, Input
+    and Output roles).
 
 Each file runs through `okc check` (text and `--format json`) and `okc
 compile` (text and json); each file with a probe instance also runs
@@ -49,7 +58,12 @@ import families  # noqa: E402
 from digest_inputs import (  # noqa: E402
     COLUMNS_CHECKS_SOURCE,
     COLUMNS_LOAD_SOURCE,
+    L4_SOURCE,
+    LOAD_FINDINGS_SOURCE,
+    P1_SOURCE,
+    TOKEN_PARSER_SOURCE,
     USER_RELATIONS_SOURCE,
+    cycle_source,
     d1_source,
     deep_chain_source,
     particularization_source,
@@ -84,6 +98,11 @@ def _inputs() -> list[tuple[str, str, str | None]]:
     out += [(f"rules/{name}.oks", text, probe) for name, text, probe in rules]
     out += [("columns/load.oks", COLUMNS_LOAD_SOURCE, None),
             ("columns/checks.oks", COLUMNS_CHECKS_SOURCE, None)]
+    out += [("parser/tokens.oks", TOKEN_PARSER_SOURCE, "e1"),
+            ("parser/p1.oks", P1_SOURCE, None),
+            ("findings/load.oks", LOAD_FINDINGS_SOURCE, None),
+            ("findings/cycle_12.oks", cycle_source(12), "x"),
+            ("findings/l4.oks", L4_SOURCE, None)]
     return out
 
 

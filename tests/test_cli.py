@@ -368,6 +368,17 @@ def test_explain_on_cyclic_taxonomy_reports_w1():
     assert code == 1 and "error[W1]" in err and out == ""
 
 
+def test_explain_prints_w1_findings_as_check_does(tmp_path):
+    path = tmp_path / "two_cycles.oks"
+    path.write_text("concept C specializes D\nconcept D specializes C\n"
+                    "concept A specializes B\nconcept B specializes A\n"
+                    "instance x : PT\n", encoding="utf-8")
+    checked, explained = run("check", str(path)), run("explain", str(path), "x")
+    assert checked[0] == explained[0] == 1 and checked[1] == explained[1] == ""
+    assert explained[2] == checked[2]
+    assert checked[2].splitlines()[0].endswith(":1:1: error[W1] subsumption cycle: C -> D")
+
+
 def test_explain_without_arguments_is_usage_error():
     code, _, err = run("explain")
     assert code == 3

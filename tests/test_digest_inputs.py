@@ -2,7 +2,9 @@
 
 The digest script runs over the `src` of other checkouts too, so its
 inputs must load without `okc`, and the one input rendered by `okc` is a
-checked-in file that must stay what this checkout renders.
+checked-in file that must stay what this checkout renders.  The inputs
+written for the token parser and the finding paths give what the digest
+script's docstring lists them for.
 """
 
 from __future__ import annotations
@@ -11,9 +13,17 @@ import subprocess
 import sys
 from pathlib import Path
 
-from helpers import random_shared_model
+from helpers import (
+    L4_SOURCE,
+    LOAD_FINDINGS_SOURCE,
+    P1_SOURCE,
+    TOKEN_PARSER_SOURCE,
+    check_source,
+    cycle_source,
+    random_shared_model,
+)
 
-from okc.frontend import render
+from okc.frontend import _accept, parse, render
 
 TESTS = Path(__file__).resolve().parent
 
@@ -33,3 +43,23 @@ def test_digest_inputs_import_nothing_from_okc():
     result = subprocess.run([sys.executable, "-I", "-c", probe, str(TESTS)],
                             capture_output=True, text=True, check=True)
     assert result.stdout.splitlines() == ["['okc']"]
+
+
+def test_token_parser_source_reads_every_line_by_the_token_parser():
+    lines = TOKEN_PARSER_SOURCE.splitlines()
+    assert not any(_accept(line, n) for n, line in enumerate(lines, start=1))
+    assert parse(TOKEN_PARSER_SOURCE, "a") == parse(TOKEN_PARSER_SOURCE.replace("\u3000", " "), "a")
+    assert check_source(TOKEN_PARSER_SOURCE) == []
+
+
+def test_p1_source_gives_one_p1_a_line():
+    decls, diags = parse(P1_SOURCE, "p1.oks")
+    assert decls == []
+    assert [(d.code, d.span.line) for d in diags] == \
+        [("P1", n) for n in range(1, len(P1_SOURCE.splitlines()) + 1)]
+
+
+def test_finding_sources_give_their_codes():
+    codes = {name: sorted({d.code for d in check_source(text)}) for name, text in (
+        ("load", LOAD_FINDINGS_SOURCE), ("cycle", cycle_source(12)), ("l4", L4_SOURCE))}
+    assert codes == {"load": ["E1", "E2", "E3", "E4", "E7"], "cycle": ["W1"], "l4": ["L4"]}

@@ -23,7 +23,6 @@ from traceability import Fixture, TraceRow
 import okc
 from okc import model
 from okc.bundle import BundleConcept, DomainRelation, ModelBundle, PlaysLink, RoleRecord
-from okc.checks import CheckInfo
 from okc.frontend import Token, parse
 from okc.kernel import KERNEL_DECLARATIONS, merge_with_kernel
 from okc.model import (
@@ -330,7 +329,6 @@ RECORDS = [
     (Fact, "args", ("r", ("i",), None, Origin.USER, _LINE)),
     (DisjointDecl, "second", ("A", "B", Origin.USER, _LINE)),
     (Diagnostic, "code", (Severity.ERROR, "W2", "m", _SPAN, ("A", "B"))),
-    (CheckInfo, "axioms", ("S1", Severity.ERROR, "d", ("A9",))),
     (RoleRecord, "players", ("R", "data", "C", ("T",))),
     (BundleConcept, "methods", ("C", ("P",), (("rigidity", "rigid"),), (), (), ())),
     (DomainRelation, "range", ("r", "A", "B", False)),

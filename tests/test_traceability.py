@@ -16,6 +16,7 @@ from traceability import (
     TraceRow,
 )
 
+from okc.bundle import compile_bundle
 from okc.checks import REGISTRY
 from okc.kernel import kernel_ontology
 from okc.model import Severity
@@ -93,7 +94,10 @@ def test_fixtures_behave_as_recorded(row):
 
 
 def test_error_severity_blocks_compilation_codes():
-    # Warning-only codes never block; confirmed against the registry.
-    assert REGISTRY["Ad35"].severity is Severity.WARNING
-    assert REGISTRY["C1"].severity is Severity.WARNING
-    assert REGISTRY[BY_CODE["A7"].mechanism[1]].severity is Severity.ERROR
+    # Severities as emitted: Ad35 and C1 warn, so they never block a compile; A7 errs.
+    ad35 = check_source(corpus_source("ad35_idle_endurant"))
+    assert {(d.code, d.severity) for d in ad35} == {("Ad35", Severity.WARNING)}
+    a7 = check_source(corpus_source("a7_task_on_state"))
+    assert {(d.code, d.severity) for d in a7} == {(BY_CODE["A7"].mechanism[1], Severity.ERROR)}
+    _, warnings = compile_bundle(kernel_ontology(), 0)
+    assert [(d.code, d.severity) for d in warnings] == [("C1", Severity.WARNING)]

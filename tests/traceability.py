@@ -28,7 +28,7 @@ from okc.model import _record
 # The saturation rules, as a trace's `Derivation.rule` names them.
 RULE_CODES = ("M-up", "R-up", "D1", "D2", "D3", "D4", "D5", "D6")
 # The validator's check codes, in the order `validate` runs them.
-VALIDATOR_CODES: tuple[str, ...] = tuple(info.code for info, _ in _VALIDATOR_CHECKS)
+VALIDATOR_CODES: tuple[str, ...] = tuple(code for code, _ in _VALIDATOR_CHECKS)
 
 
 @_record
