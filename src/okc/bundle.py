@@ -34,7 +34,6 @@ from .model import (
     Diagnostic,
     LABEL_FAMILY,
     Ontology,
-    Origin,
     RoleDefinition,
     Severity,
     _record,
@@ -226,7 +225,7 @@ def compile_bundle(
         DomainRelation(r.name, "|".join(r.signature[0]),
                        "|".join(r.signature[-1]), r.temporal)
         for r in sorted(ontology.relations.values(), key=lambda r: r.name)
-        if r.origin is Origin.USER
+        if r.line > 0
         and all(m in domain_set for union in r.signature for m in union))
     plays = tuple(
         PlaysLink(c.definition.type_concept, c.name)

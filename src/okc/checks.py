@@ -59,6 +59,7 @@ from .model import (
     Ontology,
     _error,
     _warning,
+    direct_supers,
     sort_diagnostics,
 )
 from .reasoner import (
@@ -87,13 +88,31 @@ W1_LISTED = 10  # members a W1 message names; its subjects list them all
 
 
 def check_w1(ontology: Ontology) -> list[Diagnostic]:
+    """One finding per cycle component, at its least member.  The message
+    names a shortest cycle of declared edges through that member, found
+    breadth-first with parents in name order, then the component's size
+    if it names fewer than all."""
     diags = []
-    for cycle in find_subsumption_cycles(ontology):
-        span = ontology.source.span(ontology.concepts[cycle[0]].line)
-        members = " -> ".join(cycle[:W1_LISTED])
-        if len(cycle) > W1_LISTED:
-            members += f" -> ... ({len(cycle)} concepts)"
-        diags.append(_error("W1", f"subsumption cycle: {members}", span, *cycle))
+    for component in find_subsumption_cycles(ontology):
+        start, inside = component[0], set(component)
+        came_from: dict[str, str] = {}
+        queue = [start]
+        for node in queue:
+            if start in came_from:
+                break
+            for parent in sorted(inside.intersection(direct_supers(ontology.concepts[node]))):
+                if parent not in came_from:
+                    came_from[parent] = node
+                    queue.append(parent)
+        cycle = [came_from[start]]
+        while cycle[-1] != start:
+            cycle.append(came_from[cycle[-1]])
+        listed = cycle[::-1][:W1_LISTED]
+        members = " -> ".join(listed)
+        if len(listed) < len(component):
+            members += f" -> ... ({len(component)} concepts)"
+        span = ontology.source.span(ontology.concepts[start].line)
+        diags.append(_error("W1", f"subsumption cycle: {members}", span, *component))
     return sort_diagnostics(diags)
 
 

@@ -61,7 +61,6 @@ from .model import (
     InstanceDecl,
     MetaLabel,
     Ontology,
-    Origin,
     PRIMITIVES,
     RelationDecl,
     RoleDefinition,
@@ -391,7 +390,6 @@ _TIME = rf"[0-9]{{1,{MAX_TIME_DIGITS}}}"
 _NAMES = rf"{_IDENT}(?:[ \t]*,[ \t]*{_IDENT})*"
 _findall_names = re.compile(_IDENT).findall
 _new = tuple.__new__  # one C call per record: no NamedTuple __new__ frame
-_USER = Origin.USER  # read once: EnumType's attribute hook runs on every Origin.USER
 
 
 def _form(keyword: str, body: str) -> re.Pattern:
@@ -402,22 +400,22 @@ def _accept_concept(m: re.Match, line: int) -> ConceptDecl:
     name, parents, type_concept, formal_role = m.group(1, 2, 3, 4)
     parents = () if parents is None else tuple(_findall_names(parents))
     definition = None if type_concept is None else _new(Conjunction, (type_concept, formal_role))
-    return _new(ConceptDecl, (name, parents, definition, _USER, line))
+    return _new(ConceptDecl, (name, parents, definition, line))
 
 
 def _accept_role(m: re.Match, line: int) -> ConceptDecl:
     name, mode, reasoning = m.group(1, 2, 3)
-    return _new(ConceptDecl, (name, (), _new(RoleDefinition, (mode, reasoning)), _USER, line))
+    return _new(ConceptDecl, (name, (), _new(RoleDefinition, (mode, reasoning)), line))
 
 
 def _accept_relation(m: re.Match, line: int) -> RelationDecl:
     name, particularizes, signature, temporal = m.group(1, 2, 3, 4)
     positions = tuple(tuple(sorted(_findall_names(p))) for p in signature.split(","))
-    return _new(RelationDecl, (name, positions, temporal is not None, particularizes, _USER, line))
+    return _new(RelationDecl, (name, positions, temporal is not None, particularizes, line))
 
 
 def _accept_disjoint(m: re.Match, line: int) -> DisjointDecl:
-    return _new(DisjointDecl, (*m.group(1, 2), _USER, line))
+    return _new(DisjointDecl, (*m.group(1, 2), line))
 
 
 def _accept_label(m: re.Match, line: int) -> Optional[MetaLabel]:
@@ -425,19 +423,19 @@ def _accept_label(m: re.Match, line: int) -> Optional[MetaLabel]:
     value = _time_value(time)
     if primitive not in PRIMITIVES or value is None:
         return None
-    return _new(MetaLabel, (primitive, concept, value, _USER, line))
+    return _new(MetaLabel, (primitive, concept, value, line))
 
 
 def _accept_annotate(m: re.Match, line: int) -> Optional[AnnotationDecl]:
     concept, axis, value = m.group(1, 2, 3)
     if value not in ANNOTATION_VALUES.get(axis, ()):
         return None
-    return _new(AnnotationDecl, (concept, axis, value, _USER, line))
+    return _new(AnnotationDecl, (concept, axis, value, line))
 
 
 def _accept_instance(m: re.Match, line: int) -> InstanceDecl:
     name, concepts = m.group(1, 2)
-    return _new(InstanceDecl, (name, tuple(_findall_names(concepts)), _USER, line))
+    return _new(InstanceDecl, (name, tuple(_findall_names(concepts)), line))
 
 
 def _accept_fact(m: re.Match, line: int) -> Optional[Fact]:
@@ -445,7 +443,7 @@ def _accept_fact(m: re.Match, line: int) -> Optional[Fact]:
     value = None if time is None else _time_value(time)
     if time is not None and value is None:
         return None
-    return _new(Fact, (relation, tuple(_findall_names(args)), value, _USER, line))
+    return _new(Fact, (relation, tuple(_findall_names(args)), value, line))
 
 
 _Builder = Callable[[re.Match, int], Optional[Declaration]]

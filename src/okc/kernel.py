@@ -33,7 +33,6 @@ from .model import (
     DisjointDecl,
     KERNEL_SOURCE,
     Ontology,
-    Origin,
     RelationDecl,
     SourceText,
     AXIS_DEPENDENCE,
@@ -120,15 +119,14 @@ _PARTICIPATION_ROLES = ("Patient", "Data", "Result")
 
 
 KERNEL_DECLARATIONS: tuple[Declaration, ...] = (
-    *(ConceptDecl(name, parents, origin=Origin.KERNEL) for name, parents in _CONCEPTS),
-    *(RelationDecl(name, signature, temporal=temporal, particularizes=parent,
-                   origin=Origin.KERNEL)
+    *(ConceptDecl(name, parents) for name, parents in _CONCEPTS),
+    *(RelationDecl(name, signature, temporal=temporal, particularizes=parent)
       for name, parent, signature, temporal in _RELATIONS),
-    *(DisjointDecl(a, b, origin=Origin.KERNEL) for a, b in _DISJOINT),
-    *(AnnotationDecl(name, AXIS_RIGIDITY, "rigid", origin=Origin.KERNEL) for name in _RIGID),
+    *(DisjointDecl(a, b) for a, b in _DISJOINT),
+    *(AnnotationDecl(name, AXIS_RIGIDITY, "rigid") for name in _RIGID),
     *(decl for name in _PARTICIPATION_ROLES for decl in (
-        AnnotationDecl(name, AXIS_RIGIDITY, "anti-rigid", origin=Origin.KERNEL),
-        AnnotationDecl(name, AXIS_DEPENDENCE, "dependent", origin=Origin.KERNEL))),
+        AnnotationDecl(name, AXIS_RIGIDITY, "anti-rigid"),
+        AnnotationDecl(name, AXIS_DEPENDENCE, "dependent"))),
 )
 
 
@@ -146,6 +144,6 @@ def merge_with_kernel(
 ) -> tuple[Optional[Ontology], list[Diagnostic]]:
     """Graft user declarations onto the kernel; kernel names stay fixed.
 
-    `source` is the text the declarations were parsed from.  Records built
-    in code have line 0, as the kernel's do, and need none."""
+    `source` is the text the declarations were parsed from.  A record
+    built in code without a line counts as the kernel's, and needs none."""
     return load(chain(KERNEL_DECLARATIONS, decls), source)

@@ -12,16 +12,17 @@ triple is a load error (E5).
 
 Every okc record is an immutable tuple record (`typing.NamedTuple`)
 with read-only fields under `_record`: declarations, their definitions,
-source spans and diagnostics here, and the tokens, registry rows and
-bundle records of the other modules.  Each equals only records
-of its own class, never a plain tuple or another record class, and
-hashes as the tuple of its fields.
+source spans and diagnostics here, and the tokens and bundle records
+of the other modules.  Each equals only records of its own class,
+never a plain tuple or another record class, and hashes as the tuple
+of its fields.
 
 A declaration holds the 1-based number of the line it was parsed from,
-or 0 for the kernel's; one statement per line makes (file, line) name
-it.  Only diagnostics and tokens hold a `SourceSpan`.  A diagnostic's
-span is built when the diagnostic is: the loaded Ontology keeps its
-file's `SourceText`, which turns a line into the statement's span.
+or 0 for the kernel's, so a record built in code without a line counts
+as the kernel's; one statement per line makes (file, line) name it.
+Only diagnostics and tokens hold a `SourceSpan`.  A diagnostic's span is
+built when the diagnostic is: the loaded Ontology keeps its file's
+`SourceText`, which turns a line into the statement's span.
 """
 
 from __future__ import annotations
@@ -35,11 +36,6 @@ from typing import Iterable, NamedTuple, Optional, Union, get_args
 class Severity(str, Enum):
     ERROR = "error"
     WARNING = "warning"
-
-
-class Origin(str, Enum):
-    KERNEL = "kernel"
-    USER = "user"
 
 
 def _record(cls):
@@ -216,7 +212,6 @@ class ConceptDecl(NamedTuple):
     name: str
     parents: tuple[str, ...] = ()
     definition: Optional[Definition] = None
-    origin: Origin = Origin.USER
     line: int = 0
 
     def content(self) -> tuple:
@@ -235,7 +230,6 @@ class RelationDecl(NamedTuple):
     signature: tuple[tuple[str, ...], ...]
     temporal: bool = False
     particularizes: Optional[str] = None
-    origin: Origin = Origin.USER
     line: int = 0
 
     @property
@@ -253,7 +247,6 @@ class AnnotationDecl(NamedTuple):
     concept: str
     axis: str
     value: str
-    origin: Origin = Origin.USER
     line: int = 0
 
 
@@ -264,7 +257,6 @@ class MetaLabel(NamedTuple):
     primitive: str
     concept: str
     time: int
-    origin: Origin = Origin.USER
     line: int = 0
 
 
@@ -272,7 +264,6 @@ class MetaLabel(NamedTuple):
 class InstanceDecl(NamedTuple):
     name: str
     concepts: tuple[str, ...]
-    origin: Origin = Origin.USER
     line: int = 0
 
     def content(self) -> tuple:
@@ -280,7 +271,7 @@ class InstanceDecl(NamedTuple):
 
 
 class Ground(NamedTuple):
-    """A fact without origin or line; unlike the records, it equals a plain tuple."""
+    """A fact without its line; unlike the records, it equals a plain tuple."""
 
     relation: str
     args: tuple[str, ...]
@@ -298,7 +289,6 @@ class Fact(NamedTuple):
     relation: str
     args: tuple[str, ...]
     time: Optional[int] = None
-    origin: Origin = Origin.USER
     line: int = 0
 
     def key(self) -> Ground:
@@ -310,7 +300,6 @@ class Fact(NamedTuple):
 class DisjointDecl(NamedTuple):
     first: str
     second: str
-    origin: Origin = Origin.USER
     line: int = 0
 
     def pair(self) -> tuple[str, str]:
@@ -378,12 +367,8 @@ def direct_supers(concept: ConceptDecl) -> tuple[str, ...]:
     return concept.parents + implied
 
 
-def _line_order(decl) -> tuple:
-    return (decl.origin is not Origin.KERNEL, decl.line)
-
-
 def _earliest(decls: list, keys: Iterable) -> tuple[dict, dict[object, list]]:
-    """The earliest declaration per key (kernel first, then by line), and
+    """The earliest declaration per key (by line, the kernel's first), and
     each repeated key's declarations in that order.  `keys` runs beside
     `decls`; they are walked one by one only on a repeat."""
     keys = list(keys)
@@ -397,7 +382,7 @@ def _earliest(decls: list, keys: Iterable) -> tuple[dict, dict[object, list]]:
             else:
                 first[k] = d
     for k, group in duplicates.items():
-        group.sort(key=_line_order)
+        group.sort(key=attrgetter("line"))
         first[k] = group[0]
     return first, duplicates
 
@@ -462,7 +447,7 @@ def _collapse_named(decls, span, diags: list[Diagnostic]) -> dict:
         for other in group[1:]:
             if other.content() == canonical.content():
                 continue  # identical re-declaration: set semantics
-            if canonical.origin is Origin.KERNEL:
+            if canonical.line == 0:
                 diags.append(_error(
                     "E2", f"'{name}' redefines a kernel declaration", span(other.line), name))
             else:
@@ -479,8 +464,8 @@ def _check_cross_kind(concepts, relations, instances, span, diags) -> None:
         for kind_b, map_b in kinds[i + 1:]:
             for name in map_a.keys() & map_b.keys():
                 a, b = map_a[name], map_b[name]
-                first, second = sorted((a, b), key=_line_order)
-                code = "E2" if first.origin is Origin.KERNEL else "E1"
+                first, second = sorted((a, b), key=attrgetter("line"))
+                code = "E2" if first.line == 0 else "E1"
                 what = ("redefines a kernel declaration" if code == "E2"
                         else f"already declared as a {kind_a if second is b else kind_b}")
                 diags.append(_error(code, f"'{name}' {what}", span(second.line), name))

@@ -41,7 +41,6 @@ from okc.model import (
     Fact,
     InstanceDecl,
     MetaLabel,
-    Origin,
     AnnotationDecl,
     DisjointDecl,
     RelationDecl,
@@ -85,14 +84,19 @@ def all_codes(diags) -> set[str]:
     return {d.code for d in diags}
 
 
+_KERNEL_RECORDS = frozenset(kernel.KERNEL_DECLARATIONS)
+
+
 def ontology_content(onto) -> tuple:
     """What an Ontology declares, without line numbers: loads of the same
-    declarations, in any order and from any file names, have equal contents."""
+    declarations, in any order and from any file names, have equal contents.
+    Each declaration is marked by whether it is one of the kernel's."""
     return (
-        {n: (c.content(), c.origin) for n, c in onto.concepts.items()},
-        {n: (r.content(), r.origin) for n, r in onto.relations.items()},
-        {n: (i.content(), i.origin) for n, i in onto.instances.items()},
-        {(c, a): (d.value, d.origin) for c, per in onto.annotations.items() for a, d in per.items()},
+        {n: (c.content(), c in _KERNEL_RECORDS) for n, c in onto.concepts.items()},
+        {n: (r.content(), r in _KERNEL_RECORDS) for n, r in onto.relations.items()},
+        {n: (i.content(), i in _KERNEL_RECORDS) for n, i in onto.instances.items()},
+        {(c, a): (d.value, d in _KERNEL_RECORDS) for c, per in onto.annotations.items()
+         for a, d in per.items()},
         frozenset(onto.labels),
         frozenset(onto.facts),
         frozenset(onto.disjoints),
@@ -896,7 +900,7 @@ def reference_documents(ontology, snapshot_time: int) -> dict[str, dict]:
     relations = [{"name": r.name, "domain": "|".join(r.signature[0]),
                   "range": "|".join(r.signature[-1]), "temporal": r.temporal}
                  for r in sorted(ontology.relations.values(), key=lambda r: r.name)
-                 if r.origin is Origin.USER
+                 if r.line > 0
                  and all(c in domain for union in r.signature for c in union)]
     plays = [{"type": c.definition.type_concept, "role": c.name}
              for c in sorted(ontology.conjunctions(), key=lambda c: c.name)]

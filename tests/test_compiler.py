@@ -34,8 +34,9 @@ from okc.bundle import (
     emit_bundle,
 )
 from okc.checks import validate
-from okc.kernel import kernel_ontology
-from okc.model import sort_diagnostics
+from okc.frontend import parse
+from okc.kernel import kernel_ontology, merge_with_kernel
+from okc.model import RelationDecl, SourceText, sort_diagnostics
 from okc.reasoner import compute_closure
 
 
@@ -257,6 +258,22 @@ def test_domain_relations_between_domain_concepts():
     bundle, _ = compile_bundle(onto, 1)
     assert [r.name for r in bundle.domain_relations] == ["feeds"]
     assert [c.name for c in bundle.domain_concepts] == ["Engine", "FuelTank"]
+
+
+def test_relation_built_without_a_line_stays_out_of_the_domain_model():
+    """Line 0 marks a kernel declaration, so a relation built in code
+    without a line is not the user's and joins no domain model."""
+    text = ("concept Engine specializes POB\n"
+            "concept FuelTank specializes POB\n"
+            "relation feeds signature (FuelTank, Engine)\n"
+            "label DomainConcept Engine at 1\n"
+            "label DomainConcept FuelTank at 1\n")
+    decls, _ = parse(text, "<test>")
+    onto, diags = merge_with_kernel(
+        [*decls, RelationDecl("pumps", (("FuelTank",), ("Engine",)))], SourceText("<test>", text))
+    assert diags == []
+    bundle, _ = compile_bundle(onto, 1)
+    assert [r.name for r in bundle.domain_relations] == ["feeds"]
 
 
 def test_domain_parents_restricted_to_model_members():

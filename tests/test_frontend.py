@@ -19,7 +19,6 @@ from okc.model import (
     Fact,
     InstanceDecl,
     MetaLabel,
-    Origin,
     RelationDecl,
     RoleDefinition,
     Severity,
@@ -300,14 +299,16 @@ def test_accept_path_returns_what_the_token_parser_returns_on_the_workload_files
 
 
 def test_records_hold_their_line_numbers(monkeypatch):
-    """Kernel records hold line 0.  Each record parsed from a seed-3 benchmark
-    file holds the 1-based index of its line: the token parser reads the
-    same record, line included, from that line alone."""
-    assert all(d.line == 0 and d.origin is Origin.KERNEL for d in KERNEL_DECLARATIONS)
+    """Line 0 marks the kernel's records, and only them: every kernel record
+    holds it, and each record parsed from a seed-3 benchmark file holds the
+    1-based index of its line, so the token parser reads the same record,
+    line included, from that line alone."""
+    assert all(d.line == 0 for d in KERNEL_DECLARATIONS)
     parsed = 0
     for f in _workload_files(monkeypatch):
         lines = f.text.split("\n")
         decls, _ = parse(f.text, f.name)
+        assert decls and decls[0].line >= 1, f.name
         assert all(a.line < b.line for a, b in zip(decls, decls[1:])), f.name
         for d in decls:
             assert d == _parse_tokens(lines[d.line - 1], d.line, f.name), (f.name, d)

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import error_codes, ontology_content
+from helpers import error_codes, load_source, ontology_content
 
 from okc.checks import validate
 from okc.frontend import parse
 from okc.kernel import kernel_ontology, merge_with_kernel
-from okc.model import ConceptDecl, Origin
+from okc.model import ConceptDecl
 from okc.reasoner import compute_closure, direct_supers
 
 
@@ -86,11 +86,14 @@ def test_merge_empty_input_is_identity():
     assert ontology_content(onto) == ontology_content(kernel_ontology())
 
 
-def test_user_declarations_carry_user_origin():
-    onto, _ = merge_with_kernel([ConceptDecl("Calibrating", ("Reasoning",))])
-    assert onto.concepts["Calibrating"].origin is Origin.USER
-    assert onto.concepts["Reasoning"].origin is Origin.KERNEL
-    assert onto.relations["PC"].origin is Origin.KERNEL
+def test_merged_declarations_keep_their_lines():
+    """A parsed declaration keeps its line through the merge, and the
+    kernel's keep line 0, which marks them as the kernel's."""
+    onto, diags = load_source("\nconcept Calibrating specializes Reasoning\n")
+    assert diags == []
+    assert onto.concepts["Calibrating"].line == 2
+    assert onto.concepts["Reasoning"].line == 0
+    assert onto.relations["PC"].line == 0
 
 
 def test_kernel_annotations():

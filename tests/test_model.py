@@ -35,7 +35,6 @@ from okc.model import (
     InstanceDecl,
     KERNEL_SOURCE,
     MetaLabel,
-    Origin,
     RelationDecl,
     RoleDefinition,
     Severity,
@@ -57,9 +56,13 @@ def test_add_concept_with_undeclared_parent_is_a_conflict():
     assert error_codes(diags) == ["E3"]
 
 
+_TWO_LINES = SourceText("<test>", "first\nsecond\n")
+
+
 def test_reading_same_name_with_different_parents_is_a_conflict():
-    onto, diags = merge_with_kernel([ConceptDecl("Diagnosis", ("Reasoning",)),
-                                     ConceptDecl("Diagnosis", ("Communication",))])
+    onto, diags = merge_with_kernel([ConceptDecl("Diagnosis", ("Reasoning",), line=1),
+                                     ConceptDecl("Diagnosis", ("Communication",), line=2)],
+                                    _TWO_LINES)
     assert onto is None
     assert error_codes(diags) == ["E1"]
 
@@ -79,10 +82,24 @@ def test_kernel_concept_redefinition_rejected():
 
 
 def test_cross_kind_name_collision():
-    onto, diags = merge_with_kernel([ConceptDecl("Widget", ("PT",)),
-                                     InstanceDecl("Widget", ("Model",))])
+    onto, diags = merge_with_kernel([ConceptDecl("Widget", ("PT",), line=1),
+                                     InstanceDecl("Widget", ("Model",), line=2)], _TWO_LINES)
     assert onto is None
     assert error_codes(diags) == ["E1"]
+
+
+@pytest.mark.parametrize("first, second", [
+    (ConceptDecl("Diagnosis", ("Reasoning",)), ConceptDecl("Diagnosis", ("Communication",))),
+    (ConceptDecl("Widget", ("PT",)), InstanceDecl("Widget", ("Model",))),
+], ids=["same-kind", "cross-kind"])
+def test_clash_of_records_without_lines_is_a_kernel_redefinition(first, second):
+    """Line 0 marks the kernel's declarations, so of two clashing records
+    built in code without lines the first counts as the kernel's."""
+    onto, diags = merge_with_kernel([first, second])
+    assert onto is None
+    assert error_codes(diags) == ["E2"]
+    assert [d.render() for d in diags] == [
+        f"<kernel>: error[E2] '{first.name}' redefines a kernel declaration"]
 
 
 def test_instance_name_colliding_with_kernel_relation():
@@ -304,6 +321,19 @@ def test_definition_and_parents_are_mutually_exclusive():
     assert error_codes(diags) == ["E4"]
 
 
+@pytest.mark.parametrize("decl, message", [
+    (RelationDecl("r", ()), "relation 'r' has an empty signature"),
+    (AnnotationDecl("Gauge", "identity", "sometimes"),
+     "invalid identity value 'sometimes' for 'Gauge'"),
+], ids=["empty signature", "invalid annotation value"])
+def test_malformed_records_no_statement_parses_to_are_refused(decl, message):
+    """The parser refuses these forms with P1, so only records built in
+    code and passed to `okc.load` reach these E4 findings."""
+    onto, diags = merge_with_kernel([ConceptDecl("Gauge", ("PT",)), decl])
+    assert onto is None
+    assert [(d.code, d.message) for d in diags] == [("E4", message)]
+
+
 def test_equality_ignores_spans():
     text = "concept Thing specializes PT\n"
     first, _ = load_source(text, "a.oks")
@@ -321,13 +351,13 @@ RECORDS = [
     (SourceSpan, "line", ("a.oks", 1, 2, 3)),
     (RoleDefinition, "mode", ("data", "X")),
     (Conjunction, "type_concept", ("data", "X")),
-    (ConceptDecl, "parents", ("N", ("PT",), None, Origin.USER, _LINE)),
-    (RelationDecl, "signature", ("r", (("ED",),), False, None, Origin.USER, _LINE)),
-    (AnnotationDecl, "value", ("N", "rigidity", "rigid", Origin.USER, _LINE)),
-    (MetaLabel, "time", ("Task", "N", 1, Origin.USER, _LINE)),
-    (InstanceDecl, "concepts", ("i", ("N",), Origin.USER, _LINE)),
-    (Fact, "args", ("r", ("i",), None, Origin.USER, _LINE)),
-    (DisjointDecl, "second", ("A", "B", Origin.USER, _LINE)),
+    (ConceptDecl, "parents", ("N", ("PT",), None, _LINE)),
+    (RelationDecl, "signature", ("r", (("ED",),), False, None, _LINE)),
+    (AnnotationDecl, "value", ("N", "rigidity", "rigid", _LINE)),
+    (MetaLabel, "time", ("Task", "N", 1, _LINE)),
+    (InstanceDecl, "concepts", ("i", ("N",), _LINE)),
+    (Fact, "args", ("r", ("i",), None, _LINE)),
+    (DisjointDecl, "second", ("A", "B", _LINE)),
     (Diagnostic, "code", (Severity.ERROR, "W2", "m", _SPAN, ("A", "B"))),
     (RoleRecord, "players", ("R", "data", "C", ("T",))),
     (BundleConcept, "methods", ("C", ("P",), (("rigidity", "rigid"),), (), (), ())),

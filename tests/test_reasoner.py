@@ -354,7 +354,7 @@ def test_monotonicity_over_asserted_facts():
         smaller_decls = (
             list(onto.concepts.values()) + list(onto.relations.values())
             + list(onto.instances.values()) + keep)
-        smaller_decls = [d for d in smaller_decls if d.origin.value != "kernel"]
+        smaller_decls = [d for d in smaller_decls if d not in kernel.KERNEL_DECLARATIONS]
         smaller, diags = merge_with_kernel(smaller_decls)
         assert smaller is not None, diags
         small_m, small_g = engine_sets(smaller, saturate(smaller, compute_closure(smaller)))
@@ -369,7 +369,7 @@ def test_idempotence_resaturating_saturated_base():
     schema = (*onto.concepts.values(), *onto.relations.values(), *onto.disjoints.values(),
               *(a for per in onto.annotations.values() for a in per.values()),
               *onto.labels.values())
-    decls = [d for d in schema if d.origin.value != "kernel"]
+    decls = [d for d in schema if d not in kernel.KERNEL_DECLARATIONS]
     by_instance: dict[str, set[str]] = {}
     for instance, concept in members:
         by_instance.setdefault(instance, set()).add(concept)

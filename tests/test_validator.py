@@ -39,6 +39,7 @@ from okc.checks import (
     check_s1,
     check_s2,
     check_temporal_participation,
+    check_w1,
     check_w2,
     validate,
 )
@@ -48,7 +49,6 @@ from okc.model import (
     AXIS_RIGIDITY,
     AnnotationDecl,
     DisjointDecl,
-    Origin,
     Severity,
     SourceText,
     direct_supers,
@@ -193,7 +193,7 @@ def disjoint_rigidity_model(seed: int):
     decls = taxonomy + [DisjointDecl(*rng.sample(names, 2)) for _ in range(rng.randint(0, 8))]
     annotations = [AnnotationDecl(d.name, AXIS_RIGIDITY,
                                   rng.choice(("rigid", "anti-rigid", "semi-rigid")),
-                                  Origin.USER, line)
+                                  line)
                    for line, d in enumerate(taxonomy, start=1) if rng.random() < 0.8]
     lines = {a.line: f"annotate {a.concept} {a.axis} {a.value}" for a in annotations}
     text = "\n".join(lines.get(line, "") for line in range(1, 1 + len(taxonomy)))
@@ -237,6 +237,34 @@ def test_w1_cycle_short_circuits_other_checks():
         "concept Alpha specializes Beta\nconcept Beta specializes Alpha\n"
         "label Task Alpha at 1\n")
     assert all_codes(diags) == {"W1"}
+
+
+def test_w1_message_follows_declared_edges():
+    diags = check_source("concept K00 specializes K02\n"
+                         "concept K02 specializes K01\n"
+                         "concept K01 specializes K00\n", "k.oks")
+    assert [d.render() for d in diags] == [
+        "k.oks:1:1: error[W1] subsumption cycle: K00 -> K02 -> K01"]
+
+
+@pytest.mark.parametrize("text", [
+    "concept A specializes B\nconcept B specializes A, C\nconcept C specializes B\n",
+    "concept C specializes B\nconcept B specializes C, A\nconcept A specializes B\n",
+    "concept A specializes C\nconcept B specializes A\nconcept C specializes A, B\n",
+], ids=["two 2-cycles", "two 2-cycles declared backwards", "2-cycle and 3-cycle"])
+def test_w1_arrows_are_declared_edges_in_any_component(text):
+    """A component that is not one simple cycle: every arrow the message
+    draws is a declared edge, the named path closes at its first member
+    unless the component's size follows, and the subjects are every member."""
+    onto, _ = load_source(text)
+    (diag,) = check_w1(onto)
+    path, _, rest = diag.message.removeprefix("subsumption cycle: ").partition(" -> ...")
+    names = path.split(" -> ")
+    closing = [] if rest else [(names[-1], names[0])]
+    for child, parent in [*zip(names, names[1:]), *closing]:
+        assert parent in direct_supers(onto.concepts[child]), (child, parent)
+    assert rest == ("" if len(names) == 3 else " (3 concepts)")
+    assert diag.subjects == ("A", "B", "C")
 
 
 def test_s2_witness_required_for_derived_affection():
