@@ -22,7 +22,7 @@ between tokens, and plain text inside a comment.  Statement forms:
 Signature positions may be unions written `A|B`.  Identifiers are ASCII
 letters, digits and underscores, starting with a letter, case-sensitive.
 Parsing recovers at line boundaries, so one file can report several
-syntax errors; every error carries the span of the offending token.
+syntax errors; every error carries the column of the offending token.
 Time points have at most 4,300 digits (`MAX_TIME_DIGITS`); a longer
 numeral is a syntax error, the same on every Python version, and so is
 one longer than a lowered int() digit limit (`PYTHONINTMAXSTRDIGITS`).
@@ -72,28 +72,21 @@ from .model import (
 
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*"
 _IDENT_RE = re.compile(_IDENT + r"\Z")
+# A match's kind is its `lastgroup`.  Only whitespace (`\s`, as `str.isspace`)
+# starts none, so `finditer` skips it; a `#` where a token would start ends the line.
 _TOKEN_RE = re.compile(
-    r"(?P<word>[A-Za-z][A-Za-z0-9_-]*)"
-    r"|(?P<nat>[0-9]+)"
-    r"|(?P<punct>[(),:=|])"
-    r"|(?P<bad>[^\s(),:=|]+)"
-)
+    r"(?P<word>[A-Za-z][A-Za-z0-9_-]*)|(?P<nat>[0-9]+)"
+    r"|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)|(?P<colon>:)|(?P<equals>=)|(?P<pipe>\|)"
+    r"|(?P<comment>#.*)|(?P<bad>[^\s(),:=|]+)", re.S)
 
 MAX_TIME_DIGITS = 4300  # CPython's default limit on int() of a decimal string
-
-_PUNCT_KIND = {"(": "lparen", ")": "rparen", ",": "comma", ":": "colon",
-               "=": "equals", "|": "pipe"}
 
 
 @_record
 class Token(NamedTuple):
     kind: str  # word | nat | lparen | rparen | comma | colon | equals | pipe | bad | eol
     text: str
-    line: int
     column: int
-
-    def span(self, file: str) -> SourceSpan:
-        return SourceSpan(file, self.line, self.column, max(len(self.text), 1))
 
 
 class _SyntaxError(Exception):
@@ -103,37 +96,16 @@ class _SyntaxError(Exception):
         self.token = token
 
 
-def _tokenize_line(text: str, line_no: int) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "#":
-            break
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        text_match = m.group(0)
-        if m.lastgroup == "word":
-            kind = "word"
-        elif m.lastgroup == "nat":
-            kind = "nat"
-        elif m.lastgroup == "punct":
-            kind = _PUNCT_KIND[text_match]
-        else:
-            kind = "bad"
-        tokens.append(Token(kind, text_match, line_no, pos + 1))
-        pos = m.end()
-    return tokens
+def _tokenize_line(text: str) -> list[Token]:
+    tokens = [Token(m.lastgroup, m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(text)]
+    return tokens[:-1] if tokens and tokens[-1].kind == "comment" else tokens
 
 
 class _LineParser:
-    def __init__(self, tokens: list[Token], line_no: int, line_text: str):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        eol_col = (tokens[-1].column + len(tokens[-1].text)) if tokens else len(line_text) + 1
-        self.eol = Token("eol", "", line_no, eol_col)
+        self.eol = Token("eol", "", tokens[-1].column + len(tokens[-1].text))
 
     def peek(self) -> Token:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else self.eol
@@ -201,10 +173,10 @@ def _time_value(numeral: str) -> Optional[int]:
 
 def _parse_tokens(line: str, line_no: int, filename: str) -> Declaration | Diagnostic | None:
     """The token parser: a declaration, a P1 diagnostic, or None for no statement."""
-    tokens = _tokenize_line(line, line_no)
+    tokens = _tokenize_line(line)
     if not tokens:
         return None
-    parser = _LineParser(tokens, line_no, line)
+    parser = _LineParser(tokens)
     head = parser.next()
     try:
         handler = _STATEMENTS.get(head.text) if head.kind == "word" else None
@@ -212,7 +184,8 @@ def _parse_tokens(line: str, line_no: int, filename: str) -> Declaration | Diagn
             raise _SyntaxError("unknown statement keyword", head)
         return handler(parser, line_no)
     except _SyntaxError as err:
-        return Diagnostic(Severity.ERROR, "P1", err.message, err.token.span(filename))
+        return Diagnostic(Severity.ERROR, "P1", err.message,
+                          SourceSpan(filename, line_no, err.token.column))
 
 
 def _accept(line: str, line_no: int) -> Optional[Declaration]:

@@ -20,9 +20,10 @@ of its fields.
 A declaration holds the 1-based number of the line it was parsed from,
 or 0 for the kernel's, so a record built in code without a line counts
 as the kernel's; one statement per line makes (file, line) name it.
-Only diagnostics and tokens hold a `SourceSpan`.  A diagnostic's span is
-built when the diagnostic is: the loaded Ontology keeps its file's
-`SourceText`, which turns a line into the statement's span.
+`load` refuses a record whose line is negative or past the last line of
+its `SourceText`, by one E4 at the kernel span.  A `SourceSpan` is a
+file, a line and a column: only diagnostics hold one, built from the
+`SourceText` the loaded Ontology keeps, and a token holds only a column.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _record(cls):
 
 @_record
 class SourceSpan(NamedTuple):
-    """Location of a diagnostic or token inside a source file.
+    """Location of a diagnostic inside a source file.
 
     Lines and columns are 1-based, and a column counts characters, so a
     tab is one column.  A finding on a kernel declaration (line 0) has
@@ -67,10 +68,9 @@ class SourceSpan(NamedTuple):
     file: str
     line: int
     column: int
-    length: int = 1
 
 
-KERNEL_SPAN = SourceSpan("<kernel>", 0, 0, 0)
+KERNEL_SPAN = SourceSpan("<kernel>", 0, 0)
 
 
 def source_lines(text: str) -> list[str]:
@@ -87,16 +87,14 @@ class SourceText:
         self.file, self.text, self._lines = file, text, None
 
     def span(self, line: int) -> SourceSpan:
-        """The span of the statement on `line`, from its first token to its
-        last; KERNEL_SPAN for line 0.  A line that holds a declaration has
-        no `#` before its comment, and only whitespace between tokens."""
+        """The span of the statement on `line`, at its first non-whitespace
+        character; KERNEL_SPAN for line 0.  `load` has checked the line."""
         if line == 0:
             return KERNEL_SPAN
         if self._lines is None:
             self._lines = source_lines(self.text)
-        statement = self._lines[line - 1].partition("#")[0]
-        body = statement.lstrip()
-        return SourceSpan(self.file, line, len(statement) - len(body) + 1, len(body.rstrip()))
+        text = self._lines[line - 1]
+        return SourceSpan(self.file, line, len(text) - len(text.lstrip()) + 1)
 
 
 KERNEL_SOURCE = SourceText("<kernel>", "")
@@ -403,7 +401,7 @@ def load(decls: Iterable[Declaration], source: SourceText = KERNEL_SOURCE,
     """Resolve declarations into an Ontology, or the errors that refuse them.
 
     `source` is the text the user declarations were parsed from; a
-    finding's span is built from it, and kernel declarations need none.
+    finding's span is built from it, so a line outside it gives an E4.
     Resolution is two-phase: every declaration is grouped by kind first,
     then names are resolved over the complete set, which makes the result
     independent of declaration order.  References resolve by set
@@ -415,6 +413,15 @@ def load(decls: Iterable[Declaration], source: SourceText = KERNEL_SOURCE,
     staged: dict[type, list] = {kind: [] for kind in get_args(Declaration)}
     for d in decls:
         staged[type(d)].append(d)
+    lines = list(map(attrgetter("line"), chain.from_iterable(staged.values())))
+    low, high, last = min(lines, default=0), max(lines, default=0), source.text.count("\n") + 1
+    if low < 0 or high > last:  # a lone CR ends a line too, as in `source_lines`
+        last += source.text.count("\r") - source.text.count("\r\n")
+    if low < 0 or high > last:
+        return None, sort_diagnostics(_error(
+            "E4", f"line {d.line} of {type(d).__name__} '{d[0]}' is outside {source.file}, "
+            f"which has {last} line(s)", KERNEL_SPAN, d[0])
+            for d in chain.from_iterable(staged.values()) if not 0 <= d.line <= last)
 
     concepts = _collapse_named(staged[ConceptDecl], span, diags)
     relations = _collapse_named(staged[RelationDecl], span, diags)

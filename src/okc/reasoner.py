@@ -84,9 +84,9 @@ class SubsumptionClosure:
     and name them by walking a sparse set's bits or a dense set's digits.
     """
 
-    def __init__(self, names: tuple[str, ...], up: list[int]):
-        self._names = names
-        self._bit = {name: i for i, name in enumerate(names)}
+    def __init__(self, bit: dict[str, int], up: list[int]):
+        self._names = tuple(bit)  # bit[name] is the name's index, in dict order
+        self._bit = bit
         self._up = up
 
     def subsumes(self, ancestor: str, descendant: str) -> bool:
@@ -157,62 +157,47 @@ def compute_closure(ontology: Ontology) -> SubsumptionClosure:
         for p in parents[n]:
             bits |= up[bit[p]]
         up[i] = bits
-    return SubsumptionClosure(tuple(order), up)
+    return SubsumptionClosure(bit, up)
 
 
 def find_subsumption_cycles(ontology: Ontology) -> list[tuple[str, ...]]:
-    """Nontrivial strongly connected components of the concept graph."""
-    names = sorted(ontology.concepts)
-    edges = {n: tuple(p for p in direct_supers(ontology.concepts[n])
-                      if p in ontology.concepts)
-             for n in names}
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[tuple[str, ...]] = []
-    counter = [0]
-
-    def strongconnect(root: str) -> None:
-        work = [(root, iter(edges[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
+    """Nontrivial strongly connected components of the concept graph, by
+    Kosaraju-Sharir: a depth-first pass lists each concept after all it
+    reaches; searches of the reversed edges, started in the reverse of
+    that list, then each collect one component."""
+    concepts = ontology.concepts
+    edges = {n: [p for p in direct_supers(c) if p in concepts] for n, c in concepts.items()}
+    finished: list[str] = []
+    seen: set[str] = set()
+    for root in edges:
+        stack = [] if root in seen else [(root, iter(edges[root]))]
+        seen.add(root)
+        while stack:
+            node, it = stack[-1]
             for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(edges[nxt])))
-                    advanced = True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append((nxt, iter(edges[nxt])))
                     break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                if len(component) > 1 or node in edges[node]:
-                    sccs.append(tuple(sorted(component)))
-
-    for name in names:
-        if name not in index:
-            strongconnect(name)
+            else:
+                stack.pop()
+                finished.append(node)
+    below: dict[str, list[str]] = {n: [] for n in edges}
+    for n, parents in edges.items():
+        for p in parents:
+            below[p].append(n)
+    placed: set[str] = set()
+    sccs: list[tuple[str, ...]] = []
+    for root in reversed(finished):
+        component = [] if root in placed else [root]
+        placed.add(root)
+        for node in component:  # grows while it is walked
+            for child in below[node]:
+                if child not in placed:
+                    placed.add(child)
+                    component.append(child)
+        if len(component) > 1 or component == [root] and root in edges[root]:
+            sccs.append(tuple(sorted(component)))
     return sorted(sccs)
 
 

@@ -9,6 +9,7 @@ independent of the production code paths they check.
 from __future__ import annotations
 
 import random
+import re
 from pathlib import Path
 from typing import Optional
 
@@ -30,7 +31,7 @@ from digest_inputs import (  # noqa: F401  (re-exported)
 )
 from okc import kernel
 from okc.bundle import RoleRecord
-from okc.frontend import _tokenize_line, parse, render
+from okc.frontend import Token, _tokenize_line, parse, render
 from okc.kernel import merge_with_kernel
 from okc.checks import REGISTRY, validate
 from okc.model import (
@@ -845,10 +846,41 @@ def role_io_oracle(ontology, subsumes, concept: str):
 
 def statement_span(line: str, line_no: int, file: str) -> SourceSpan:
     """The span of the statement on `line` as the token parser reads it:
-    from its first token to the end of its last."""
-    tokens = _tokenize_line(line, line_no)
-    first, last = tokens[0], tokens[-1]
-    return SourceSpan(file, line_no, first.column, last.column + len(last.text) - first.column)
+    at its first token."""
+    return SourceSpan(file, line_no, _tokenize_line(line)[0].column)
+
+
+# --- reference tokenizer ------------------------------------------------------
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<word>[A-Za-z][A-Za-z0-9_-]*)"
+    r"|(?P<nat>[0-9]+)"
+    r"|(?P<punct>[(),:=|])"
+    r"|(?P<bad>[^\s(),:=|]+)"
+)
+_PUNCT_KIND = {"(": "lparen", ")": "rparen", ",": "comma", ":": "colon",
+               "=": "equals", "|": "pipe"}
+
+
+def reference_tokens(text: str) -> list[Token]:
+    """The tokens of a line, one character at a time: `#` where a token
+    would start ends the line, `str.isspace` characters are skipped, and
+    any other character starts the longest word, numeral, punctuation
+    mark or bad token there."""
+    tokens: list[Token] = []
+    pos = 0
+    while pos < len(text):
+        ch = text[pos]
+        if ch == "#":
+            break
+        if ch.isspace():
+            pos += 1
+            continue
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        kind = m.lastgroup if m.lastgroup != "punct" else _PUNCT_KIND[m.group()]
+        tokens.append(Token(kind, m.group(), pos + 1))
+        pos = m.end()
+    return tokens
 
 
 # --- reference compile ------------------------------------------------------------

@@ -746,7 +746,7 @@ def _mutants(rng: random.Random, lines: list[str], count: int):
     for _ in range(count):
         lines_now = list(lines)
         i = rng.randrange(len(lines_now))
-        tokens = _tokenize_line(lines_now[i], i + 1)
+        tokens = _tokenize_line(lines_now[i])
         op = rng.choice(("delete line", "duplicate line", "swap lines", "delete token",
                          "duplicate token", "swap tokens", "inflate numeral"))
         if op == "delete line":

@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import random
+import re
+import sys
 
 import pytest
 
-from helpers import CORPUS, check_source, load_corpus_file, ontology_content, round_trip
+from helpers import (
+    CORPUS,
+    check_source,
+    load_corpus_file,
+    ontology_content,
+    reference_tokens,
+    round_trip,
+)
 
 from okc.frontend import MAX_TIME_DIGITS, _accept, _parse_tokens, _tokenize_line, parse, render
 from okc.kernel import KERNEL_DECLARATIONS, kernel_ontology
@@ -146,25 +155,45 @@ def test_render_corpus_round_trips(name):
 
 
 def test_seeded_one_token_corruptions_are_located():
-    """Any token replaced by garbage yields a diagnostic covering it."""
+    """Any token replaced by garbage yields a P1 at exactly its column."""
     text = (CORPUS / "car_diagnosis.oks").read_text(encoding="utf-8")
     lines = text.splitlines()
     corruptions = 0
     for line_index, line in enumerate(lines):
-        for token in _tokenize_line(line, line_index + 1):
+        for token in _tokenize_line(line):
             start = token.column - 1
             corrupted_line = line[:start] + "??" + line[start + len(token.text):]
             corrupted = "\n".join(
                 lines[:line_index] + [corrupted_line] + lines[line_index + 1:])
             _, diags = parse(corrupted, "<corrupt>")
-            hits = [d for d in diags
-                    if d.span.line == token.line
-                    and d.span.column < token.column + 2
-                    and d.span.column + d.span.length > token.column]
-            assert hits, (f"no diagnostic covers corrupted token at "
-                          f"{token.line}:{token.column} ({token.text!r})")
+            located = [(d.code, d.span.line, d.span.column) for d in diags]
+            assert located == [("P1", line_index + 1, token.column)], (
+                f"corrupted token at {line_index + 1}:{token.column} ({token.text!r})")
             corruptions += 1
     assert corruptions > 100
+
+
+def test_tokenizer_matches_the_per_character_reference():
+    """Seeded random lines over letters, digits, punctuation, `#` and the
+    whitespace the token parser skips tokenize as the per-character loop
+    does, `#` inside a bad token and at a token's start included."""
+    alphabet = "aZq09_-(),:=|!#" + " \t\x0c\x85\u3000"
+    rng = random.Random(26)
+    hashes = {"inside": 0, "start": 0}
+    for _ in range(20000):
+        line = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24)))
+        tokens = _tokenize_line(line)
+        assert tokens == reference_tokens(line), line
+        hashes["inside"] += any("#" in t.text for t in tokens)
+        hashes["start"] += "#" in line and not any("#" in t.text for t in tokens)
+    assert min(hashes.values()) > 1000, hashes
+
+
+def test_regex_whitespace_is_str_isspace():
+    """The tokenizer skips what `\\s` matches, where the token parser
+    skips what `str.isspace` accepts; the two agree on every code point."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
 
 
 def test_diagnostic_text_format():
@@ -183,7 +212,7 @@ def test_time_point_digit_limit():
         assert decls == []
         [d] = diags
         assert (d.code, d.message) == ("P1", "time point too large")
-        assert (d.span.column, d.span.length) == (line.index("9") + 1, MAX_TIME_DIGITS + 1)
+        assert d.span.column == line.index("9") + 1
 
 
 # Lines where a pattern could plausibly read more or less than the tokens do.

@@ -9,7 +9,7 @@ from helpers import error_codes, load_source, ontology_content
 from okc.checks import validate
 from okc.frontend import parse
 from okc.kernel import kernel_ontology, merge_with_kernel
-from okc.model import ConceptDecl
+from okc.model import ConceptDecl, SourceText
 from okc.reasoner import compute_closure, direct_supers
 
 
@@ -116,6 +116,6 @@ def test_reparsing_own_kernel_listing_is_identity():
     text = render(kernel_ontology())
     decls, parse_diags = parse(text, "<kernel>")
     assert not parse_diags
-    onto, diags = merge_with_kernel(decls)
+    onto, diags = merge_with_kernel(decls, SourceText("<kernel>", text))
     assert diags == []
     assert ontology_content(onto) == ontology_content(kernel_ontology())

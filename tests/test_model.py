@@ -34,6 +34,7 @@ from okc.model import (
     Fact,
     InstanceDecl,
     KERNEL_SOURCE,
+    KERNEL_SPAN,
     MetaLabel,
     RelationDecl,
     RoleDefinition,
@@ -154,14 +155,15 @@ def test_particularization_arity_and_cycles():
 
 def test_load_order_independence():
     path = "car_diagnosis.oks"
-    decls, parse_diags = parse((CORPUS / path).read_text(), path)
+    text = (CORPUS / path).read_text()
+    decls, parse_diags = parse(text, path)
     assert not parse_diags
-    reference, diags = merge_with_kernel(decls)
+    reference, diags = merge_with_kernel(decls, SourceText(path, text))
     assert reference is not None and diags == []
     for seed in range(6):
         shuffled = decls[:]
         random.Random(seed).shuffle(shuffled)
-        onto, diags = merge_with_kernel(shuffled)
+        onto, diags = merge_with_kernel(shuffled, SourceText(path, text))
         assert diags == []
         assert ontology_content(onto) == ontology_content(reference)
 
@@ -334,6 +336,40 @@ def test_malformed_records_no_statement_parses_to_are_refused(decl, message):
     assert [(d.code, d.message) for d in diags] == [("E4", message)]
 
 
+@pytest.mark.parametrize("loader, source, line", [
+    (merge_with_kernel, KERNEL_SOURCE, 3), (merge_with_kernel, KERNEL_SOURCE, -1),
+    (load, KERNEL_SOURCE, 2), (load, _TWO_LINES, 4), (load, _TWO_LINES, -1),
+], ids=["merge past the end", "merge negative", "load past the end", "load past the last line",
+        "load negative"])
+def test_a_line_outside_its_source_is_refused(loader, source, line):
+    """A record's line must lie in its source text, or the load gives one
+    E4 at the kernel span, before any finding needs a span from the line."""
+    onto, diags = loader([ConceptDecl("A", ("Ghost",), line=line)], source)
+    assert onto is None
+    assert [(d.code, d.span, d.subjects) for d in diags] == [("E4", KERNEL_SPAN, ("A",))]
+    last = len(source.text.split("\n"))
+    assert diags[0].message == (f"line {line} of ConceptDecl 'A' is outside "
+                                f"{source.file}, which has {last} line(s)")
+
+
+def test_a_line_inside_its_source_takes_its_span_there():
+    onto, diags = merge_with_kernel([ConceptDecl("A", ("Ghost",), line=3)], _TWO_LINES)
+    assert onto is None
+    assert [(d.code, d.span) for d in diags] == [("E3", SourceSpan("<test>", 3, 1))]
+
+
+@pytest.mark.parametrize("text", ["", "a", "a\n", "a\r\nb\rc\n\r", "\r\r\n\n",
+                                  "x\x0cy\x85z\u2028"])
+def test_the_last_line_is_the_last_of_source_lines(text):
+    """load counts a text's lines without splitting it, as `source_lines` splits them."""
+    last = len(model.source_lines(text))
+    for line, codes in ((last, ["E3"]), (last + 1, ["E4"]), (-1, ["E4"])):
+        _, diags = merge_with_kernel([ConceptDecl("A", ("Ghost",), line=line)],
+                                     SourceText("f", text))
+        assert error_codes(diags) == codes
+        assert codes == ["E3"] or diags[0].message.endswith(f"which has {last} line(s)")
+
+
 def test_equality_ignores_spans():
     text = "concept Thing specializes PT\n"
     first, _ = load_source(text, "a.oks")
@@ -343,12 +379,12 @@ def test_equality_ignores_spans():
 
 # --- record semantics --------------------------------------------------------
 
-_SPAN = SourceSpan("a.oks", 1, 2, 3)
+_SPAN = SourceSpan("a.oks", 1, 2)
 _LINE = 4
 
 # (record class, a field to overwrite, the values of all its fields)
 RECORDS = [
-    (SourceSpan, "line", ("a.oks", 1, 2, 3)),
+    (SourceSpan, "line", ("a.oks", 1, 2)),
     (RoleDefinition, "mode", ("data", "X")),
     (Conjunction, "type_concept", ("data", "X")),
     (ConceptDecl, "parents", ("N", ("PT",), None, _LINE)),
@@ -364,7 +400,7 @@ RECORDS = [
     (DomainRelation, "range", ("r", "A", "B", False)),
     (PlaysLink, "role", ("T", "R")),
     (ModelBundle, "plays", (1, (), (), (), (), ())),
-    (Token, "text", ("word", "concept", 1, 1)),
+    (Token, "text", ("word", "concept", 1)),
     (Fixture, "expect", ("derives", None, "src", "i", "C")),
     (TraceRow, "note", ("W2", ("check",), True, (), (), "n")),
 ]

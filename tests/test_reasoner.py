@@ -32,7 +32,7 @@ from traceability import RULE_CODES
 
 from okc import kernel, reasoner
 from okc.kernel import kernel_ontology, merge_with_kernel
-from okc.model import ConceptDecl, Fact, InstanceDecl
+from okc.model import ConceptDecl, Conjunction, Fact, InstanceDecl
 from okc.reasoner import (
     RULE_ASSERTED,
     Ground,
@@ -160,6 +160,39 @@ def test_closure_refuses_a_cyclic_taxonomy():
 def test_self_cycle_detection():
     onto, _ = merge_with_kernel([ConceptDecl("Selfish", ("Selfish",))])
     assert find_subsumption_cycles(onto) == [("Selfish",)]
+
+
+def _random_cyclic_taxonomy(seed: int) -> list[ConceptDecl]:
+    """Concepts with random parents among themselves and a few kernel
+    concepts, some by a conjunction: self-loops, several components and
+    edges into the kernel all occur."""
+    rng = random.Random(seed)
+    names = [f"C{i}" for i in range(rng.randint(1, 14))]
+    targets = names + ["PT", "ED", "Reasoning", "Data"]
+    return [ConceptDecl(n, (), Conjunction(rng.choice(targets), rng.choice(targets)))
+            if rng.random() < 0.15
+            else ConceptDecl(n, tuple(rng.sample(targets, rng.randint(0, 3))))
+            for n in names]
+
+
+def test_cycles_match_reachability_oracle():
+    """The cycles are the components {u : (v, u) and (u, v) reachable} with
+    more than one member or a self-loop, on seeded random cyclic graphs."""
+    seen = Counter()
+    for seed in range(150):
+        onto, diags = merge_with_kernel(_random_cyclic_taxonomy(seed))
+        assert onto is not None, diags
+        nodes = sorted(onto.concepts)
+        edges = {(n, p) for n in nodes for p in direct_supers(onto.concepts[n])}
+        reach = reachability_oracle(nodes, edges)
+        components = {tuple(v for v in nodes if (u, v) in reach and (v, u) in reach)
+                      for u in nodes}
+        expected = sorted(c for c in components if len(c) > 1 or (c[0], c[0]) in edges)
+        assert find_subsumption_cycles(onto) == expected, seed
+        seen["self-loop"] += any(len(c) == 1 for c in expected)
+        seen["longer"] += any(len(c) > 1 for c in expected)
+        seen["several"] += len(expected) > 1
+    assert min(seen["self-loop"], seen["longer"], seen["several"]) >= 10, seen
 
 
 # --- saturation ----------------------------------------------------------------

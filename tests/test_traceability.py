@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import check_source, corpus_source
+from helpers import check_source, corpus_source, load_source
 from traceability import (
     BY_CODE,
     REQUIRED_CODES,
@@ -73,11 +73,7 @@ def _run_fixture(row: TraceRow, fixture: Fixture) -> None:
         else:
             assert found, (row.code, [d.render() for d in diags])
     else:
-        from okc.frontend import parse
-        from okc.kernel import merge_with_kernel
-        decls, parse_diags = parse(source, f"<{row.code}>")
-        assert not parse_diags
-        onto, load_diags = merge_with_kernel(decls)
+        onto, load_diags = load_source(source, f"<{row.code}>")
         assert onto is not None, load_diags
         facts = saturate(onto, compute_closure(onto))
         has = facts.has_member(fixture.instance, fixture.concept)
