@@ -40,7 +40,7 @@ from .model import (
     has_errors,
     sort_diagnostics,
 )
-from .reasoner import SubsumptionClosure, compute_closure
+from .reasoner import compute_closure
 from .checks import validate
 
 SCHEMA_VERSION = "1"
@@ -141,24 +141,6 @@ def _role_records(ontology: Ontology) -> list[RoleRecord]:
     return records
 
 
-_by_name = attrgetter("name")
-
-
-def _io_of(
-    roles_at: dict[str, list[RoleRecord]], among: int,
-    closure: SubsumptionClosure, concept: str
-) -> tuple[tuple[RoleRecord, ...], tuple[RoleRecord, ...]]:
-    """The data and the result roles whose reasoning concept subsumes
-    `concept`, each in role-name order.  `roles_at` groups the role
-    records by reasoning concept, and `among` is the bitset of those
-    concepts, so only the subsumers that carry roles are decoded; the
-    answer is one per distinct `closure.ancestor_bits(concept, among)`."""
-    hits = closure.ancestors(concept, among)
-    records = sorted([r for c in hits for r in roles_at[c]], key=_by_name)
-    return (tuple(r for r in records if r.mode == "data"),
-            tuple(r for r in records if r.mode != "data"))
-
-
 def _parents_within(
     ontology: Ontology, concept: str, members: set[str]
 ) -> tuple[str, ...]:
@@ -201,14 +183,19 @@ def compile_bundle(
     for record in _role_records(ontology):
         roles_at.setdefault(record.reasoning_concept, []).append(record)
     among = closure.mask(roles_at)
-    io_at: dict[int, tuple] = {}  # masked ancestor bitset -> (inputs, outputs)
+    # masked ancestor bitset -> (inputs, outputs): the data and the result roles
+    # whose reasoning concept subsumes the concept, each in role-name order
+    io_at: dict[int, tuple] = {}
 
     def reasoning_concepts(members: set[str], with_methods: bool) -> tuple[BundleConcept, ...]:
         out = []
         for name in sorted(members):
             key = closure.ancestor_bits(name, among)
             if key not in io_at:
-                io_at[key] = _io_of(roles_at, among, closure, name)
+                roles = sorted([r for c in closure.ancestors(name, among) for r in roles_at[c]],
+                               key=attrgetter("name"))
+                io_at[key] = (tuple(r for r in roles if r.mode == "data"),
+                              tuple(r for r in roles if r.mode != "data"))
             inputs, outputs = io_at[key]
             out.append(BundleConcept(
                 name, _parents_within(ontology, name, members),

@@ -159,10 +159,7 @@ def main(argv: Optional[Sequence[str]] = None,
             return _cmd_explain(args, stdout, stderr)
         stdout.write(render(kernel_ontology()))
         return EXIT_CLEAN
-    except _UsageError as err:
-        stderr.write(f"okc: {err}\n")
-        return EXIT_USAGE
-    except (OSError, UnicodeDecodeError) as err:
+    except (_UsageError, OSError, UnicodeDecodeError) as err:
         stderr.write(f"okc: {err}\n")
         return EXIT_USAGE
     finally:

@@ -49,7 +49,6 @@ import re
 from typing import Callable, NamedTuple, Optional
 
 from .model import (
-    ANNOTATION_AXES,
     ANNOTATION_VALUES,
     AnnotationDecl,
     ConceptDecl,
@@ -116,9 +115,6 @@ class _LineParser:
             self.pos += 1
         return tok
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
     def expect_keyword(self, word: str) -> Token:
         tok = self.next()
         if tok.kind != "word" or tok.text != word:
@@ -144,7 +140,7 @@ class _LineParser:
         return tok
 
     def expect_end(self) -> None:
-        if not self.at_end():
+        if self.pos < len(self.tokens):
             raise _SyntaxError("unexpected trailing input", self.peek())
 
     def identifier_list(self) -> list[str]:
@@ -298,7 +294,7 @@ def _parse_label(p: _LineParser, line: int) -> MetaLabel:
 def _parse_annotate(p: _LineParser, line: int) -> AnnotationDecl:
     concept = p.expect_identifier("concept").text
     axis_tok = p.next()
-    if axis_tok.kind != "word" or axis_tok.text not in ANNOTATION_AXES:
+    if axis_tok.kind != "word" or axis_tok.text not in ANNOTATION_VALUES:
         raise _SyntaxError("expected 'rigidity', 'identity' or 'dependence'", axis_tok)
     value_tok = p.next()
     if value_tok.kind != "word" or value_tok.text not in ANNOTATION_VALUES[axis_tok.text]:

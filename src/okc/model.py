@@ -12,10 +12,11 @@ triple is a load error (E5).
 
 Every okc record is an immutable tuple record (`typing.NamedTuple`)
 with read-only fields under `_record`: declarations, their definitions,
-source spans and diagnostics here, and the tokens and bundle records
-of the other modules.  Each equals only records of its own class,
-never a plain tuple or another record class, and hashes as the tuple
-of its fields.
+source spans, diagnostics and the Ontology here, and the tokens and
+bundle records of the other modules.  Each equals only records of its
+own class, never a plain tuple or another record class, and hashes as
+the tuple of its fields; the Ontology's fields are dicts, so it is
+unhashable.
 
 A declaration holds the 1-based number of the line it was parsed from,
 or 0 for the kernel's, so a record built in code without a line counts
@@ -111,7 +112,7 @@ class Diagnostic(NamedTuple):
     subjects: tuple[str, ...] = ()
 
     def sort_key(self) -> tuple:
-        return (*self.span[:3], self.code, self.message, self.subjects)
+        return (*self.span, self.code, self.message, self.subjects)
 
     def render(self) -> str:
         if self.span.line <= 0:
@@ -179,8 +180,6 @@ ANNOTATION_VALUES: dict[str, tuple[str, ...]] = {
     AXIS_IDENTITY: ("carries", "none"),
     AXIS_DEPENDENCE: ("dependent", "independent"),
 }
-
-ANNOTATION_AXES: tuple[str, ...] = (AXIS_RIGIDITY, AXIS_IDENTITY, AXIS_DEPENDENCE)
 
 
 # --- declarations ----------------------------------------------------------
@@ -289,10 +288,6 @@ class Fact(NamedTuple):
     time: Optional[int] = None
     line: int = 0
 
-    def key(self) -> Ground:
-        # As the loader keys facts; tuple.__new__ skips Ground's Python __new__.
-        return tuple.__new__(Ground, (self.relation, self.args, self.time))
-
 
 @_record
 class DisjointDecl(NamedTuple):
@@ -312,29 +307,19 @@ Declaration = Union[
 # --- the ontology value ----------------------------------------------------
 
 
-class Ontology:
+@_record
+class Ontology(NamedTuple):
     """Complete declared model. Treat as immutable after loading.
     `source` is the text the user declarations were parsed from."""
 
-    def __init__(
-        self,
-        concepts: dict[str, ConceptDecl],
-        relations: dict[str, RelationDecl],
-        instances: dict[str, InstanceDecl],
-        annotations: dict[str, dict[str, AnnotationDecl]],
-        labels: dict[tuple[str, str, int], MetaLabel],
-        facts: dict[Ground, Fact],
-        disjoints: dict[tuple[str, str], DisjointDecl],
-        source: SourceText,
-    ):
-        self.concepts = concepts
-        self.relations = relations
-        self.instances = instances
-        self.annotations = annotations
-        self.labels = labels
-        self.facts = facts
-        self.disjoints = disjoints
-        self.source = source
+    concepts: dict[str, ConceptDecl]
+    relations: dict[str, RelationDecl]
+    instances: dict[str, InstanceDecl]
+    annotations: dict[str, dict[str, AnnotationDecl]]
+    labels: dict[tuple[str, str, int], MetaLabel]
+    facts: dict[Ground, Fact]
+    disjoints: dict[tuple[str, str], DisjointDecl]
+    source: SourceText
 
     # -- lookups
 
@@ -433,7 +418,7 @@ def load(decls: Iterable[Declaration], source: SourceText = KERNEL_SOURCE,
     diags.extend(_error("E5", f"duplicate label ({d.primitive}, {d.concept}, {d.time})",
                         span(d.line), d.concept)
                  for group in duplicates.values() for d in group[1:])
-    # Each key a Ground, as Fact.key builds it, with no Python call per fact.
+    # Each fact keyed by its Ground, built with no Python call per fact.
     facts, _ = _earliest(staged[Fact], map(tuple.__new__, repeat(Ground),
                                            map(itemgetter(0, 1, 2), staged[Fact])))
     disjoints, _ = _earliest(staged[DisjointDecl], map(DisjointDecl.pair, staged[DisjointDecl]))

@@ -52,7 +52,7 @@ Both evaluators are exact:
   edges instead of storing them.  R-up keeps the arguments, so what
   reads only arguments reads the asserted facts as they are.  The FIFO
   engine derives one first from the asserted fact in the nearest
-  relation below, the least `Fact.key()` among equals, and `line_of`
+  relation below, the least key among equals, and `line_of`
   follows that rule.
 - Rules join entries only through the arguments of asserted facts, so
   the entries of one component (instances linked by facts, with those
@@ -70,7 +70,7 @@ from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from . import kernel
-from .model import Fact, Ground, Ontology, direct_supers
+from .model import Ground, Ontology, direct_supers
 
 
 class SubsumptionClosure:
@@ -148,8 +148,7 @@ def compute_closure(ontology: Ontology) -> SubsumptionClosure:
             if not waiting[child]:
                 order.append(child)
     if len(order) < len(names):
-        stuck = min(n for n in names if waiting[n])
-        raise ValueError(f"subsumption cycle above '{stuck}'; check_w1 reports it")
+        raise ValueError("subsumption cycle; check_w1 reports it")
     bit = {n: i for i, n in enumerate(order)}
     up = [0] * len(order)
     for i, n in enumerate(order):
@@ -220,7 +219,6 @@ RULE_ASSERTED = "asserted"
 class Derivation(NamedTuple):
     rule: str
     premises: tuple[Entry, ...]
-    note: str = ""
 
 
 _ASSERTED = Derivation(RULE_ASSERTED, ())
@@ -238,14 +236,13 @@ class _RuleTable:
            kernel.REL_RESULT: ("D4", kernel.RESULT)}
 
     def __init__(self, ontology: Ontology) -> None:
-        # R-up: relation -> (parent, parent is temporal, trace note); r_down reverses it
-        self.r_up: dict[str, tuple[str, bool, str]] = {}
+        # R-up: relation -> (parent, parent is temporal); r_down reverses it
+        self.r_up: dict[str, tuple[str, bool]] = {}
         self.r_down: dict[str, list[str]] = {}
         for rel in ontology.relations.values():
             parent = ontology.relations.get(rel.particularizes)
             if parent is not None and (rel.temporal or not parent.temporal):
-                self.r_up[rel.name] = (parent.name, parent.temporal,
-                                       f"{rel.name} particularizes {parent.name}")
+                self.r_up[rel.name] = (parent.name, parent.temporal)
                 self.r_down.setdefault(parent.name, []).append(rel.name)
         # D5: covered concept -> (feeding relation, role), data roles first, by name
         self.d5: dict[str, list[tuple[str, str]]] = {}
@@ -341,12 +338,10 @@ class FactBase:
     def line_of(self, g: Ground) -> int:
         """Line of the asserted fact `g` is, or else of the one in the nearest
         relation below that R-up maps to `g`, the least key among equals."""
-        fact = self.ontology.facts.get(g)
-        if fact is None:
-            _, _, fact = min((steps, f.key(), f) for f in self._derivers[g.args]
-                             for steps, up in enumerate(self._r_up_chain(f.key()))
-                             if up == g)
-        return fact.line
+        key = g if g in self.ontology.facts else min(
+            (steps, asserted) for asserted in self._derivers[g.args]
+            for steps, up in enumerate(self._r_up_chain(asserted)) if up == g)[1]
+        return self.ontology.facts[key].line
 
     def off_signature(self) -> Iterator[Ground]:
         """Each ground with an argument outside its relation's signature, once.
@@ -370,16 +365,16 @@ class FactBase:
         """`g`, then each fact R-up derives from it, nearest first."""
         yield g
         while g.relation in self._rules.r_up:
-            parent, temporal, _ = self._rules.r_up[g.relation]
+            parent, temporal = self._rules.r_up[g.relation]
             g = Ground(parent, g.args, g.time if temporal else None)
             yield g
 
     @cached_property
-    def _derivers(self) -> dict[tuple[str, ...], list[Fact]]:
-        """Arguments -> the asserted facts on them."""
-        out: dict[tuple[str, ...], list[Fact]] = {}
-        for f in self.ontology.facts.values():
-            out.setdefault(f.args, []).append(f)
+    def _derivers(self) -> dict[tuple[str, ...], list[Ground]]:
+        """Arguments -> the keys of the asserted facts on them."""
+        out: dict[tuple[str, ...], list[Ground]] = {}
+        for key in self.ontology.facts:
+            out.setdefault(key.args, []).append(key)
         return out
 
     def _signatures_above(self, relation: str) -> frozenset[tuple[int, ...]]:
@@ -476,8 +471,8 @@ class _Engine:
         # instance -> the concepts it has that key D5 or D6 in the table
         self.keyed: dict[str, list[str]] = {}
         self.queue: deque[Entry] = deque()
-        # M-up edges with their trace notes, built on a concept's first use
-        self.up_edges: dict[str, tuple[tuple[str, str], ...]] = {}
+        # concept -> its parents, M-up's edges, found on the concept's first use
+        self.up_edges: dict[str, tuple[str, ...]] = {}
 
     def add(self, entry: Entry, deriv: Derivation) -> bool:
         if entry in self.trace:
@@ -498,8 +493,8 @@ class _Engine:
         for inst in sorted(self.onto.instances.values(), key=lambda d: d.name):
             for concept in sorted(inst.concepts):
                 self.add(Member(inst.name, concept), _ASSERTED)
-        for fact in sorted(self.onto.facts.values(), key=lambda f: f.key()):
-            self.add(Ground(fact.relation, fact.args, fact.time), _ASSERTED)
+        for key in sorted(self.onto.facts):
+            self.add(key, _ASSERTED)
         while self.queue:
             entry = self.queue.popleft()
             if isinstance(entry, Member):
@@ -512,14 +507,13 @@ class _Engine:
 
     def on_member(self, m: Member) -> None:
         x, rules = m.instance, self.rules
-        edges = self.up_edges.get(m.concept)
-        if edges is None:
+        parents = self.up_edges.get(m.concept)
+        if parents is None:
             decl = self.onto.concepts.get(m.concept)
-            edges = self.up_edges[m.concept] = () if decl is None else tuple(
-                (parent, f"{m.concept} specializes {parent}")
-                for parent in sorted(direct_supers(decl)) if parent in self.onto.concepts)
-        for parent, note in edges:
-            self.add(Member(x, parent), Derivation("M-up", (m,), note))
+            parents = self.up_edges[m.concept] = () if decl is None else tuple(
+                p for p in sorted(direct_supers(decl)) if p in self.onto.concepts)
+        for parent in parents:
+            self.add(Member(x, parent), Derivation("M-up", (m,)))
         by_other = rules.d6.get(m.concept)
         if by_other:
             todo = sorted(c for other in self.keyed[x] if other in by_other
@@ -548,9 +542,9 @@ class _Engine:
         rules = self.rules
         edge = rules.r_up.get(g.relation)
         if edge is not None:
-            parent, temporal, note = edge
+            parent, temporal = edge
             self.add(Ground(parent, g.args, g.time if temporal else None),
-                     Derivation("R-up", (g,), note))
+                     Derivation("R-up", (g,)))
         d34 = rules.d34.get(g.relation)
         if d34 is not None:
             rule, concept = d34
@@ -614,12 +608,9 @@ def instance_component(ontology: Ontology, instance: str) -> Ontology:
                 fresh = [a for a in ontology.facts[key].args if a not in instances]
                 instances.update(fresh)
                 todo += fresh
-    return Ontology(
-        ontology.concepts, ontology.relations,
-        {n: d for n, d in ontology.instances.items() if n in instances},
-        ontology.annotations, ontology.labels,
-        {k: f for k, f in ontology.facts.items() if k in facts},
-        ontology.disjoints, ontology.source)
+    return ontology._replace(
+        instances={n: d for n, d in ontology.instances.items() if n in instances},
+        facts={k: f for k, f in ontology.facts.items() if k in facts})
 
 
 def explain_instance(factbase: FactBase, instance: str) -> str:
@@ -641,6 +632,9 @@ def _trace_line(factbase: FactBase, entry: Entry) -> str:
     deriv = factbase.trace[entry]
     if deriv.rule == RULE_ASSERTED:
         return f"{entry.render()}  [asserted]"
-    premises = ", ".join(p.render() for p in deriv.premises)
-    note = f" ({deriv.note})" if deriv.note else ""
-    return f"{entry.render()}  [{deriv.rule}] from {premises}{note}"
+    line = f"{entry.render()}  [{deriv.rule}] from {', '.join(p.render() for p in deriv.premises)}"
+    if deriv.rule == "M-up":  # the one premise is the entry one edge below
+        return f"{line} ({deriv.premises[0].concept} specializes {entry.concept})"
+    if deriv.rule == "R-up":
+        return f"{line} ({deriv.premises[0].relation} particularizes {entry.relation})"
+    return line

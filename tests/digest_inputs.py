@@ -188,6 +188,35 @@ def d1_source(seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# --- chained D5 and D6 -------------------------------------------------------
+
+
+# A D6 conjunction that enables a later one in the same trigger: `z` sorts
+# after `x`, so `x : Model` is processed before D5 gives `x : B`, and then
+# that one trigger derives both `x : C1` and `x : C2`.
+D6_CHAIN_SOURCE = """\
+concept Diagnosis specializes Reasoning
+role B = data of Diagnosis
+concept C1 = Model and B
+concept C2 = C1 and B
+instance z : Diagnosis
+instance x : Model
+fact isDataOf(x, z)
+"""
+
+# A D5 role over a role, on an instance that is data of itself: R-up derives
+# `isDataOf(x, x)` only after `x : Diagnosis` is processed, so that one
+# ground derives `x : R1` and then `x : R2`.
+D5_CHAIN_SOURCE = """\
+concept Diagnosis specializes Reasoning
+role R1 = data of Diagnosis
+role R2 = data of R1
+relation feeds particularizes isDataOf signature (Content, AC)
+instance x : Diagnosis
+fact feeds(x, x)
+"""
+
+
 # --- columns -----------------------------------------------------------------
 
 

@@ -16,6 +16,8 @@ from typing import Optional
 from digest_inputs import (  # noqa: F401  (re-exported)
     COLUMNS_CHECKS_SOURCE,
     COLUMNS_LOAD_SOURCE,
+    D5_CHAIN_SOURCE,
+    D6_CHAIN_SOURCE,
     L4_SOURCE,
     LOAD_FINDINGS_SOURCE,
     P1_SOURCE,

@@ -15,6 +15,9 @@ the seed-3 files of the three benchmark workloads, generated by
     `d1_source(1)`, whose probe `a1` is an Interaction by D1, and
     `tests/shared_model_1.oks`, the text of `random_shared_model(1)`,
     whose probe `x06` is a Subject by D2;
+  - chained D5 and D6, where one trigger of the traced engine derives a
+    membership that enables a later one: `D6_CHAIN_SOURCE` and
+    `D5_CHAIN_SOURCE`, each with probe `x`;
   - columns: `COLUMNS_LOAD_SOURCE` (E1, E3, E5, E6) and
     `COLUMNS_CHECKS_SOURCE` (W2, S1, A7, Ad35), with findings on lines
     indented by spaces, tabs, form feed, U+0085 and U+3000, and on line 1
@@ -58,6 +61,8 @@ import families  # noqa: E402
 from digest_inputs import (  # noqa: E402
     COLUMNS_CHECKS_SOURCE,
     COLUMNS_LOAD_SOURCE,
+    D5_CHAIN_SOURCE,
+    D6_CHAIN_SOURCE,
     L4_SOURCE,
     LOAD_FINDINGS_SOURCE,
     P1_SOURCE,
@@ -94,7 +99,8 @@ def _inputs() -> list[tuple[str, str, str | None]]:
                  ("particularization_1", particularization_source(1), "x0")]
     out += [(f"relations/{name}.oks", text, probe) for name, text, probe in relations]
     rules = [("d1_1", d1_source(1), "a1"),
-             ("shared_1", (TESTS / "shared_model_1.oks").read_text(encoding="utf-8"), "x06")]
+             ("shared_1", (TESTS / "shared_model_1.oks").read_text(encoding="utf-8"), "x06"),
+             ("d6_chain", D6_CHAIN_SOURCE, "x"), ("d5_chain", D5_CHAIN_SOURCE, "x")]
     out += [(f"rules/{name}.oks", text, probe) for name, text, probe in rules]
     out += [("columns/load.oks", COLUMNS_LOAD_SOURCE, None),
             ("columns/checks.oks", COLUMNS_CHECKS_SOURCE, None)]

@@ -14,16 +14,20 @@ import sys
 from pathlib import Path
 
 from helpers import (
+    D5_CHAIN_SOURCE,
+    D6_CHAIN_SOURCE,
     L4_SOURCE,
     LOAD_FINDINGS_SOURCE,
     P1_SOURCE,
     TOKEN_PARSER_SOURCE,
     check_source,
     cycle_source,
+    load_source,
     random_shared_model,
 )
 
 from okc.frontend import _accept, parse, render
+from okc.reasoner import compute_closure, explain_instance, saturate
 
 TESTS = Path(__file__).resolve().parent
 
@@ -63,3 +67,14 @@ def test_finding_sources_give_their_codes():
     codes = {name: sorted({d.code for d in check_source(text)}) for name, text in (
         ("load", LOAD_FINDINGS_SOURCE), ("cycle", cycle_source(12)), ("l4", L4_SOURCE))}
     assert codes == {"load": ["E1", "E2", "E3", "E4", "E7"], "cycle": ["W1"], "l4": ["L4"]}
+
+
+def test_chain_sources_derive_a_membership_from_one_derived_in_the_same_trigger():
+    traces = {}
+    for name, text in (("d6", D6_CHAIN_SOURCE), ("d5", D5_CHAIN_SOURCE)):
+        onto, _ = load_source(text)
+        traces[name] = explain_instance(saturate(onto, compute_closure(onto)), "x")
+    assert "  x : C1  [D6] from x : Model, x : B\n" in traces["d6"]
+    assert "  x : C2  [D6] from x : C1, x : B\n" in traces["d6"]
+    assert "  x : R1  [D5] from isDataOf(x, x), x : Diagnosis\n" in traces["d5"]
+    assert "  x : R2  [D5] from isDataOf(x, x), x : R1\n" in traces["d5"]

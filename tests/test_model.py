@@ -22,9 +22,18 @@ from traceability import Fixture, TraceRow
 
 import okc
 from okc import model
-from okc.bundle import BundleConcept, DomainRelation, ModelBundle, PlaysLink, RoleRecord
+from okc.bundle import (
+    BundleConcept,
+    CompileRefusedError,
+    DomainRelation,
+    ModelBundle,
+    PlaysLink,
+    RoleRecord,
+    compile_bundle,
+)
+from okc.checks import validate
 from okc.frontend import Token, parse
-from okc.kernel import KERNEL_DECLARATIONS, merge_with_kernel
+from okc.kernel import KERNEL_DECLARATIONS, kernel_ontology, merge_with_kernel
 from okc.model import (
     AnnotationDecl,
     ConceptDecl,
@@ -42,7 +51,9 @@ from okc.model import (
     SourceSpan,
     SourceText,
     load,
+    source_lines,
 )
+from okc.reasoner import compute_closure, explain_instance, instance_component, saturate
 
 
 def test_add_concept_to_kernel():
@@ -278,8 +289,8 @@ def test_load_matches_a_scan_of_each_declaration(family, monkeypatch):
         codes.update(d.code for d in found)
         earliest: dict = {}
         for f in (d for d in decls if isinstance(d, Fact)):
-            if f.key() not in earliest or f.line < earliest[f.key()].line:
-                earliest[f.key()] = f
+            if f[:3] not in earliest or f.line < earliest[f[:3]].line:
+                earliest[f[:3]] = f
         if onto is not None:
             assert list(onto.facts.items()) == list(earliest.items()), name
     if family != "loadable":
@@ -368,6 +379,63 @@ def test_the_last_line_is_the_last_of_source_lines(text):
                                      SourceText("f", text))
         assert error_codes(diags) == codes
         assert codes == ["E3"] or diags[0].message.endswith(f"which has {last} line(s)")
+
+
+def test_an_ontology_is_a_record_of_dicts():
+    onto = kernel_ontology()
+    copy = onto._replace(facts=dict(onto.facts))
+    assert copy == onto and copy is not onto and onto != tuple(onto)
+    with pytest.raises(TypeError):  # its fields are dicts
+        hash(onto)
+    with pytest.raises(AttributeError):
+        onto.extra = 1
+
+
+def test_hand_built_records_reach_every_entry_point_without_a_traceback():
+    """Records built in code, with lines in and out of their source, go
+    through `merge_with_kernel`, `validate`, `compile_bundle` and
+    `explain_instance`.  Each call returns diagnostics or raises a
+    documented exception: `CompileRefusedError`, or `ValueError` from
+    `compute_closure` on a cycle.  In an even seed every line lies in its
+    source; in an odd one, one record's line lies past the end or is
+    negative, and the load refuses it by E4 at the kernel span alone."""
+    sources = (KERNEL_SOURCE, SourceText("<one>", "x"),
+               SourceText("<forty>", "".join(f"line {n}\n" for n in range(1, 41))[:-1]))
+    outcomes = {"refused at load": 0, "refused at compile": 0, "compiled": 0}
+    for seed in range(300):
+        rng = random.Random(f"lines-{seed}")
+        source = rng.choice(sources)
+        last = len(source_lines(source.text))
+        decls = [d._replace(line=rng.randint(0, last)) for d in random_loadable_decls(seed)]
+        if seed % 2:
+            i = rng.randrange(len(decls))
+            decls[i] = decls[i]._replace(line=rng.choice((last + 1, last + 7, -1, -4)))
+        onto, diags = merge_with_kernel(decls, source)
+        assert all(isinstance(d, Diagnostic) for d in diags), seed
+        if seed % 2:
+            assert onto is None, seed
+            assert {(d.code, d.span) for d in diags} == {("E4", KERNEL_SPAN)}, seed
+            outcomes["refused at load"] += 1
+            continue
+        assert onto is not None, [d.render() for d in diags]
+        found = validate(onto)
+        assert all(d.span == KERNEL_SPAN or d.span.file == source.file
+                   and 1 <= d.span.line <= last for d in found), seed
+        try:
+            compile_bundle(onto, onto.max_label_time())
+            outcomes["compiled"] += 1
+        except CompileRefusedError:
+            outcomes["refused at compile"] += 1
+        try:
+            closure = compute_closure(onto)
+        except ValueError:
+            assert "W1" in {d.code for d in found}, seed
+            continue
+        for instance in onto.instances:
+            text = explain_instance(saturate(instance_component(onto, instance), closure),
+                                    instance)
+            assert text.startswith(f"memberships of {instance}:\n"), seed
+    assert outcomes["refused at load"] == 150 and min(outcomes.values()) > 0, outcomes
 
 
 def test_equality_ignores_spans():

@@ -380,7 +380,7 @@ def test_order_independence_of_naive_oracle():
 def test_monotonicity_over_asserted_facts():
     for seed in range(8):
         onto = random_saturation_model(seed)
-        facts_all = sorted(onto.facts.values(), key=lambda f: f.key())
+        facts_all = sorted(onto.facts.values(), key=lambda f: f[:3])
         if not facts_all:
             continue
         keep = facts_all[: len(facts_all) // 2]
