@@ -45,15 +45,13 @@ def _record(cls):
 
     A plain NamedTuple equals every tuple with the same fields, so a role
     definition would equal a conjunction of the same two names.
+    `object.__ne__` negates `equal`, where `tuple.__ne__` would not.
     """
 
     def equal(self, other):
         return self.__class__ is other.__class__ and tuple.__eq__(self, other)
 
-    def unequal(self, other):
-        return not equal(self, other)
-
-    cls.__eq__, cls.__ne__, cls.__hash__ = equal, unequal, tuple.__hash__
+    cls.__eq__, cls.__ne__, cls.__hash__ = equal, object.__ne__, tuple.__hash__
     return cls
 
 

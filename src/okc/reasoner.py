@@ -1,5 +1,10 @@
 """Subsumption closure and fact-base saturation.
 
+The closure is one pass over the concepts in declaration order, kernel
+first: a concept is numbered once its supertypes are, and a concept
+declared before a supertype waits on a worklist until that supertype is
+numbered (`compute_closure`).
+
 Saturation closes the ground facts under a fixed monotone rule set, so
 the least fixpoint is reached regardless of application order:
 
@@ -76,9 +81,11 @@ from .model import Ground, Ontology, direct_supers
 class SubsumptionClosure:
     """Reflexive-transitive subsumption over all declared concepts.
 
-    Concept i is bit i, and each concept keeps its ancestors, and only
-    its ancestors, as an integer bitset, so a 10,000-deep chain costs
-    megabytes where one frozenset per concept would cost gigabytes.
+    Concept i is bit i, numbered in the order in which `compute_closure`
+    settles the concepts, each after its supertypes; no output reads the
+    numbers.  Each concept keeps its ancestors, and only its ancestors, as
+    an integer bitset, so a 10,000-deep chain costs megabytes where one
+    frozenset per concept would cost gigabytes.
     Questions about what a concept subsumes are asked from below: walk
     the concepts and read their ancestors under a mask (`ancestor_bits`),
     and name them by walking a sparse set's bits or a dense set's digits.
@@ -127,35 +134,50 @@ class SubsumptionClosure:
 def compute_closure(ontology: Ontology) -> SubsumptionClosure:
     """Subsumption over asserted edges, role definitions and conjunctions.
 
-    Concepts are visited in topological order (Kahn), parents before
-    children, so depth costs no stack; each concept's ancestor bitset is
-    its own bit joined with its parents' bitsets.  No descendant sets are
-    kept.  A cycle stalls the order and raises ValueError; `check_w1` names it.
+    One pass over the concepts in declaration order settles each concept
+    once its supertypes are settled: it takes the next bit and joins their
+    ancestor bitsets.  A concept that meets an unsettled supertype waits on
+    it with the bitset joined so far; when that supertype settles, its
+    bitset is joined and the concept resumes from a worklist, so depth
+    costs no stack.  An undeclared supertype is ignored.  A concept still
+    waiting at the end lies on or under a cycle, and ValueError is raised;
+    `check_w1` names the cycle.
     """
-    names = sorted(ontology.concepts)
-    parents = {n: sorted({p for p in direct_supers(ontology.concepts[n])
-                          if p in ontology.concepts})
-               for n in names}
-    children: dict[str, list[str]] = {n: [] for n in names}
-    for n in names:
-        for p in parents[n]:
-            children[p].append(n)
-    waiting = {n: len(parents[n]) for n in names}
-    order = [n for n in names if not waiting[n]]
-    for n in order:  # grows while it is walked
-        for child in children[n]:
-            waiting[child] -= 1
-            if not waiting[child]:
-                order.append(child)
-    if len(order) < len(names):
+    concepts = ontology.concepts
+    bit: dict[str, int] = {}
+    up: list[int] = []
+    waiting: dict[str, list] = {}  # unsettled supertype -> (concept, supertypes left, bits)
+    for concept, decl in concepts.items():
+        supers = direct_supers(decl)
+        bits = 1 << len(up)
+        for p in supers:  # the common case: every supertype is settled
+            i = bit.get(p)
+            if i is None:
+                work = [(concept, iter(supers), 0)]
+                break
+            bits |= up[i]
+        else:
+            bit[concept] = len(up)
+            up.append(bits)
+            if concept not in waiting:
+                continue
+            work = [(n, left, b | bits) for n, left, b in waiting.pop(concept)]
+        while work:
+            name, left, bits = work.pop()
+            for p in left:
+                i = bit.get(p)
+                if i is not None:
+                    bits |= up[i]
+                elif p in concepts:
+                    waiting.setdefault(p, []).append((name, left, bits))
+                    break
+            else:
+                bits |= 1 << len(up)
+                bit[name] = len(up)
+                up.append(bits)
+                work += [(n, left, b | bits) for n, left, b in waiting.pop(name, ())]
+    if waiting:
         raise ValueError("subsumption cycle; check_w1 reports it")
-    bit = {n: i for i, n in enumerate(order)}
-    up = [0] * len(order)
-    for i, n in enumerate(order):
-        bits = 1 << i
-        for p in parents[n]:
-            bits |= up[bit[p]]
-        up[i] = bits
     return SubsumptionClosure(bit, up)
 
 

@@ -309,6 +309,26 @@ relation intoLoop particularizes loopB signature (PT)
 """
 
 
+# A role, a conjunction and an instance each declared again, once with the
+# same content (kept once, by set semantics; the instance lists its concepts
+# in another order) and once with other content (E1 on the later line).
+REDECLARATION_SOURCE = """\
+concept Diagnosis specializes Reasoning
+role Evidence = data of Diagnosis
+role Evidence = data of Diagnosis
+role Finding = result of Diagnosis
+role Finding = data of Diagnosis
+concept Sample = Model and Evidence
+concept Sample = Model and Evidence
+concept Probe = Model and Evidence
+concept Probe = Model and Finding
+instance d : Diagnosis, Reasoning
+instance d : Reasoning, Diagnosis
+instance m : Model
+instance m : Content
+"""
+
+
 def cycle_source(n: int) -> str:
     """n concepts in one subsumption cycle, and an instance `x` of the first."""
     lines = [f"concept K{i:05d} specializes K{(i + 1) % n:05d}" for i in range(n)]

@@ -21,6 +21,7 @@ from digest_inputs import (  # noqa: F401  (re-exported)
     L4_SOURCE,
     LOAD_FINDINGS_SOURCE,
     P1_SOURCE,
+    REDECLARATION_SOURCE,
     TOKEN_PARSER_SOURCE,
     USER_RELATIONS_SOURCE,
     cycle_source,

@@ -29,8 +29,10 @@ the seed-3 files of the three benchmark workloads, generated by
     across kinds, E3 on a parent relation, an annotation and two fact
     relations, E4 on `fact PRE(0)` and a self-disjointness, E7 on a cycle
     and its lead-in), `cycle_source(12)`, whose W1 message is cut at 10
-    members, with probe `x`, and `L4_SOURCE` (L4 on the material, Input
-    and Output roles).
+    members, with probe `x`, `L4_SOURCE` (L4 on the material, Input
+    and Output roles), and `REDECLARATION_SOURCE`, an identical and a
+    differing re-declaration each of a role, a conjunction and an
+    instance (E1 on each differing one).
 
 Each file runs through `okc check` (text and `--format json`) and `okc
 compile` (text and json); each file with a probe instance also runs
@@ -66,6 +68,7 @@ from digest_inputs import (  # noqa: E402
     L4_SOURCE,
     LOAD_FINDINGS_SOURCE,
     P1_SOURCE,
+    REDECLARATION_SOURCE,
     TOKEN_PARSER_SOURCE,
     USER_RELATIONS_SOURCE,
     cycle_source,
@@ -108,7 +111,8 @@ def _inputs() -> list[tuple[str, str, str | None]]:
             ("parser/p1.oks", P1_SOURCE, None),
             ("findings/load.oks", LOAD_FINDINGS_SOURCE, None),
             ("findings/cycle_12.oks", cycle_source(12), "x"),
-            ("findings/l4.oks", L4_SOURCE, None)]
+            ("findings/l4.oks", L4_SOURCE, None),
+            ("findings/redeclarations.oks", REDECLARATION_SOURCE, None)]
     return out
 
 

@@ -19,6 +19,7 @@ from helpers import (
     L4_SOURCE,
     LOAD_FINDINGS_SOURCE,
     P1_SOURCE,
+    REDECLARATION_SOURCE,
     TOKEN_PARSER_SOURCE,
     check_source,
     cycle_source,
@@ -44,7 +45,7 @@ def test_digest_inputs_import_nothing_from_okc():
         "sys.path.insert(0, sys.argv[1])\n"
         "import digest_inputs\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'okc'))\n")
-    result = subprocess.run([sys.executable, "-I", "-c", probe, str(TESTS)],
+    result = subprocess.run([sys.executable, "-I", "-B", "-c", probe, str(TESTS)],
                             capture_output=True, text=True, check=True)
     assert result.stdout.splitlines() == ["['okc']"]
 
@@ -67,6 +68,12 @@ def test_finding_sources_give_their_codes():
     codes = {name: sorted({d.code for d in check_source(text)}) for name, text in (
         ("load", LOAD_FINDINGS_SOURCE), ("cycle", cycle_source(12)), ("l4", L4_SOURCE))}
     assert codes == {"load": ["E1", "E2", "E3", "E4", "E7"], "cycle": ["W1"], "l4": ["L4"]}
+
+
+def test_redeclaration_source_gives_e1_on_each_differing_redeclaration_only():
+    findings = check_source(REDECLARATION_SOURCE)
+    assert [(d.code, d.span.line, d.subjects) for d in findings] == \
+        [("E1", 5, ("Finding",)), ("E1", 9, ("Probe",)), ("E1", 13, ("m",))]
 
 
 def test_chain_sources_derive_a_membership_from_one_derived_in_the_same_trigger():

@@ -519,7 +519,7 @@ def test_importing_okc_leaves_dataclasses_unloaded(tmp_path):
         "             if m.split('.')[0] in ('helpers', 'traceability', 'tests')))\n"
         "print('dataclasses' in sys.modules)\n")
     result = subprocess.run(
-        [sys.executable, "-I", "-c", probe, str(src), str(model), str(tmp_path / "bundle")],
+        [sys.executable, "-I", "-B", "-c", probe, str(src), str(model), str(tmp_path / "bundle")],
         capture_output=True, text=True, cwd=tmp_path, check=True)
     package = {f"okc.{path.stem}" for path in (src / "okc").glob("*.py")}
     expected = sorted({"okc"} | package - {"okc.__init__", "okc.__main__"})

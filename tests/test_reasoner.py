@@ -89,21 +89,47 @@ def _oracle_ancestors(onto) -> dict[str, frozenset[str]]:
     return {concept: frozenset(ancestors) for concept, ancestors in above.items()}
 
 
-def closure_matches_oracle(seed: int) -> None:
-    decls = random_taxonomy(seed)
-    onto, diags = merge_with_kernel(decls)
-    assert onto is not None, diags
-    closure = compute_closure(onto)
-    above = _oracle_ancestors(onto)
+def _assert_closure_is(closure, onto, above: dict[str, frozenset[str]]) -> None:
     for descendant in onto.concepts:
         for ancestor in onto.concepts:
             assert closure.subsumes(ancestor, descendant) == \
-                (ancestor in above[descendant]), (seed, ancestor, descendant)
+                (ancestor in above[descendant]), (ancestor, descendant)
+
+
+def closure_matches_oracle(seed: int) -> None:
+    """The seed's taxonomy declared parents first, reversed (children first)
+    and shuffled: the closure waits on supertypes declared later."""
+    decls = random_taxonomy(seed)
+    shuffled = random.Random(seed).sample(decls, len(decls))
+    for order in (decls, decls[::-1], shuffled):
+        onto, diags = merge_with_kernel(order)
+        assert onto is not None, diags
+        assert list(onto.concepts)[-len(order):] == [d.name for d in order]
+        _assert_closure_is(compute_closure(onto), onto, _oracle_ancestors(onto))
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_closure_against_brute_force(seed):
     closure_matches_oracle(seed)
+
+
+def test_closure_ignores_an_undeclared_supertype():
+    """`load` refuses an undeclared supertype (E3), so only a hand-built
+    ontology holds one; the closure reads only the declared supertypes, in
+    any declaration order, and no cycle is reported."""
+    onto, _ = merge_with_kernel([ConceptDecl("Diagnosis", ("Reasoning",))])
+    ghostly = [ConceptDecl("Lower", ("Ghost", "Upper")),
+               ConceptDecl("Upper", ("Diagnosis", "Ghost")),
+               ConceptDecl("Haunted", ("Ghost",))]
+    for order in (ghostly, ghostly[::-1]):
+        hand_built = onto._replace(concepts={**onto.concepts, **{d.name: d for d in order}})
+        declared = {n: c._replace(parents=tuple(p for p in c.parents if p != "Ghost"))
+                    for n, c in hand_built.concepts.items()}
+        closure = compute_closure(hand_built)
+        _assert_closure_is(closure, hand_built, _oracle_ancestors(onto._replace(concepts=declared)))
+        assert closure.ancestors("Lower") == {"Lower", "Upper"} | closure.ancestors("Diagnosis")
+        assert closure.ancestors("Haunted") == {"Haunted"}
+        assert find_subsumption_cycles(hand_built) == []
 
 
 def _check_decoding(onto, above: dict[str, frozenset[str]]) -> None:
@@ -140,6 +166,21 @@ def test_decoding_wide_and_deep_bitsets_against_oracle():
         above[f"C{i:05d}"] = above[f"C{i + 1:05d}" if i + 1 < depth else "Reasoning"] \
             | {f"C{i:05d}"}
     _check_decoding(onto, above)
+
+
+def test_child_first_deep_chain_closes_without_recursion():
+    """A 20,000-deep chain declared leaf first, so every concept waits on
+    the next: the kernel's closure extended down the chain, as bitsets."""
+    depth = 20_000
+    onto, _ = load_source(deep_chain_source(depth))
+    closure = compute_closure(onto)
+    chain = [f"C{i:05d}" for i in range(depth)]
+    above = closure.ancestor_bits("Reasoning")
+    assert closure.ancestors("Reasoning") == _oracle_ancestors(kernel_ontology())["Reasoning"]
+    for concept in reversed(chain):  # C_i is under C_j exactly when i <= j
+        above |= closure.mask((concept,))
+        assert closure.ancestor_bits(concept) == above, concept
+    assert closure.ancestors(chain[0]) == set(chain) | closure.ancestors("Reasoning")
 
 
 def test_cycle_detection():
@@ -189,6 +230,12 @@ def test_cycles_match_reachability_oracle():
                       for u in nodes}
         expected = sorted(c for c in components if len(c) > 1 or (c[0], c[0]) in edges)
         assert find_subsumption_cycles(onto) == expected, seed
+        if expected:
+            with pytest.raises(ValueError, match="check_w1"):
+                compute_closure(onto)
+        else:
+            closure = compute_closure(onto)
+            assert {(d, a) for d in nodes for a in nodes if closure.subsumes(a, d)} == reach, seed
         seen["self-loop"] += any(len(c) == 1 for c in expected)
         seen["longer"] += any(len(c) > 1 for c in expected)
         seen["several"] += len(expected) > 1
