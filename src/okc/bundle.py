@@ -4,12 +4,15 @@ A label is effective at snapshot time s when it is the latest label of
 its exclusivity family at or before s.  The task model collects the
 concepts effectively labeled Task, the inference model those labeled
 Inference or TransferFunction, and the domain model those labeled
-DomainConcept.  Task and inference concepts resolve their inputs and
-outputs through the declared role definitions: a role `X = data of C`
-attaches to R when C subsumes R, and analogously for result roles.  The
-domain model additionally carries the plays-links derived from
-conjunction definitions (type -> material role) and the user relations
-whose signature concepts all live in the domain model.
+DomainConcept.  A concept's parents in a document are its asserted
+parents and its conjunction operands that lie in that document; a
+role's Data or Result, implied by its definition, is not listed.  Task
+and inference concepts resolve their inputs and outputs through the
+declared role definitions: a role `X = data of C` attaches to R when C
+subsumes R, and analogously for result roles.  The domain model
+additionally carries the plays-links derived from conjunction
+definitions (type -> material role) and the user relations whose
+signature concepts all live in the domain model.
 
 Emission writes each document straight from the bundle's records, one
 text template per record kind at its fixed depth and key order, and each
@@ -30,13 +33,13 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .model import (
-    Conjunction,
     Diagnostic,
     LABEL_FAMILY,
     Ontology,
     RoleDefinition,
     Severity,
     _record,
+    direct_supers,
     has_errors,
     sort_diagnostics,
 )
@@ -145,10 +148,9 @@ def _parents_within(
     ontology: Ontology, concept: str, members: set[str]
 ) -> tuple[str, ...]:
     decl = ontology.concepts[concept]
-    supers = list(decl.parents)
-    if isinstance(decl.definition, Conjunction):
-        supers.extend((decl.definition.type_concept, decl.definition.formal_role))
-    return tuple(sorted(p for p in set(supers) if p in members and p != concept))
+    if isinstance(decl.definition, RoleDefinition):
+        return ()  # its Data or Result is implied by the definition, not listed
+    return tuple(sorted(p for p in set(direct_supers(decl)) if p in members and p != concept))
 
 
 def compile_bundle(
@@ -175,10 +177,9 @@ def compile_bundle(
             f"no labels are effective at snapshot time {snapshot_time}; "
             f"the bundle is empty"))
 
-    task_set = set(effective.get("Task", set()))
-    inference_set = set(effective.get("Inference", set())) \
-        | set(effective.get("TransferFunction", set()))
-    domain_set = set(effective.get("DomainConcept", set()))
+    task_set = effective.get("Task", set())
+    inference_set = effective.get("Inference", set()) | effective.get("TransferFunction", set())
+    domain_set = effective.get("DomainConcept", set())
     roles_at: dict[str, list[RoleRecord]] = {}
     for record in _role_records(ontology):
         roles_at.setdefault(record.reasoning_concept, []).append(record)

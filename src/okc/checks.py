@@ -337,10 +337,10 @@ def _role_identity(
             failures.append("a material knowledge role must be annotated "
                             "identity carries")
         others = ~closure.mask((lb.concept,))
-        if not closure.ancestors(lb.concept, formal_at.get(lb.time, 0) & others):
+        if not closure.ancestor_bits(lb.concept, formal_at.get(lb.time, 0) & others):
             failures.append(
                 f"no subsumer is labeled FormalKnowledgeRole at time {lb.time}")
-        if not closure.ancestors(lb.concept, identity_types & others):
+        if not closure.ancestor_bits(lb.concept, identity_types & others):
             failures.append("no subsumer is a rigid identity-carrying type")
     elif lb.primitive == "Input":
         if not closure.subsumes(kernel.DATA, lb.concept):

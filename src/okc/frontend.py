@@ -127,12 +127,6 @@ class _LineParser:
             raise _SyntaxError(f"expected {what}", tok)
         return tok
 
-    def expect_time(self) -> int:
-        tok = self.next()
-        if tok.kind != "nat":
-            raise _SyntaxError("expected time point", tok)
-        return _time_point(tok)
-
     def expect_kind(self, kind: str, what: str) -> Token:
         tok = self.next()
         if tok.kind != kind:
@@ -286,7 +280,7 @@ def _parse_label(p: _LineParser, line: int) -> MetaLabel:
         raise _SyntaxError("unknown modeling primitive", prim_tok)
     concept = p.expect_identifier("concept").text
     p.expect_keyword("at")
-    time = p.expect_time()
+    time = _time_point(p.expect_kind("nat", "time point"))
     p.expect_end()
     return MetaLabel(prim_tok.text, concept, time, line=line)
 
@@ -459,11 +453,6 @@ def _render_relation(r: RelationDecl) -> str:
     return " ".join(parts)
 
 
-def _render_fact(f: Fact) -> str:
-    args = list(f.args) + ([str(f.time)] if f.time is not None else [])
-    return f"fact {f.relation}({', '.join(args)})"
-
-
 def render(ontology: Ontology) -> str:
     """Canonical text for an ontology; parse(render(o)) loads back to o."""
     sections: list[list[str]] = [
@@ -474,7 +463,7 @@ def render(ontology: Ontology) -> str:
                for per in ontology.annotations.values() for a in per.values()),
         sorted(f"instance {i.name} : {', '.join(sorted(i.concepts))}"
                for i in ontology.instances.values()),
-        sorted(_render_fact(f) for f in ontology.facts.values()),
+        sorted(f"fact {g.render()}" for g in ontology.facts),
         sorted(f"label {lb.primitive} {lb.concept} at {lb.time}"
                for lb in ontology.labels.values()),
     ]

@@ -424,10 +424,7 @@ def load(decls: Iterable[Declaration], source: SourceText = KERNEL_SOURCE,
     onto = Ontology(concepts, relations, instances, annotations, labels, facts, disjoints, source)
     _check_references(onto, diags)
 
-    diags = sort_diagnostics(diags)
-    if has_errors(diags):
-        return None, diags
-    return onto, diags
+    return (None if diags else onto), sort_diagnostics(diags)
 
 
 def _collapse_named(decls, span, diags: list[Diagnostic]) -> dict:

@@ -508,9 +508,6 @@ class _Engine:
         self.queue.append(entry)
         return True
 
-    def has(self, instance: str, concept: str) -> bool:
-        return Member(instance, concept) in self.trace
-
     def run(self) -> dict[Entry, Derivation]:
         for inst in sorted(self.onto.instances.values(), key=lambda d: d.name):
             for concept in sorted(inst.concepts):
@@ -590,13 +587,14 @@ class _Engine:
         """`action : Interaction` by D1, from AC(action), an agent y and an
         agentive participant z other than y: the least such participation
         and the least agent on it."""
-        if not self.has(action, kernel.ACTION) or self.has(action, kernel.INTERACTION):
+        if (Member(action, kernel.ACTION) not in self.trace
+                or Member(action, kernel.INTERACTION) in self.trace):
             return
         agents = sorted(self.by_arg.get((kernel.REL_AGENT, 1, action), ()))
         participations = self.by_arg.get((kernel.REL_PARTICIPATION, 1, action), ())
         for pc in sorted(participations) if agents else ():
             z = pc.args[0]
-            agentive = next((c for c in kernel.AGENTIVE_UNION if self.has(z, c)), None)
+            agentive = next((c for c in kernel.AGENTIVE_UNION if Member(z, c) in self.trace), None)
             agent = next((a for a in agents if a.args[0] != z), None)
             if agentive is not None and agent is not None:
                 self.add(Member(action, kernel.INTERACTION), Derivation(
@@ -607,7 +605,7 @@ class _Engine:
         """`c : Subject` by D2 from `hasForSubject(p, c)`, if p is a
         Proposition and c an IdaConcept."""
         prop, idea = Member(g.args[0], kernel.PROPOSITION), Member(g.args[1], kernel.IDA_CONCEPT)
-        if self.has(*prop) and self.has(*idea):
+        if prop in self.trace and idea in self.trace:
             self.add(Member(g.args[1], kernel.SUBJECT), Derivation("D2", (g, prop, idea)))
 
 
@@ -641,8 +639,8 @@ def explain_instance(factbase: FactBase, instance: str) -> str:
     for concept in sorted(factbase.concepts_of(instance)):
         entry = Member(instance, concept)
         lines.append("  " + _trace_line(factbase, entry))
-    involved = sorted((g for g in factbase.trace if isinstance(g, Ground) and instance in g.args),
-                      key=lambda g: (g.relation, g.args, -1 if g.time is None else g.time))
+    # a relation's grounds are all timed or all untimed, so tuple order sorts them
+    involved = sorted(g for g in factbase.trace if isinstance(g, Ground) and instance in g.args)
     if involved:
         lines.append(f"facts involving {instance}:")
         for g in involved:

@@ -277,15 +277,26 @@ def test_relation_built_without_a_line_stays_out_of_the_domain_model():
 
 
 def test_domain_parents_restricted_to_model_members():
-    onto, _ = load_source(
+    onto, load_diags = load_source(
         "concept Vehicle specializes POB\n"
         "concept Car specializes Vehicle\n"
+        "concept Diagnosis specializes Reasoning\n"
+        "role Evidence = data of Diagnosis\n"
+        "role Verdict = result of Diagnosis\n"
+        "concept Sample = Model and Evidence\n"
         "label DomainConcept Vehicle at 1\n"
-        "label DomainConcept Car at 1\n")
-    bundle, _ = compile_bundle(onto, 1)
+        "label DomainConcept Car at 1\n"
+        + "".join(f"label DomainConcept {c} at 1\n"
+                  for c in ("Evidence", "Data", "Model", "Sample", "Verdict", "Result")))
+    bundle, diags = compile_bundle(onto, 1)
+    assert load_diags == [] and diags == []
     by_name = {c.name: c for c in bundle.domain_concepts}
     assert by_name["Car"].parents == ("Vehicle",)
     assert by_name["Vehicle"].parents == ()  # POB is not in the domain model
+    # a role's Data or Result is implied by its definition and not listed,
+    # though it is in the domain model; a conjunction's operands are listed
+    assert by_name["Evidence"].parents == () and by_name["Verdict"].parents == ()
+    assert by_name["Sample"].parents == ("Evidence", "Model")
 
 
 def test_conservation_no_invented_names(car_ontology):
