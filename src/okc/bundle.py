@@ -150,7 +150,7 @@ def _parents_within(
     decl = ontology.concepts[concept]
     if isinstance(decl.definition, RoleDefinition):
         return ()  # its Data or Result is implied by the definition, not listed
-    return tuple(sorted(p for p in set(direct_supers(decl)) if p in members and p != concept))
+    return tuple(sorted(p for p in set(direct_supers(decl)) if p in members))
 
 
 def compile_bundle(

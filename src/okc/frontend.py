@@ -27,20 +27,21 @@ Time points have at most 4,300 digits (`MAX_TIME_DIGITS`); a longer
 numeral is a syntax error, the same on every Python version, and so is
 one longer than a lowered int() digit limit (`PYTHONINTMAXSTRDIGITS`).
 
-Each line takes one of two paths.  The accept path matches it against
-one anchored regular expression per statement form, chosen by the
-leading keyword, and builds the declaration from the match groups.
-Every line that path declines (blank, comment-only or malformed lines,
-and any well-formed line it does not recognise) goes to the token
-parser, which alone reports syntax errors.  The accept path must be
-sound: whenever it returns a declaration, the token parser returns an
-equal one for the same line, line number included.  It need not be
-complete.  A declaration holds its line number, not a span: a finding
-on it takes its span from the line when the finding is made
-(`model.SourceText`).
-It builds each record positionally with one `tuple.__new__` call, so it
-relies on the records' field order; the soundness tests pin that order
-by comparing its records with the token parser's, class and field.
+Each line takes one of two paths.  The accept path, which builds every
+declaration, matches the line against one anchored regular expression per
+statement form, chosen by the leading keyword, and builds the record from
+the match groups.  A line it declines (blank, comment-only or malformed,
+or well-formed but spaced in a way its patterns do not read) goes to the
+token parser.  That parser checks the line's tokens against the grammar
+and words each syntax error (P1); a line the grammar accepts it hands back
+to the accept path as its tokens joined by single spaces.  So the accept
+path must build the same record whatever the whitespace and comments of a
+line, and it must accept every joined line that the grammar accepts.  A
+declaration holds its line number, not a span: a finding on it takes its
+span from the line when the finding is made (`model.SourceText`).  The
+accept path builds each record positionally with one `tuple.__new__`
+call, so it relies on the records' field order; `test_statement_forms`
+pins that order against records built by keyword.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ from .model import (
     DisjointDecl,
     Fact,
     InstanceDecl,
+    LABEL_FAMILY,
     MetaLabel,
     Ontology,
-    PRIMITIVES,
     RelationDecl,
     RoleDefinition,
     Severity,
@@ -115,17 +116,22 @@ class _LineParser:
             self.pos += 1
         return tok
 
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.next()
-        if tok.kind != "word" or tok.text != word:
-            raise _SyntaxError(f"expected '{word}'", tok)
-        return tok
+    def skip(self, text: str) -> bool:
+        """Consume the next token if it reads `text`."""
+        if self.peek().text != text:
+            return False
+        self.pos += 1
+        return True
 
-    def expect_identifier(self, what: str = "identifier") -> Token:
+    def expect_keyword(self, word: str) -> None:
+        tok = self.next()
+        if tok.text != word:
+            raise _SyntaxError(f"expected '{word}'", tok)
+
+    def expect_identifier(self, what: str = "identifier") -> None:
         tok = self.next()
         if tok.kind != "word" or not _IDENT_RE.match(tok.text):
             raise _SyntaxError(f"expected {what}", tok)
-        return tok
 
     def expect_kind(self, kind: str, what: str) -> Token:
         tok = self.next()
@@ -137,19 +143,15 @@ class _LineParser:
         if self.pos < len(self.tokens):
             raise _SyntaxError("unexpected trailing input", self.peek())
 
-    def identifier_list(self) -> list[str]:
-        names = [self.expect_identifier().text]
-        while self.peek().kind == "comma":
-            self.next()
-            names.append(self.expect_identifier().text)
-        return names
+    def identifier_list(self) -> None:
+        self.expect_identifier()
+        while self.skip(","):
+            self.expect_identifier()
 
 
-def _time_point(tok: Token) -> int:
-    value = _time_value(tok.text)
-    if value is None:
+def _check_time(tok: Token) -> None:
+    if _time_value(tok.text) is None:
         raise _SyntaxError("time point too large", tok)
-    return value
 
 
 def _time_value(numeral: str) -> Optional[int]:
@@ -169,13 +171,15 @@ def _parse_tokens(line: str, line_no: int, filename: str) -> Declaration | Diagn
     parser = _LineParser(tokens)
     head = parser.next()
     try:
-        handler = _STATEMENTS.get(head.text) if head.kind == "word" else None
-        if handler is None:
+        form = _FORMS.get(head.text)  # a keyword is read only as a word token
+        if form is None:
             raise _SyntaxError("unknown statement keyword", head)
-        return handler(parser, line_no)
+        form[2](parser)
+        parser.expect_end()
     except _SyntaxError as err:
         return Diagnostic(Severity.ERROR, "P1", err.message,
                           SourceSpan(filename, line_no, err.token.column))
+    return _accept(" ".join(t.text for t in tokens), line_no)
 
 
 def _accept(line: str, line_no: int) -> Optional[Declaration]:
@@ -184,7 +188,7 @@ def _accept(line: str, line_no: int) -> Optional[Declaration]:
     form = _FORMS.get(head[0]) if head else None
     if form is None:
         return None
-    pattern, build = form
+    pattern, build, _ = form
     m = pattern.fullmatch(line)
     if m is None:
         return None
@@ -204,143 +208,96 @@ def parse(text: str, filename: str) -> tuple[list[Declaration], list[Diagnostic]
     return decls, diags  # at most one P1 per line, in line order
 
 
-# --- statement parsers -----------------------------------------------------
+# --- grammar checks: each raises the line's first syntax error -------------
 
 
-def _parse_concept(p: _LineParser, line: int) -> ConceptDecl:
-    name = p.expect_identifier("concept name").text
-    tok = p.peek()
-    if tok.kind == "word" and tok.text == "specializes":
-        p.next()
-        parents = tuple(p.identifier_list())
-        p.expect_end()
-        return ConceptDecl(name, parents, line=line)
-    if tok.kind == "equals":
-        p.next()
-        type_concept = p.expect_identifier("type concept").text
+def _check_concept(p: _LineParser) -> None:
+    p.expect_identifier("concept name")
+    if p.skip("specializes"):
+        p.identifier_list()
+    elif p.skip("="):
+        p.expect_identifier("type concept")
         p.expect_keyword("and")
-        formal_role = p.expect_identifier("formal role").text
-        p.expect_end()
-        return ConceptDecl(name, (), Conjunction(type_concept, formal_role), line=line)
-    p.expect_end()
-    return ConceptDecl(name, (), line=line)
+        p.expect_identifier("formal role")
 
 
-def _parse_role(p: _LineParser, line: int) -> ConceptDecl:
-    name = p.expect_identifier("role name").text
+def _check_role(p: _LineParser) -> None:
+    p.expect_identifier("role name")
     p.expect_kind("equals", "'='")
     mode_tok = p.next()
-    if mode_tok.kind != "word" or mode_tok.text not in ("data", "result"):
+    if mode_tok.text not in ("data", "result"):
         raise _SyntaxError("expected 'data' or 'result'", mode_tok)
     p.expect_keyword("of")
-    reasoning = p.expect_identifier("reasoning concept").text
-    p.expect_end()
-    return ConceptDecl(name, (), RoleDefinition(mode_tok.text, reasoning), line=line)
+    p.expect_identifier("reasoning concept")
 
 
-def _parse_relation(p: _LineParser, line: int) -> RelationDecl:
-    name = p.expect_identifier("relation name").text
-    particularizes = None
-    if p.peek().kind == "word" and p.peek().text == "particularizes":
-        p.next()
-        particularizes = p.expect_identifier("parent relation").text
+def _check_relation(p: _LineParser) -> None:
+    p.expect_identifier("relation name")
+    if p.skip("particularizes"):
+        p.expect_identifier("parent relation")
     p.expect_keyword("signature")
     p.expect_kind("lparen", "'('")
-    signature: list[tuple[str, ...]] = []
     while True:
-        union = [p.expect_identifier("concept").text]
-        while p.peek().kind == "pipe":
-            p.next()
-            union.append(p.expect_identifier("concept").text)
-        signature.append(tuple(sorted(union)))
+        p.expect_identifier("concept")
+        while p.skip("|"):
+            p.expect_identifier("concept")
         tok = p.next()
         if tok.kind == "rparen":
             break
         if tok.kind != "comma":
             raise _SyntaxError("expected ',' or ')'", tok)
-    temporal = False
-    if p.peek().kind == "word" and p.peek().text == "temporal":
-        p.next()
-        temporal = True
-    p.expect_end()
-    return RelationDecl(name, tuple(signature), temporal=temporal,
-                        particularizes=particularizes, line=line)
+    p.skip("temporal")
 
 
-def _parse_disjoint(p: _LineParser, line: int) -> DisjointDecl:
-    first = p.expect_identifier().text
-    second = p.expect_identifier().text
-    p.expect_end()
-    return DisjointDecl(first, second, line=line)
+def _check_disjoint(p: _LineParser) -> None:
+    p.expect_identifier()
+    p.expect_identifier()
 
 
-def _parse_label(p: _LineParser, line: int) -> MetaLabel:
+def _check_label(p: _LineParser) -> None:
     prim_tok = p.next()
-    if prim_tok.kind != "word" or prim_tok.text not in PRIMITIVES:
+    if prim_tok.text not in LABEL_FAMILY:
         raise _SyntaxError("unknown modeling primitive", prim_tok)
-    concept = p.expect_identifier("concept").text
+    p.expect_identifier("concept")
     p.expect_keyword("at")
-    time = _time_point(p.expect_kind("nat", "time point"))
-    p.expect_end()
-    return MetaLabel(prim_tok.text, concept, time, line=line)
+    _check_time(p.expect_kind("nat", "time point"))
 
 
-def _parse_annotate(p: _LineParser, line: int) -> AnnotationDecl:
-    concept = p.expect_identifier("concept").text
+def _check_annotate(p: _LineParser) -> None:
+    p.expect_identifier("concept")
     axis_tok = p.next()
-    if axis_tok.kind != "word" or axis_tok.text not in ANNOTATION_VALUES:
+    if axis_tok.text not in ANNOTATION_VALUES:
         raise _SyntaxError("expected 'rigidity', 'identity' or 'dependence'", axis_tok)
     value_tok = p.next()
-    if value_tok.kind != "word" or value_tok.text not in ANNOTATION_VALUES[axis_tok.text]:
+    if value_tok.text not in ANNOTATION_VALUES[axis_tok.text]:
         allowed = "|".join(ANNOTATION_VALUES[axis_tok.text])
         raise _SyntaxError(f"expected {allowed}", value_tok)
-    p.expect_end()
-    return AnnotationDecl(concept, axis_tok.text, value_tok.text, line=line)
 
 
-def _parse_instance(p: _LineParser, line: int) -> InstanceDecl:
-    name = p.expect_identifier("instance name").text
+def _check_instance(p: _LineParser) -> None:
+    p.expect_identifier("instance name")
     p.expect_kind("colon", "':'")
-    concepts = tuple(p.identifier_list())
-    p.expect_end()
-    return InstanceDecl(name, concepts, line=line)
+    p.identifier_list()
 
 
-def _parse_fact(p: _LineParser, line: int) -> Fact:
-    relation = p.expect_identifier("relation name").text
+def _check_fact(p: _LineParser) -> None:
+    p.expect_identifier("relation name")
     p.expect_kind("lparen", "'('")
-    args: list[str] = []
-    time: Optional[int] = None
     if p.peek().kind == "rparen":
         raise _SyntaxError("fact needs at least one argument", p.peek())
     while True:
         tok = p.next()
         if tok.kind == "nat":
-            time = _time_point(tok)
+            _check_time(tok)
             p.expect_kind("rparen", "')' after time point")
             break
         if tok.kind != "word" or not _IDENT_RE.match(tok.text):
             raise _SyntaxError("expected instance name or time point", tok)
-        args.append(tok.text)
         tok = p.next()
         if tok.kind == "rparen":
             break
         if tok.kind != "comma":
             raise _SyntaxError("expected ',' or ')'", tok)
-    p.expect_end()
-    return Fact(relation, tuple(args), time, line=line)
-
-
-_STATEMENTS: dict[str, Callable[[_LineParser, int], Declaration]] = {
-    "concept": _parse_concept,
-    "role": _parse_role,
-    "relation": _parse_relation,
-    "disjoint": _parse_disjoint,
-    "label": _parse_label,
-    "annotate": _parse_annotate,
-    "instance": _parse_instance,
-    "fact": _parse_fact,
-}
 
 
 # --- accept path: one anchored pattern per statement form -----------------
@@ -384,7 +341,7 @@ def _accept_disjoint(m: re.Match, line: int) -> DisjointDecl:
 def _accept_label(m: re.Match, line: int) -> Optional[MetaLabel]:
     primitive, concept, time = m.group(1, 2, 3)
     value = _time_value(time)
-    if primitive not in PRIMITIVES or value is None:
+    if primitive not in LABEL_FAMILY or value is None:
         return None
     return _new(MetaLabel, (primitive, concept, value, line))
 
@@ -402,29 +359,36 @@ def _accept_instance(m: re.Match, line: int) -> InstanceDecl:
 
 
 def _accept_fact(m: re.Match, line: int) -> Optional[Fact]:
-    relation, args, time = m.group(1, 2, 3)
+    relation, args, time, time_only = m.group(1, 2, 3, 4)
+    time = time or time_only
     value = None if time is None else _time_value(time)
     if time is not None and value is None:
         return None
-    return _new(Fact, (relation, tuple(_findall_names(args)), value, line))
+    return _new(Fact, (relation, tuple(_findall_names(args or "")), value, line))
 
 
 _Builder = Callable[[re.Match, int], Optional[Declaration]]
 
-_FORMS: dict[str, tuple[re.Pattern, _Builder]] = {
-    keyword: (_form(keyword, body), build) for keyword, body, build in (
+# One row per statement form, by its keyword: the accept path's pattern and
+# builder, and the token parser's grammar check.
+_FORMS: dict[str, tuple[re.Pattern, _Builder, Callable[[_LineParser], None]]] = {
+    keyword: (_form(keyword, body), build, check) for keyword, body, build, check in (
         ("concept", rf"({_IDENT})(?:[ \t]+specializes[ \t]+({_NAMES})"
-                    rf"|[ \t]*=[ \t]*({_IDENT})[ \t]+and[ \t]+({_IDENT}))?", _accept_concept),
-        ("role", rf"({_IDENT})[ \t]*=[ \t]*(data|result)[ \t]+of[ \t]+({_IDENT})", _accept_role),
+                    rf"|[ \t]*=[ \t]*({_IDENT})[ \t]+and[ \t]+({_IDENT}))?",
+         _accept_concept, _check_concept),
+        ("role", rf"({_IDENT})[ \t]*=[ \t]*(data|result)[ \t]+of[ \t]+({_IDENT})",
+         _accept_role, _check_role),
         ("relation", rf"({_IDENT})(?:[ \t]+particularizes[ \t]+({_IDENT}))?"
                      rf"[ \t]+signature[ \t]*\([ \t]*({_IDENT}(?:[ \t]*[,|][ \t]*{_IDENT})*)"
-                     rf"[ \t]*\)(?:[ \t]*(temporal))?", _accept_relation),
-        ("disjoint", rf"({_IDENT})[ \t]+({_IDENT})", _accept_disjoint),
-        ("label", rf"({_WORD})[ \t]+({_IDENT})[ \t]+at[ \t]+({_TIME})", _accept_label),
-        ("annotate", rf"({_IDENT})[ \t]+({_WORD})[ \t]+({_WORD})", _accept_annotate),
-        ("instance", rf"({_IDENT})[ \t]*:[ \t]*({_NAMES})", _accept_instance),
-        ("fact", rf"({_IDENT})[ \t]*\([ \t]*({_NAMES})(?:[ \t]*,[ \t]*({_TIME}))?[ \t]*\)",
-         _accept_fact),
+                     rf"[ \t]*\)(?:[ \t]*(temporal))?", _accept_relation, _check_relation),
+        ("disjoint", rf"({_IDENT})[ \t]+({_IDENT})", _accept_disjoint, _check_disjoint),
+        ("label", rf"({_WORD})[ \t]+({_IDENT})[ \t]+at[ \t]+({_TIME})",
+         _accept_label, _check_label),
+        ("annotate", rf"({_IDENT})[ \t]+({_WORD})[ \t]+({_WORD})",
+         _accept_annotate, _check_annotate),
+        ("instance", rf"({_IDENT})[ \t]*:[ \t]*({_NAMES})", _accept_instance, _check_instance),
+        ("fact", rf"({_IDENT})[ \t]*\([ \t]*(?:({_NAMES})(?:[ \t]*,[ \t]*({_TIME}))?|({_TIME}))"
+                 rf"[ \t]*\)", _accept_fact, _check_fact),
     )
 }
 

@@ -140,24 +140,13 @@ def has_errors(diags: Iterable[Diagnostic]) -> bool:
 
 # --- label primitives ------------------------------------------------------
 
-PRIMITIVES: tuple[str, ...] = (
-    "Task",
-    "Inference",
-    "TransferFunction",
-    "DomainConcept",
-    "KnowledgeRole",
-    "FormalKnowledgeRole",
-    "MaterialKnowledgeRole",
-    "Input",
-    "Output",
-)
-
 KNOWLEDGE_ROLE_PRIMITIVES = frozenset(
     {"KnowledgeRole", "FormalKnowledgeRole", "MaterialKnowledgeRole", "Input", "Output"}
 )
 
-# Exclusivity families: per time point a concept may carry at most one
-# label from each family.  TransferFunction forms its own family.
+# The modeling primitives, each with its exclusivity family: per time point
+# a concept may carry at most one label from each family.  TransferFunction
+# forms its own family.
 LABEL_FAMILY: dict[str, str] = {
     "Task": "reasoning",
     "Inference": "reasoning",
@@ -490,7 +479,7 @@ def _check_references(onto: Ontology, diags: list[Diagnostic]) -> None:
                       chain.from_iterable(map(attrgetter("concepts"), instances.values())),
                       labelled, onto.annotations, chain.from_iterable(onto.disjoints))
     unresolved -= concepts.keys()
-    bad_primitives = set(primitives).difference(PRIMITIVES)
+    bad_primitives = set(primitives).difference(LABEL_FAMILY)
 
     def need_concept(name: str, line: int, context: str) -> None:
         if name not in concepts:

@@ -1,13 +1,17 @@
-"""Text generators for the inputs of `tests/output_digests.py`.
+"""Text generators for the inputs of `tests/output_digests.py` and
+`tests/parse_digest.py`.
 
-The digest script runs over the `src` of other checkouts too, so this
+The digest scripts run over the `src` of other checkouts too, so this
 module imports nothing from `okc`: a name that only one checkout defines
-cannot stop the other's run.  `helpers` re-exports every name here.
+cannot stop the other's run.  `helpers` re-exports the model texts.
 """
 
 from __future__ import annotations
 
 import random
+from pathlib import Path
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 # --- shapes whose bitsets are wide or dense ----------------------------------
 
@@ -256,7 +260,7 @@ COLUMNS_CHECKS_SOURCE = (
 # USER_RELATIONS_SOURCE plus the forms it lacks (a disjointness, a concept
 # without parents, an instance of two concepts), with every space an
 # ideographic space (U+3000).  The accept path refuses every line, so the
-# token parser reads each into the declaration the accept path would build.
+# token parser checks each and hands it back with single spaces.
 TOKEN_PARSER_SOURCE = (
     USER_RELATIONS_SOURCE
     + "disjoint Mechanic Pump\nconcept Gauge\ninstance g : Gauge, POB\nfact PC(g, d1, 0)\n"
@@ -350,3 +354,74 @@ label MaterialKnowledgeRole Evidence at 1
 label Output Evidence at 2
 label Input Finding at 2
 """
+
+
+# --- lines for the parser ----------------------------------------------------
+
+
+# Lines where a pattern could plausibly read more or less than the tokens do.
+ACCEPT_EDGE_LINES = [
+    "concept specializes",
+    "concept A specializes specializes",
+    "concept A-B",
+    "concept A#note",
+    "concept\tA  specializes B ,C\t# note",
+    "  concept A=B and C",
+    "concept A = B andC",
+    "concept A\u00a0specializes B",
+    "role R=data of C",
+    "role R = database of C",
+    "relation particularizes signature (A)",
+    "relation particularizes particularizes signature (A)",
+    "relation R particularizes signature signature (A)",
+    "relation R signature(B|A, C|A|B)temporal",
+    "relation R signature (A) temporalX",
+    "relation R signature (A,) temporal",
+    "disjoint A B C",
+    "label Task X at 007",
+    "label Tasks X at 1",
+    "label Task X at 1x",
+    "label Task X at \u0663",
+    "annotate X rigidity anti-rigid#c",
+    "annotate X identity rigid",
+    "annotate X-Y rigidity rigid",
+    "instance i:A,B",
+    "instance i : A, B,",
+    "fact R(3)",
+    "fact R(a,b,3)",
+    "fact R(a, 3, b)",
+    "fact R(a, #b)",
+    "fact R (a) # note",
+    "fact R(a_1, b2)",
+    "fact R(a, _b)",
+    "fact R(\u00e9)",
+]
+MUTATION_ALPHABET = " \t(),:=|#-_x7\u00e9\u0663"
+
+
+def corpus_lines() -> list[str]:
+    return [line for path in sorted(CORPUS.glob("**/*.oks"))
+            for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def mutate(rng: random.Random, line: str, alphabet: str = MUTATION_ALPHABET) -> str:
+    """`line` after one to three seeded inserts, deletes or replacements."""
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randrange(len(line) + 1)
+        op = rng.choice(("insert", "delete", "replace"))
+        if op == "insert":
+            line = line[:pos] + rng.choice(alphabet) + line[pos:]
+        elif pos < len(line):
+            replacement = rng.choice(alphabet) if op == "replace" else ""
+            line = line[:pos] + replacement + line[pos + 1:]
+    return line
+
+
+def parser_lines() -> list[str]:
+    """ACCEPT_EDGE_LINES, the corpus lines and each line of every `*_SOURCE`
+    model above, followed by 40 seeded mutations of each."""
+    lines = ACCEPT_EDGE_LINES + corpus_lines() + [
+        line for name, text in sorted(globals().items()) if name.endswith("_SOURCE")
+        for line in text.split("\n")]
+    rng = random.Random(20261022)
+    return lines + [mutate(rng, line) for line in lines for _ in range(40)]

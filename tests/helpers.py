@@ -39,7 +39,6 @@ from okc.kernel import merge_with_kernel
 from okc.checks import REGISTRY, validate
 from okc.model import (
     LABEL_FAMILY,
-    PRIMITIVES,
     ConceptDecl,
     Conjunction,
     Fact,
@@ -205,7 +204,7 @@ def scan_references(onto, diags: list) -> None:
             need_concept(cname, inst.line, f"concept of instance '{inst.name}'")
 
     for lb in onto.labels.values():
-        if lb.primitive not in PRIMITIVES:
+        if lb.primitive not in LABEL_FAMILY:
             diags.append(_error(
                 "E4", f"unknown modeling primitive '{lb.primitive}'", at(lb.line), lb.concept))
         need_concept(lb.concept, lb.line, f"label {lb.primitive}")

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from digest_inputs import ACCEPT_EDGE_LINES, corpus_lines, mutate, parser_lines
 from helpers import (
     CORPUS,
     check_source,
@@ -87,6 +88,7 @@ def test_negative_time_literal_is_one_diagnostic_with_recovery():
     ("fact isDataOf(m, d)", Fact("isDataOf", ("m", "d"), None)),
     ("fact PC(m, d, 3)", Fact("PC", ("m", "d"), 3)),
     ("fact PRE(d, 0)", Fact("PRE", ("d",), 0)),
+    ("fact PRE(0)", Fact("PRE", (), 0)),
 ])
 def test_statement_forms(line, expected):
     assert parse_one(line) == expected._replace(line=1)
@@ -215,65 +217,8 @@ def test_time_point_digit_limit():
         assert d.span.column == line.index("9") + 1
 
 
-# Lines where a pattern could plausibly read more or less than the tokens do.
-ACCEPT_EDGE_LINES = [
-    "concept specializes",
-    "concept A specializes specializes",
-    "concept A-B",
-    "concept A#note",
-    "concept\tA  specializes B ,C\t# note",
-    "  concept A=B and C",
-    "concept A = B andC",
-    "concept A\u00a0specializes B",
-    "role R=data of C",
-    "role R = database of C",
-    "relation particularizes signature (A)",
-    "relation particularizes particularizes signature (A)",
-    "relation R particularizes signature signature (A)",
-    "relation R signature(B|A, C|A|B)temporal",
-    "relation R signature (A) temporalX",
-    "relation R signature (A,) temporal",
-    "disjoint A B C",
-    "label Task X at 007",
-    "label Tasks X at 1",
-    "label Task X at 1x",
-    "label Task X at ٣",
-    "annotate X rigidity anti-rigid#c",
-    "annotate X identity rigid",
-    "annotate X-Y rigidity rigid",
-    "instance i:A,B",
-    "instance i : A, B,",
-    "fact R(3)",
-    "fact R(a,b,3)",
-    "fact R(a, 3, b)",
-    "fact R(a, #b)",
-    "fact R (a) # note",
-    "fact R(a_1, b2)",
-    "fact R(a, _b)",
-    "fact R(é)",
-]
-MUTATION_ALPHABET = " \t(),:=|#-_x7é٣"
-
-
-def _corpus_lines() -> list[str]:
-    return [line for path in sorted(CORPUS.glob("**/*.oks"))
-            for line in path.read_text(encoding="utf-8").splitlines()]
-
-
-def _mutate(rng: random.Random, line: str) -> str:
-    for _ in range(rng.randint(1, 3)):
-        pos = rng.randrange(len(line) + 1)
-        op = rng.choice(("insert", "delete", "replace"))
-        if op == "insert":
-            line = line[:pos] + rng.choice(MUTATION_ALPHABET) + line[pos:]
-        elif pos < len(line):
-            replacement = rng.choice(MUTATION_ALPHABET) if op == "replace" else ""
-            line = line[:pos] + replacement + line[pos + 1:]
-    return line
-
-
 def test_accept_path_covers_the_corpus():
-    for line in _corpus_lines():
+    for line in corpus_lines():
         slow = _parse_tokens(line, 1, "<c>")
         expected = None if isinstance(slow, Diagnostic) else slow
         assert _accept(line, 1) == expected, line
@@ -282,8 +227,8 @@ def test_accept_path_covers_the_corpus():
 def test_accept_path_returns_what_the_token_parser_returns():
     """Seeded mutations of corpus lines: the accept path declines or agrees."""
     rng = random.Random(20261018)
-    lines = ACCEPT_EDGE_LINES + _corpus_lines()
-    lines += [_mutate(rng, line) for line in lines for _ in range(40)]
+    lines = ACCEPT_EDGE_LINES + corpus_lines()
+    lines += [mutate(rng, line) for line in lines for _ in range(40)]
     accepted = 0
     for line in lines:
         fast = _accept(line, 7)
@@ -292,6 +237,19 @@ def test_accept_path_returns_what_the_token_parser_returns():
             assert fast == slow and fast.line == slow.line == 7, repr(line)
             accepted += 1
     assert accepted > len(lines) // 10
+
+
+def test_the_token_parser_declares_every_line_the_grammar_accepts():
+    """The token parser returns None only for a line without tokens: the
+    accept path takes every line the grammar accepts, once its tokens are
+    joined by single spaces.  Seeded mutations of the corpus, the edge
+    lines and the digest models."""
+    declared = 0
+    for line in parser_lines():
+        result = _parse_tokens(line, 7, "<m>")
+        assert (result is None) == (not _tokenize_line(line)), repr(line)
+        declared += result is not None and not isinstance(result, Diagnostic)
+    assert declared > 1500, declared
 
 
 def _workload_files(monkeypatch) -> list:
